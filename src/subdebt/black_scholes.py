@@ -39,6 +39,8 @@ class OptionInputs:
         maturity: Time to maturity in years (> 0).
         rate: Continuously compounded annual risk-free rate.
         dividend_yield: Continuously compounded annual payout yield (>= 0).
+
+    Every field must be finite.
     """
 
     asset_value: float
@@ -49,19 +51,25 @@ class OptionInputs:
     dividend_yield: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.asset_value > 0.0:
-            raise ValidationError(f"asset_value must be > 0, got {self.asset_value}")
-        if not self.strike > 0.0:
-            raise ValidationError(f"strike must be > 0, got {self.strike}")
-        if not self.volatility >= 0.0:
-            raise ValidationError(f"volatility must be >= 0, got {self.volatility}")
-        if not self.maturity > 0.0:
-            raise ValidationError(f"maturity must be > 0, got {self.maturity}")
+        if not 0.0 < self.asset_value < math.inf:
+            raise ValidationError(
+                f"asset_value must be finite and > 0, got {self.asset_value}"
+            )
+        if not 0.0 < self.strike < math.inf:
+            raise ValidationError(f"strike must be finite and > 0, got {self.strike}")
+        if not 0.0 <= self.volatility < math.inf:
+            raise ValidationError(
+                f"volatility must be finite and >= 0, got {self.volatility}"
+            )
+        if not 0.0 < self.maturity < math.inf:
+            raise ValidationError(
+                f"maturity must be finite and > 0, got {self.maturity}"
+            )
         if not math.isfinite(self.rate):
             raise ValidationError(f"rate must be finite, got {self.rate}")
-        if not self.dividend_yield >= 0.0:
+        if not 0.0 <= self.dividend_yield < math.inf:
             raise ValidationError(
-                f"dividend_yield must be >= 0, got {self.dividend_yield}"
+                f"dividend_yield must be finite and >= 0, got {self.dividend_yield}"
             )
 
 

@@ -35,6 +35,8 @@ class CapitalStructure:
         maturity: Time to debt maturity in years (> 0).
         rate: Continuously compounded annual risk-free rate.
         dividend_yield: Continuously compounded annual payout yield (>= 0).
+
+    Every field must be finite.
     """
 
     asset_value: float
@@ -46,21 +48,31 @@ class CapitalStructure:
     dividend_yield: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.asset_value > 0.0:
-            raise ValidationError(f"asset_value must be > 0, got {self.asset_value}")
-        if not self.senior_face > 0.0:
-            raise ValidationError(f"senior_face must be > 0, got {self.senior_face}")
-        if not self.junior_face > 0.0:
-            raise ValidationError(f"junior_face must be > 0, got {self.junior_face}")
-        if not self.volatility >= 0.0:
-            raise ValidationError(f"volatility must be >= 0, got {self.volatility}")
-        if not self.maturity > 0.0:
-            raise ValidationError(f"maturity must be > 0, got {self.maturity}")
+        if not 0.0 < self.asset_value < math.inf:
+            raise ValidationError(
+                f"asset_value must be finite and > 0, got {self.asset_value}"
+            )
+        if not 0.0 < self.senior_face < math.inf:
+            raise ValidationError(
+                f"senior_face must be finite and > 0, got {self.senior_face}"
+            )
+        if not 0.0 < self.junior_face < math.inf:
+            raise ValidationError(
+                f"junior_face must be finite and > 0, got {self.junior_face}"
+            )
+        if not 0.0 <= self.volatility < math.inf:
+            raise ValidationError(
+                f"volatility must be finite and >= 0, got {self.volatility}"
+            )
+        if not 0.0 < self.maturity < math.inf:
+            raise ValidationError(
+                f"maturity must be finite and > 0, got {self.maturity}"
+            )
         if not math.isfinite(self.rate):
             raise ValidationError(f"rate must be finite, got {self.rate}")
-        if not self.dividend_yield >= 0.0:
+        if not 0.0 <= self.dividend_yield < math.inf:
             raise ValidationError(
-                f"dividend_yield must be >= 0, got {self.dividend_yield}"
+                f"dividend_yield must be finite and >= 0, got {self.dividend_yield}"
             )
 
     @property

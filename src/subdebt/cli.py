@@ -1,7 +1,8 @@
 """Command-line interface: pricing, thresholds, sweeps, and verification.
 
-Exit codes: 0 success; 2 usage error or malformed scenario file; 3
-parameter validation error; 4 verification check failure.
+Exit codes: 0 success; 2 usage error, malformed scenario file or an
+``--out`` path that cannot be opened; 3 parameter validation error; 4
+verification check failure.
 """
 
 from __future__ import annotations
@@ -58,11 +59,15 @@ DEGENERATE_SE_SCALE = 1e-12
 RULE_OF_THREE = 7.0
 
 
+class _OutputError(Exception):
+    """The ``--out`` file cannot be opened for writing."""
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ScenarioParseError as exc:
+    except (ScenarioParseError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (ValidationError, DegenerateVolatilityError) as exc:
@@ -353,8 +358,11 @@ def _open_out(out: str | None):
     if out is None:
         yield sys.stdout
     else:
-        path = Path(out)
-        with path.open("w") as stream:
+        try:
+            stream = Path(out).open("w")
+        except OSError as exc:
+            raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        with stream:
             yield stream
 
 
@@ -367,11 +375,11 @@ def _emit_report(report: dict, fmt: str | None, out: str | None) -> None:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(("key", "value"))
             for key, value in report.items():
-                writer.writerow((key, _csv_value(value)))
+                writer.writerow((key, _format_value(value, "")))
         else:
             width = max(len(key) for key in report)
             for key, value in report.items():
-                stream.write(f"{key:<{width}}  {_text_value(value)}\n")
+                stream.write(f"{key:<{width}}  {_format_value(value, 'n/a')}\n")
 
 
 def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
@@ -387,16 +395,17 @@ def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
                 writer.writerow(
                     (
                         check["name"],
-                        _csv_value(check.get("closed_form")),
-                        _csv_value(check.get("estimate")),
-                        _csv_value(detail),
-                        _csv_value(check["passed"]),
+                        _format_value(check.get("closed_form"), ""),
+                        _format_value(check.get("estimate"), ""),
+                        _format_value(detail, ""),
+                        _format_value(check["passed"], ""),
                     )
                 )
         else:
+            antithetic = _format_value(report["antithetic"], "n/a")
             stream.write(
                 f"scenario {report['scenario']}: {report['paths']} paths, "
-                f"seed {report['seed']}, antithetic {_text_value(report['antithetic'])}\n"
+                f"seed {report['seed']}, antithetic {antithetic}\n"
             )
             for check in report["checks"]:
                 status = "PASS" if check["passed"] else "FAIL"
@@ -404,12 +413,12 @@ def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
                     stream.write(f"[{status}] {check['name']}: skipped ({check['skipped']})\n")
                     continue
                 parts = [
-                    f"closed={_text_value(check.get('closed_form'))}",
-                    f"estimate={_text_value(check.get('estimate'))}",
+                    f"closed={_format_value(check.get('closed_form'), 'n/a')}",
+                    f"estimate={_format_value(check.get('estimate'), 'n/a')}",
                 ]
                 for key in ("std_error", "se_multiples", "error", "relative_error"):
                     if check.get(key) is not None:
-                        parts.append(f"{key}={_text_value(check[key])}")
+                        parts.append(f"{key}={_format_value(check[key], 'n/a')}")
                 if check.get("degenerate_sample"):
                     parts.append("degenerate sample (rule-of-three bound)")
                 stream.write(f"[{status}] {check['name']}: {', '.join(parts)}\n")
@@ -423,26 +432,15 @@ def _first_detail(check: dict) -> float | None:
     return None
 
 
-def _text_value(value) -> str:
+def _format_value(value, missing: str) -> str:
+    """Render a report value; None and NaN become ``missing``."""
     if value is None:
-        return "n/a"
+        return missing
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         if math.isnan(value):
-            return "n/a"
-        return repr(value)
-    return str(value)
-
-
-def _csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
+            return missing
         return repr(value)
     return str(value)
 

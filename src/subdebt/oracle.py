@@ -15,19 +15,23 @@ to uniforms by u = ((raw >> 11) + 0.5) * 2**-53, strictly inside (0, 1),
 and to normals through the inverse normal CDF (``scipy.special.ndtri``,
 the Cephes ndtri routine) rather than Box-Muller, so antithetic pairing
 is exact and results are bit-stable across platforms.
+
+numpy and scipy are imported inside the functions that build arrays, so
+that importing the package, and the closed-form CLI commands, do not
+load them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
-
-import numpy as np
-from scipy.special import ndtri
+from typing import TYPE_CHECKING, Callable
 
 from .claims import CapitalStructure, junior_debt_value
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _COARSE_POINTS = 64
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -89,6 +93,9 @@ def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
     antithetic pairing the output interleaves pairs (Z_i, -Z_i): element
     2i uses Z_i and element 2i+1 uses -Z_i.
     """
+    import numpy as np
+    from scipy.special import ndtri
+
     n_draws = mc.path_count // 2 if mc.antithetic else mc.path_count
     raw = np.random.Philox(key=mc.seed).random_raw(n_draws)
     uniforms = ((raw >> 11).astype(np.float64) + 0.5) * 2.0**-53
@@ -116,6 +123,8 @@ def mc_claim_values(
     average terminal value.  With antithetic pairing the sampling unit
     for the standard error is the average of each (Z, -Z) pair.
     """
+    import numpy as np
+
     terminal = simulate_terminal_values(cs, mc)
     discount = math.exp(-cs.rate * cs.maturity)
     senior = np.minimum(terminal, cs.senior_face)
@@ -172,6 +181,8 @@ def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
     """
     if not grid.lower > 0.0:
         raise ValidationError(f"grid.lower must be > 0, got {grid.lower}")
+    import numpy as np
+
     sigmas = np.geomspace(grid.lower, grid.upper, _COARSE_POINTS)
     values = [_junior_value_at(cs, s) for s in sigmas]
     peak = int(np.argmax(values))

@@ -137,8 +137,10 @@ def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
     and only if the asset value is below ``risk_shift_threshold``
     evaluated at ``initial_sigma``.
     """
-    if not initial_sigma > 0.0:
-        raise ValidationError(f"initial_sigma must be > 0, got {initial_sigma}")
+    if not 0.0 < initial_sigma < math.inf:
+        raise ValidationError(
+            f"initial_sigma must be finite and > 0, got {initial_sigma}"
+        )
     best = optimal_volatility(cs)
     shift_at_initial = risk_shift_threshold(
         cs.senior_face,

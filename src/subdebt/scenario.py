@@ -12,6 +12,7 @@ priced at sigma = 0 must therefore state it explicitly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,9 +36,9 @@ class Scenario:
     mc: MCConfig
 
     def __post_init__(self) -> None:
-        if not self.initial_sigma > 0.0:
+        if not 0.0 < self.initial_sigma < math.inf:
             raise ValidationError(
-                f"initial_sigma must be > 0, got {self.initial_sigma}"
+                f"initial_sigma must be finite and > 0, got {self.initial_sigma}"
             )
 
 

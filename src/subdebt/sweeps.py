@@ -5,6 +5,9 @@ separator, no grouping, header row mandatory; re-parsing a written table
 reproduces the exact values.  Missing values (no interior maximizer) are
 NaN in memory, empty cells in CSV, and null in JSON.  JSON output mirrors
 the CSV columns as arrays.
+
+numpy is imported inside the sweep functions, after their arguments are
+validated, so that importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from typing import IO
-
-import numpy as np
 
 from .claims import CapitalStructure, value_all_claims
 from .errors import ValidationError
@@ -69,6 +70,8 @@ def sweep_sigma(
         raise ValidationError(f"sigma range must satisfy lower < upper, got [{lower}, {upper}]")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
+    import numpy as np
+
     rows = []
     for sigma in np.linspace(lower, upper, steps):
         at_sigma = replace(cs, volatility=float(sigma))
@@ -121,6 +124,7 @@ def sweep_structure(
         )
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
+    import numpy as np
 
     tables = []
     for proportion in junior_proportions:

@@ -213,6 +213,12 @@ class TestValidation:
             {"maturity": -1.0},
             {"rate": math.nan},
             {"dividend_yield": -0.01},
+            {"asset_value": math.inf},
+            {"asset_value": -math.inf},
+            {"strike": math.inf},
+            {"volatility": math.inf},
+            {"maturity": math.inf},
+            {"dividend_yield": math.inf},
         ],
     )
     def test_rejects_bad_inputs(self, kwargs):

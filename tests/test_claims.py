@@ -222,6 +222,13 @@ class TestValidation:
             {"maturity": 0.0},
             {"rate": math.inf},
             {"dividend_yield": -0.01},
+            {"asset_value": math.inf},
+            {"asset_value": -math.inf},
+            {"senior_face": math.inf},
+            {"junior_face": math.inf},
+            {"volatility": math.inf},
+            {"maturity": math.inf},
+            {"dividend_yield": math.inf},
         ],
     )
     def test_rejects_bad_structures(self, kwargs):

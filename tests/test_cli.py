@@ -374,8 +374,30 @@ class TestExitCodes:
 
     def test_invalid_parameters_are_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
-        path.write_text(DISTRESSED.replace("senior_face = 60", "senior_face = -60"))
-        assert main(["price", "--scenario", str(path)]) == EXIT_VALIDATION_ERROR
+        for old, new in (
+            ("senior_face = 60", "senior_face = -60"),
+            ("asset_value = 62", "asset_value = inf"),
+            ("initial_sigma = 0.10", "initial_sigma = inf"),
+        ):
+            path.write_text(DISTRESSED.replace(old, new))
+            for command in ("price", "thresholds"):
+                code = main([command, "--scenario", str(path)])
+                assert code == EXIT_VALIDATION_ERROR, (command, new)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["price", "sweep-sigma"])
+    def test_out_into_missing_directory_is_usage_error(
+        self, distressed, tmp_path, capsys, command
+    ):
+        out_path = tmp_path / "no-such-dir" / "out.csv"
+        args = [command, "--scenario", distressed, "--out", str(out_path)]
+        assert main(args) == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+        assert not out_path.parent.exists()
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,0 +1,59 @@
+"""Cold-start guard: the closed-form commands load neither numpy nor scipy.
+
+Each case runs in a fresh interpreter, because this test process has
+already imported both libraries.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO = ROOT / "scenarios" / "distressed.ini"
+
+_PROBE = """\
+import json, sys
+from subdebt.cli import main
+argv = json.loads(sys.argv[1])
+code = main(argv) if argv else 0
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "scipy": "scipy" in sys.modules}))
+"""
+
+
+def _loaded_after(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv,code,numpy_loaded",
+    [
+        ([], 0, False),
+        (["price", "--scenario", str(SCENARIO)], 0, False),
+        (["thresholds", "--scenario", str(SCENARIO), "--format", "json"], 0, False),
+        (["price", "--scenario", str(ROOT / "no-such-scenario.ini")], 2, False),
+        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "1"], 3, False),
+        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5"], 0, True),
+    ],
+    ids=["import", "price", "thresholds", "parse-error", "sweep-error", "sweep-sigma"],
+)
+def test_commands_load_only_what_they_use(argv, code, numpy_loaded):
+    loaded = _loaded_after(argv)
+    assert loaded["code"] == code
+    assert loaded["numpy"] is numpy_loaded
+    assert loaded["scipy"] is False

@@ -288,6 +288,8 @@ class TestRegimeClassification:
             classify_regime(_cs(62.0), 0.0)
         with pytest.raises(ValidationError):
             chosen_risk(_cs(62.0), -0.1)
+        with pytest.raises(ValidationError):
+            classify_regime(_cs(62.0), math.inf)
 
 
 class TestChosenRisk:

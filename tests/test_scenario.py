@@ -105,9 +105,13 @@ def test_malformed_mc_values(tmp_path):
 
 
 def test_invalid_parameters_are_validation_errors(tmp_path):
-    text = MINIMAL.replace("senior_face = 60", "senior_face = -60")
-    with pytest.raises(ValidationError):
-        load_scenario(_write(tmp_path, text))
+    for text in (
+        MINIMAL.replace("senior_face = 60", "senior_face = -60"),
+        MINIMAL.replace("asset_value = 62", "asset_value = inf"),
+        MINIMAL + "initial_sigma = inf\n",
+    ):
+        with pytest.raises(ValidationError):
+            load_scenario(_write(tmp_path, text))
 
 
 def test_odd_path_count_with_antithetic_rejected(tmp_path):
