@@ -10,8 +10,6 @@ and finite-difference verification engines.
 from .black_scholes import (
     OptionInputs,
     call_price,
-    d1,
-    d2,
     norm_cdf,
     norm_pdf,
     put_price,
@@ -20,11 +18,7 @@ from .black_scholes import (
 from .claims import (
     CapitalStructure,
     ClaimValues,
-    MaturityPayoffs,
-    equity_value,
     junior_debt_value,
-    payoffs_at_maturity,
-    senior_debt_value,
     value_all_claims,
 )
 from .errors import DegenerateVolatilityError, ScenarioParseError, ValidationError
@@ -69,7 +63,6 @@ __all__ = [
     "GridSpec",
     "MCConfig",
     "MCEstimate",
-    "MaturityPayoffs",
     "OptionInputs",
     "Regime",
     "RiskProfile",
@@ -81,9 +74,6 @@ __all__ = [
     "call_price",
     "chosen_risk",
     "classify_regime",
-    "d1",
-    "d2",
-    "equity_value",
     "finite_diff_vega",
     "golden_section_max",
     "hump_threshold",
@@ -94,11 +84,9 @@ __all__ = [
     "norm_cdf",
     "norm_pdf",
     "optimal_volatility",
-    "payoffs_at_maturity",
     "put_price",
     "read_sweep_csv",
     "risk_shift_threshold",
-    "senior_debt_value",
     "simulate_terminal_values",
     "sweep_sigma",
     "sweep_structure",

@@ -5,6 +5,9 @@ times are year fractions.  The standard normal CDF is computed as
 N(x) = erfc(-x / sqrt(2)) / 2 with the C library's double-precision
 complementary error function (``math.erfc``), which keeps the absolute
 error below 1e-15 over the whole real line.
+
+These single-option functions are the independent reference that the
+tests compare the fused claims kernel in ``claims`` against.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateVolatilityError, ValidationError
+from .errors import DegenerateVolatilityError, check
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -51,26 +54,12 @@ class OptionInputs:
     dividend_yield: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.asset_value < math.inf:
-            raise ValidationError(
-                f"asset_value must be finite and > 0, got {self.asset_value}"
-            )
-        if not 0.0 < self.strike < math.inf:
-            raise ValidationError(f"strike must be finite and > 0, got {self.strike}")
-        if not 0.0 <= self.volatility < math.inf:
-            raise ValidationError(
-                f"volatility must be finite and >= 0, got {self.volatility}"
-            )
-        if not 0.0 < self.maturity < math.inf:
-            raise ValidationError(
-                f"maturity must be finite and > 0, got {self.maturity}"
-            )
-        if not math.isfinite(self.rate):
-            raise ValidationError(f"rate must be finite, got {self.rate}")
-        if not 0.0 <= self.dividend_yield < math.inf:
-            raise ValidationError(
-                f"dividend_yield must be finite and >= 0, got {self.dividend_yield}"
-            )
+        check("asset_value", self.asset_value, "finite and > 0")
+        check("strike", self.strike, "finite and > 0")
+        check("volatility", self.volatility, "finite and >= 0")
+        check("maturity", self.maturity, "finite and > 0")
+        check("rate", self.rate, "finite")
+        check("dividend_yield", self.dividend_yield, "finite and >= 0")
 
 
 def _sigma_sqrt_t(inputs: OptionInputs) -> float:

@@ -12,6 +12,12 @@ assets:
 
 With a payout yield q the three values sum to V e^{-q tau}; at q = 0 they
 sum to the asset value itself.
+
+Every claim value and the junior vega come from one kernel, ``_claims``,
+which prices both strikes together: each discount factor once, and d1
+and d2 once per strike.  Its arithmetic is that of the single-option
+functions in ``black_scholes``, operation for operation, so the results
+are bit-identical to composing them.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .black_scholes import OptionInputs, call_price, put_price
-from .errors import ValidationError
+from .black_scholes import norm_cdf, norm_pdf
+from .errors import check, checked_exp
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,7 @@ class CapitalStructure:
         rate: Continuously compounded annual risk-free rate.
         dividend_yield: Continuously compounded annual payout yield (>= 0).
 
-    Every field must be finite.
+    Every field, and the total face, must be finite.
     """
 
     asset_value: float
@@ -48,47 +54,18 @@ class CapitalStructure:
     dividend_yield: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.asset_value < math.inf:
-            raise ValidationError(
-                f"asset_value must be finite and > 0, got {self.asset_value}"
-            )
-        if not 0.0 < self.senior_face < math.inf:
-            raise ValidationError(
-                f"senior_face must be finite and > 0, got {self.senior_face}"
-            )
-        if not 0.0 < self.junior_face < math.inf:
-            raise ValidationError(
-                f"junior_face must be finite and > 0, got {self.junior_face}"
-            )
-        if not 0.0 <= self.volatility < math.inf:
-            raise ValidationError(
-                f"volatility must be finite and >= 0, got {self.volatility}"
-            )
-        if not 0.0 < self.maturity < math.inf:
-            raise ValidationError(
-                f"maturity must be finite and > 0, got {self.maturity}"
-            )
-        if not math.isfinite(self.rate):
-            raise ValidationError(f"rate must be finite, got {self.rate}")
-        if not 0.0 <= self.dividend_yield < math.inf:
-            raise ValidationError(
-                f"dividend_yield must be finite and >= 0, got {self.dividend_yield}"
-            )
+        check("asset_value", self.asset_value, "finite and > 0")
+        check("senior_face", self.senior_face, "finite and > 0")
+        check("junior_face", self.junior_face, "finite and > 0")
+        check("volatility", self.volatility, "finite and >= 0")
+        check("maturity", self.maturity, "finite and > 0")
+        check("rate", self.rate, "finite")
+        check("dividend_yield", self.dividend_yield, "finite and >= 0")
+        check("total_face", self.total_face, "finite")
 
     @property
     def total_face(self) -> float:
         return self.senior_face + self.junior_face
-
-    def option_inputs(self, strike: float) -> OptionInputs:
-        """Option inputs on the firm's assets at the given strike."""
-        return OptionInputs(
-            asset_value=self.asset_value,
-            strike=strike,
-            volatility=self.volatility,
-            maturity=self.maturity,
-            rate=self.rate,
-            dividend_yield=self.dividend_yield,
-        )
 
 
 @dataclass(frozen=True)
@@ -101,66 +78,61 @@ class ClaimValues:
     total: float
 
 
-@dataclass(frozen=True)
-class MaturityPayoffs:
-    """Payoffs of the three claims at debt maturity."""
-
-    senior_payoff: float
-    junior_payoff: float
-    equity_payoff: float
-
-
-def payoffs_at_maturity(
-    terminal_value: float, senior_face: float, junior_face: float
-) -> MaturityPayoffs:
-    """Split a terminal asset value across the three claims.
-
-    senior = min(V_T, F_S); junior = clamp(V_T - F_S, 0, F_J);
-    equity = max(V_T - F_S - F_J, 0).  The single-branch clamp form of
-    the junior payoff equals both rearrangements
-    max(min(V_T - F_S, F_J), 0) and
-    max(V_T - F_S, 0) - max(V_T - F_S - F_J, 0).
-    """
-    if not terminal_value >= 0.0:
-        raise ValidationError(f"terminal_value must be >= 0, got {terminal_value}")
-    if not senior_face > 0.0:
-        raise ValidationError(f"senior_face must be > 0, got {senior_face}")
-    if not junior_face > 0.0:
-        raise ValidationError(f"junior_face must be > 0, got {junior_face}")
-    senior = min(terminal_value, senior_face)
-    junior = min(max(terminal_value - senior_face, 0.0), junior_face)
-    equity = max(terminal_value - senior_face - junior_face, 0.0)
-    return MaturityPayoffs(senior, junior, equity)
-
-
-def senior_debt_value(cs: CapitalStructure) -> float:
-    """Senior bond value: F_S e^{-r tau} minus a put struck at F_S.
-
-    Bounded in [0, F_S e^{-r tau}].
-    """
-    discounted_face = cs.senior_face * math.exp(-cs.rate * cs.maturity)
-    return discounted_face - put_price(cs.option_inputs(cs.senior_face))
-
-
 def junior_debt_value(cs: CapitalStructure) -> float:
     """Junior bond value: call at F_S minus call at F_S + F_J.
 
     A bull call spread, bounded in [0, F_J e^{-r tau}]; equals the
     discounted expected junior payoff under the risk-neutral measure.
     """
-    return call_price(cs.option_inputs(cs.senior_face)) - call_price(
-        cs.option_inputs(cs.total_face)
-    )
-
-
-def equity_value(cs: CapitalStructure) -> float:
-    """Equity value: a call struck at the total face F_S + F_J."""
-    return call_price(cs.option_inputs(cs.total_face))
+    return _claims(cs, cs.volatility)[1]
 
 
 def value_all_claims(cs: CapitalStructure) -> ClaimValues:
-    """Value all three claims and their sum."""
-    senior = senior_debt_value(cs)
-    junior = junior_debt_value(cs)
-    equity = equity_value(cs)
+    """Value all three claims and their sum.
+
+    Senior debt is F_S e^{-r tau} minus a put struck at F_S, bounded in
+    [0, F_S e^{-r tau}]; equity is a call struck at F_S + F_J.
+    """
+    senior, junior, equity, _ = _claims(cs, cs.volatility)
     return ClaimValues(senior, junior, equity, senior + junior + equity)
+
+
+def _claims(
+    cs: CapitalStructure, sigma: float
+) -> tuple[float, float, float, float | None]:
+    """(senior, junior, equity, junior vega) of ``cs`` at volatility ``sigma``.
+
+    Suffix _s marks a quantity at the senior face F_S, _t one at the total
+    face F_S + F_J; pv is a face discounted at the risk-free rate.  The
+    vega is None where sigma sqrt(tau) is exactly 0.0 (sigma = 0, or small
+    enough that the product underflows); the claims then take the
+    deterministic forward limits.
+
+    Raises:
+        ValidationError: If the discount factor e^{-r tau} overflows.
+    """
+    tau, rate, dividend_yield = cs.maturity, cs.rate, cs.dividend_yield
+    forward = cs.asset_value * math.exp(-dividend_yield * tau)
+    discount = checked_exp(-rate * tau, "discount factor")
+    pv_s = cs.senior_face * discount
+    pv_t = cs.total_face * discount
+    sqrt_t = math.sqrt(tau)
+    sigma_sqrt_t = sigma * sqrt_t
+    if sigma_sqrt_t == 0.0:
+        put_s = max(pv_s - forward, 0.0)
+        call_s = max(forward - pv_s, 0.0)
+        call_t = max(forward - pv_t, 0.0)
+        vega = None
+    else:
+        drift = (rate - dividend_yield + 0.5 * sigma * sigma) * tau
+        d1_s = (math.log(cs.asset_value / cs.senior_face) + drift) / sigma_sqrt_t
+        d1_t = (math.log(cs.asset_value / cs.total_face) + drift) / sigma_sqrt_t
+        d2_s = d1_s - sigma_sqrt_t
+        d2_t = d1_t - sigma_sqrt_t
+        put_s = max(pv_s * norm_cdf(-d2_s) - forward * norm_cdf(-d1_s), 0.0)
+        call_s = max(forward * norm_cdf(d1_s) - pv_s * norm_cdf(d2_s), 0.0)
+        call_t = max(forward * norm_cdf(d1_t) - pv_t * norm_cdf(d2_t), 0.0)
+        # Two call vegas, V e^{-q tau} sqrt(tau) phi(d1) each, subtracted
+        # unfactored: factoring out V e^{-q tau} sqrt(tau) rounds differently.
+        vega = forward * sqrt_t * norm_pdf(d1_s) - forward * sqrt_t * norm_pdf(d1_t)
+    return pv_s - put_s, call_s - call_t, call_t, vega

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from .claims import CapitalStructure, junior_debt_value
-from .errors import ValidationError
+from .errors import ValidationError, check, check_range
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,12 +78,8 @@ class GridSpec:
     tolerance: float
 
     def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValidationError(
-                f"lower must be < upper, got [{self.lower}, {self.upper}]"
-            )
-        if not self.tolerance > 0.0:
-            raise ValidationError(f"tolerance must be > 0, got {self.tolerance}")
+        check_range("search interval", self.lower, self.upper)
+        check("tolerance", self.tolerance, "finite and > 0")
 
 
 def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
@@ -123,18 +119,31 @@ def mc_claim_values(
     average terminal value.  With antithetic pairing the sampling unit
     for the standard error is the average of each (Z, -Z) pair.
     """
-    import numpy as np
-
     terminal = simulate_terminal_values(cs, mc)
     discount = math.exp(-cs.rate * cs.maturity)
-    senior = np.minimum(terminal, cs.senior_face)
-    junior = np.clip(terminal - cs.senior_face, 0.0, cs.junior_face)
-    equity = np.maximum(terminal - cs.senior_face - cs.junior_face, 0.0)
-    return (
-        _estimate(discount * senior, mc),
-        _estimate(discount * junior, mc),
-        _estimate(discount * equity, mc),
+    return tuple(
+        _estimate(discount * payoff, mc)
+        for payoff in claim_payoffs(terminal, cs.senior_face, cs.junior_face)
     )
+
+
+def claim_payoffs(
+    terminal: np.ndarray, senior_face: float, junior_face: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split terminal asset values across the three claims at maturity.
+
+    senior = min(V_T, F_S); junior = clamp(V_T - F_S, 0, F_J);
+    equity = max(V_T - F_S - F_J, 0).  The single-branch clamp form of
+    the junior payoff equals both rearrangements
+    max(min(V_T - F_S, F_J), 0) and
+    max(V_T - F_S, 0) - max(V_T - F_S - F_J, 0).
+    """
+    import numpy as np
+
+    senior = np.minimum(terminal, senior_face)
+    junior = np.clip(terminal - senior_face, 0.0, junior_face)
+    equity = np.maximum(terminal - senior_face - junior_face, 0.0)
+    return senior, junior, equity
 
 
 def _estimate(discounted: np.ndarray, mc: MCConfig) -> MCEstimate:
@@ -179,8 +188,7 @@ def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
     the coarse values are nonincreasing from the left edge, i.e. no
     interior peak exists over the grid.
     """
-    if not grid.lower > 0.0:
-        raise ValidationError(f"grid.lower must be > 0, got {grid.lower}")
+    check("grid.lower", grid.lower, "finite and > 0")
     import numpy as np
 
     sigmas = np.geomspace(grid.lower, grid.upper, _COARSE_POINTS)
@@ -199,8 +207,7 @@ def finite_diff_vega(cs: CapitalStructure, bump: float) -> float:
     Raises:
         ValidationError: If bump <= 0 or sigma - bump <= 0.
     """
-    if not bump > 0.0:
-        raise ValidationError(f"bump must be > 0, got {bump}")
+    check("bump", bump, "finite and > 0")
     if not cs.volatility - bump > 0.0:
         raise ValidationError(
             f"bump {bump} too large for volatility {cs.volatility}"

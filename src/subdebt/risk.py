@@ -20,9 +20,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .black_scholes import vega
-from .claims import CapitalStructure
-from .errors import ValidationError
+from .claims import CapitalStructure, _claims
+from .errors import DegenerateVolatilityError, check, checked_exp
 
 # Radicands this close to zero are treated as the boundary case where the
 # interior maximizer degenerates to sigma = 0.
@@ -61,9 +60,10 @@ def junior_debt_vega(cs: CapitalStructure) -> float:
     Raises:
         DegenerateVolatilityError: If the structure's volatility is zero.
     """
-    return vega(cs.option_inputs(cs.senior_face)) - vega(
-        cs.option_inputs(cs.total_face)
-    )
+    vega = _claims(cs, cs.volatility)[3]
+    if vega is None:
+        raise DegenerateVolatilityError("vega is undefined at sigma = 0")
+    return vega
 
 
 def risk_shift_threshold(
@@ -81,11 +81,27 @@ def risk_shift_threshold(
     at volatility ``sigma`` changes sign from positive to negative as the
     asset value crosses this threshold.
     """
-    _validate_threshold_inputs(senior_face, junior_face, maturity)
-    if not sigma >= 0.0:
-        raise ValidationError(f"sigma must be >= 0, got {sigma}")
+    check("senior_face", senior_face, "finite and > 0")
+    check("junior_face", junior_face, "finite and > 0")
+    check("sigma", sigma, "finite and >= 0")
+    check("maturity", maturity, "finite and > 0")
+    check("rate", rate, "finite")
+    check("dividend_yield", dividend_yield, "finite and >= 0")
+    return _threshold(senior_face, junior_face, sigma, maturity, rate, dividend_yield)
+
+
+def _threshold(
+    senior_face: float,
+    junior_face: float,
+    sigma: float,
+    maturity: float,
+    rate: float,
+    dividend_yield: float,
+) -> float:
+    """``risk_shift_threshold`` for validated inputs."""
     exponent = (rate - dividend_yield + 0.5 * sigma * sigma) * maturity
-    return math.exp(-exponent) * math.sqrt(senior_face * (senior_face + junior_face))
+    growth = checked_exp(-exponent, "threshold discount factor")
+    return growth * math.sqrt(senior_face * (senior_face + junior_face))
 
 
 def hump_threshold(
@@ -101,9 +117,9 @@ def hump_threshold(
     ``risk_shift_threshold`` evaluated at sigma = 0 and strictly exceeds
     it for any sigma > 0.
     """
-    _validate_threshold_inputs(senior_face, junior_face, maturity)
-    exponent = (rate - dividend_yield) * maturity
-    return math.exp(-exponent) * math.sqrt(senior_face * (senior_face + junior_face))
+    return risk_shift_threshold(
+        senior_face, junior_face, 0.0, maturity, rate, dividend_yield
+    )
 
 
 def optimal_volatility(cs: CapitalStructure) -> float | None:
@@ -115,8 +131,13 @@ def optimal_volatility(cs: CapitalStructure) -> float | None:
     boundary value 0.0 rather than to a rounding-noise root.  The
     structure's own volatility field is ignored.
     """
+    return _optimal_volatility(cs, cs.asset_value)
+
+
+def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float | None:
+    """``optimal_volatility`` of ``cs`` with its asset value replaced."""
     radicand = (
-        math.log(cs.senior_face * cs.total_face / (cs.asset_value * cs.asset_value))
+        math.log(cs.senior_face * cs.total_face / (asset_value * asset_value))
         / cs.maturity
         - 2.0 * cs.rate
         + 2.0 * cs.dividend_yield
@@ -137,22 +158,12 @@ def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
     and only if the asset value is below ``risk_shift_threshold``
     evaluated at ``initial_sigma``.
     """
-    if not 0.0 < initial_sigma < math.inf:
-        raise ValidationError(
-            f"initial_sigma must be finite and > 0, got {initial_sigma}"
-        )
+    check("initial_sigma", initial_sigma, "finite and > 0")
     best = optimal_volatility(cs)
-    shift_at_initial = risk_shift_threshold(
-        cs.senior_face,
-        cs.junior_face,
-        initial_sigma,
-        cs.maturity,
-        cs.rate,
-        cs.dividend_yield,
-    )
-    boundary = hump_threshold(
-        cs.senior_face, cs.junior_face, cs.maturity, cs.rate, cs.dividend_yield
-    )
+    faces = cs.senior_face, cs.junior_face
+    market = cs.maturity, cs.rate, cs.dividend_yield
+    shift_at_initial = _threshold(*faces, initial_sigma, *market)
+    boundary = _threshold(*faces, 0.0, *market)
     regime = Regime.DECREASING_IN_RISK if best is None else Regime.HUMP_SHAPED
     return RiskProfile(
         optimal_volatility=best,
@@ -172,17 +183,11 @@ def chosen_risk(cs: CapitalStructure, initial_sigma: float) -> float:
     shifting is limited to the level that maximizes the junior bond.
     """
     profile = classify_regime(cs, initial_sigma)
-    if profile.shifts_above_initial and profile.optimal_volatility is not None:
-        return profile.optimal_volatility
-    return initial_sigma
+    return _chosen_risk(
+        profile.optimal_volatility, profile.shifts_above_initial, initial_sigma
+    )
 
 
-def _validate_threshold_inputs(
-    senior_face: float, junior_face: float, maturity: float
-) -> None:
-    if not senior_face > 0.0:
-        raise ValidationError(f"senior_face must be > 0, got {senior_face}")
-    if not junior_face > 0.0:
-        raise ValidationError(f"junior_face must be > 0, got {junior_face}")
-    if not maturity > 0.0:
-        raise ValidationError(f"maturity must be > 0, got {maturity}")
+def _chosen_risk(best: float | None, shifts_up: bool, initial_sigma: float) -> float:
+    return best if shifts_up and best is not None else initial_sigma
+

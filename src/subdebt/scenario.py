@@ -12,12 +12,11 @@ priced at sigma = 0 must therefore state it explicitly.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .claims import CapitalStructure
-from .errors import ScenarioParseError, ValidationError
+from .errors import ScenarioParseError, check
 from .oracle import MCConfig
 
 DEFAULT_PATHS = 1_000_000
@@ -36,10 +35,7 @@ class Scenario:
     mc: MCConfig
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.initial_sigma < math.inf:
-            raise ValidationError(
-                f"initial_sigma must be finite and > 0, got {self.initial_sigma}"
-            )
+        check("initial_sigma", self.initial_sigma, "finite and > 0")
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -6,8 +6,11 @@ reproduces the exact values.  Missing values (no interior maximizer) are
 NaN in memory, empty cells in CSV, and null in JSON.  JSON output mirrors
 the CSV columns as arrays.
 
-numpy is imported inside the sweep functions, after their arguments are
-validated, so that importing the package does not load it.
+Sweeps use only the standard library.  Their grids place each point as
+numpy.linspace does, i * step + start with the last point set to stop,
+so they are bit-identical to it.  The volatility sweep calls the fused
+claims kernel once per point; the structure sweep computes the two
+thresholds, which do not depend on the asset value, once per debt mix.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO
 
-from .claims import CapitalStructure, value_all_claims
-from .errors import ValidationError
-from .risk import chosen_risk, classify_regime, junior_debt_vega
+from .claims import CapitalStructure, _claims
+from .errors import DegenerateVolatilityError, ValidationError, check, check_range
+from .risk import _chosen_risk, _optimal_volatility, classify_regime
 
 SIGMA_SWEEP_COLUMNS = ("junior_value", "senior_value", "equity_value", "junior_vega")
 STRUCTURE_SWEEP_COLUMNS = (
@@ -33,28 +36,31 @@ STRUCTURE_SWEEP_COLUMNS = (
 
 @dataclass
 class SweepTable:
-    """Rows of (independent value, named outputs) with a stable column order."""
+    """Sweep results as columns of floats.
+
+    ``columns`` holds the independent values first, then one column per
+    output name in order, all of one length.
+    """
 
     independent_name: str
     output_names: tuple[str, ...]
-    rows: list[tuple[float, dict[str, float]]]
+    columns: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        for earlier, later in zip(self.rows, self.rows[1:]):
-            if not earlier[0] < later[0]:
+        lengths = {len(column) for column in self.columns}
+        if len(self.columns) != 1 + len(self.output_names) or len(lengths) > 1:
+            raise ValidationError("need one column per name, all of one length")
+        independent = self.columns[0]
+        for earlier, later in zip(independent, independent[1:]):
+            if not earlier < later:
                 raise ValidationError(
                     f"independent values must be strictly increasing, "
-                    f"got {earlier[0]} before {later[0]}"
+                    f"got {earlier} before {later}"
                 )
-        expected = set(self.output_names)
-        for value, outputs in self.rows:
-            if set(outputs) != expected:
-                raise ValidationError(f"row at {value} has mismatched output keys")
 
     def column(self, name: str) -> list[float]:
-        if name == self.independent_name:
-            return [value for value, _ in self.rows]
-        return [outputs[name] for _, outputs in self.rows]
+        names = (self.independent_name, *self.output_names)
+        return list(self.columns[names.index(name)])
 
 
 def sweep_sigma(
@@ -64,30 +70,13 @@ def sweep_sigma(
 
     Columns: sigma; junior_value, senior_value, equity_value, junior_vega.
     """
-    if not lower > 0.0:
-        raise ValidationError(f"sigma lower bound must be > 0, got {lower}")
-    if not lower < upper:
-        raise ValidationError(f"sigma range must satisfy lower < upper, got [{lower}, {upper}]")
-    if steps < 2:
-        raise ValidationError(f"steps must be >= 2, got {steps}")
-    import numpy as np
-
-    rows = []
-    for sigma in np.linspace(lower, upper, steps):
-        at_sigma = replace(cs, volatility=float(sigma))
-        values = value_all_claims(at_sigma)
-        rows.append(
-            (
-                float(sigma),
-                {
-                    "junior_value": values.junior_value,
-                    "senior_value": values.senior_value,
-                    "equity_value": values.equity_value,
-                    "junior_vega": junior_debt_vega(at_sigma),
-                },
-            )
-        )
-    return SweepTable("sigma", SIGMA_SWEEP_COLUMNS, rows)
+    sigmas = _grid("sigma", lower, upper, steps)
+    points = [_claims(cs, sigma) for sigma in sigmas]
+    senior, junior, equity, vega = zip(*points)
+    if None in vega:
+        raise DegenerateVolatilityError("vega is undefined at sigma = 0")
+    columns = (sigmas, junior, senior, equity, vega)
+    return SweepTable("sigma", SIGMA_SWEEP_COLUMNS, columns)
 
 
 def sweep_structure(
@@ -107,65 +96,61 @@ def sweep_structure(
     F_S = (1 - p) * total_face.  Columns per table: asset_value;
     chosen_risk, optimal_volatility, shift_threshold, hump_threshold.
     """
-    if not total_face > 0.0:
-        raise ValidationError(f"total_face must be > 0, got {total_face}")
+    check("total_face", total_face, "finite and > 0")
     if not junior_proportions:
         raise ValidationError("at least one junior proportion is required")
-    for proportion in junior_proportions:
-        if not 0.0 < proportion < 1.0:
-            raise ValidationError(
-                f"junior proportions must lie strictly in (0, 1), got {proportion}"
-            )
-    if not v_lower > 0.0:
-        raise ValidationError(f"asset-value lower bound must be > 0, got {v_lower}")
-    if not v_lower < v_upper:
-        raise ValidationError(
-            f"asset-value range must satisfy lower < upper, got [{v_lower}, {v_upper}]"
-        )
-    if steps < 2:
-        raise ValidationError(f"steps must be >= 2, got {steps}")
-    import numpy as np
-
+    asset_values = _grid("asset-value", v_lower, v_upper, steps)
     tables = []
     for proportion in junior_proportions:
+        check("junior proportion", proportion, "strictly in (0, 1)")
         junior_face = proportion * total_face
-        senior_face = total_face - junior_face
-        rows = []
-        for asset_value in np.linspace(v_lower, v_upper, steps):
-            cs = CapitalStructure(
-                asset_value=float(asset_value),
-                senior_face=senior_face,
-                junior_face=junior_face,
-                volatility=initial_sigma,
-                maturity=maturity,
-                rate=rate,
-                dividend_yield=dividend_yield,
-            )
-            profile = classify_regime(cs, initial_sigma)
-            best = profile.optimal_volatility
-            rows.append(
-                (
-                    float(asset_value),
-                    {
-                        "chosen_risk": chosen_risk(cs, initial_sigma),
-                        "optimal_volatility": math.nan if best is None else best,
-                        "shift_threshold": profile.shift_threshold,
-                        "hump_threshold": profile.hump_threshold,
-                    },
-                )
-            )
-        tables.append((proportion, SweepTable("asset_value", STRUCTURE_SWEEP_COLUMNS, rows)))
+        # One structure per debt mix validates its inputs and gives the two
+        # thresholds, which do not depend on the asset value.
+        cs = CapitalStructure(
+            asset_values[0],
+            total_face - junior_face,
+            junior_face,
+            initial_sigma,
+            maturity,
+            rate,
+            dividend_yield,
+        )
+        profile = classify_regime(cs, initial_sigma)
+        best = [_optimal_volatility(cs, asset_value) for asset_value in asset_values]
+        columns = (
+            asset_values,
+            tuple(
+                _chosen_risk(peak, asset_value < profile.shift_threshold, initial_sigma)
+                for peak, asset_value in zip(best, asset_values)
+            ),
+            tuple(math.nan if peak is None else peak for peak in best),
+            (profile.shift_threshold,) * steps,
+            (profile.hump_threshold,) * steps,
+        )
+        tables.append(
+            (proportion, SweepTable("asset_value", STRUCTURE_SWEEP_COLUMNS, columns))
+        )
     return tables
+
+
+def _grid(name: str, start: float, stop: float, steps: int) -> tuple[float, ...]:
+    """``steps`` evenly spaced points from start to stop, both included."""
+    check(f"{name} lower bound", start, "finite and > 0")
+    check_range(f"{name} range", start, stop)
+    if steps < 2:
+        raise ValidationError(f"steps must be >= 2, got {steps}")
+    step = (stop - start) / (steps - 1)
+    grid = [i * step + start for i in range(steps)]
+    grid[-1] = stop
+    return tuple(grid)
 
 
 def write_sweep_csv(table: SweepTable, stream: IO[str]) -> None:
     """Write a table as CSV: header row, then one row per grid point."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow([table.independent_name, *table.output_names])
-    for value, outputs in table.rows:
-        writer.writerow(
-            [_format(value), *(_format(outputs[name]) for name in table.output_names)]
-        )
+    for row in zip(*table.columns):
+        writer.writerow([_format(value) for value in row])
 
 
 def read_sweep_csv(stream: IO[str]) -> SweepTable:
@@ -176,14 +161,12 @@ def read_sweep_csv(stream: IO[str]) -> SweepTable:
     except StopIteration:
         raise ValidationError("empty sweep CSV") from None
     independent_name, *output_names = header
-    rows = []
+    columns: list[list[float]] = [[] for _ in header]
     for record in reader:
-        value = float(record[0])
-        outputs = {
-            name: _parse(cell) for name, cell in zip(output_names, record[1:])
-        }
-        rows.append((value, outputs))
-    return SweepTable(independent_name, tuple(output_names), rows)
+        columns[0].append(float(record[0]))
+        for column, cell in zip(columns[1:], record[1:]):
+            column.append(_parse(cell))
+    return SweepTable(independent_name, tuple(output_names), tuple(map(tuple, columns)))
 
 
 def write_sweep_json(table: SweepTable, stream: IO[str]) -> None:
@@ -202,14 +185,8 @@ def write_structure_csv(
         ["junior_proportion", first_table.independent_name, *first_table.output_names]
     )
     for proportion, table in tables:
-        for value, outputs in table.rows:
-            writer.writerow(
-                [
-                    _format(proportion),
-                    _format(value),
-                    *(_format(outputs[name]) for name in table.output_names),
-                ]
-            )
+        for row in zip(*table.columns):
+            writer.writerow([_format(proportion), *(_format(value) for value in row)])
 
 
 def write_structure_json(
@@ -227,14 +204,10 @@ def write_structure_json(
 
 
 def _table_payload(table: SweepTable) -> dict:
-    columns: dict[str, list] = {
-        table.independent_name: [value for value, _ in table.rows]
-    }
-    for name in table.output_names:
-        columns[name] = [
-            None if math.isnan(outputs[name]) else outputs[name]
-            for _, outputs in table.rows
-        ]
+    independent, *outputs = table.columns
+    columns: dict[str, list] = {table.independent_name: list(independent)}
+    for name, column in zip(table.output_names, outputs):
+        columns[name] = [None if math.isnan(value) else value for value in column]
     return {"independent": table.independent_name, "columns": columns}
 
 

@@ -15,14 +15,13 @@ from subdebt import (
     OptionInputs,
     ValidationError,
     call_price,
-    d1,
-    d2,
     norm_cdf,
     norm_pdf,
     put_price,
     simulate_terminal_values,
     vega,
 )
+from subdebt.black_scholes import d1, d2
 
 
 def _inputs(v, k, sigma, tau=1.0, r=0.01, q=0.0):

@@ -4,41 +4,43 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import capital_structures, distressed_structures, finite_floats
 from subdebt import (
     CapitalStructure,
+    ClaimValues,
+    DegenerateVolatilityError,
     MCConfig,
+    OptionInputs,
     ValidationError,
     call_price,
-    equity_value,
     junior_debt_value,
+    junior_debt_vega,
     mc_claim_values,
-    payoffs_at_maturity,
-    senior_debt_value,
+    put_price,
     value_all_claims,
+    vega,
 )
+from subdebt.oracle import claim_payoffs
 
 
 class TestMaturityPayoffs:
     def test_solvent_firm(self):
-        p = payoffs_at_maturity(100.0, 60.0, 10.0)
-        assert (p.senior_payoff, p.junior_payoff, p.equity_payoff) == (60.0, 10.0, 30.0)
+        assert claim_payoffs(100.0, 60.0, 10.0) == (60.0, 10.0, 30.0)
 
     def test_junior_residual_claimant(self):
-        p = payoffs_at_maturity(65.0, 60.0, 10.0)
-        assert (p.senior_payoff, p.junior_payoff, p.equity_payoff) == (60.0, 5.0, 0.0)
+        assert claim_payoffs(65.0, 60.0, 10.0) == (60.0, 5.0, 0.0)
 
     def test_senior_absorbs_everything(self):
-        p = payoffs_at_maturity(40.0, 60.0, 10.0)
-        assert (p.senior_payoff, p.junior_payoff, p.equity_payoff) == (40.0, 0.0, 0.0)
+        assert claim_payoffs(40.0, 60.0, 10.0) == (40.0, 0.0, 0.0)
 
     @given(
         finite_floats(0.0, 1000.0), finite_floats(0.01, 500.0), finite_floats(0.01, 500.0)
     )
     def test_junior_payoff_forms_agree(self, terminal, senior_face, junior_face):
-        clamp = payoffs_at_maturity(terminal, senior_face, junior_face).junior_payoff
+        clamp = claim_payoffs(terminal, senior_face, junior_face)[1]
         max_of_min = max(min(terminal - senior_face, junior_face), 0.0)
         difference = max(terminal - senior_face, 0.0) - max(
             terminal - (senior_face + junior_face), 0.0
@@ -51,27 +53,52 @@ class TestMaturityPayoffs:
         finite_floats(0.0, 1000.0), finite_floats(0.01, 500.0), finite_floats(0.01, 500.0)
     )
     def test_payoffs_sum_to_terminal_value(self, terminal, senior_face, junior_face):
-        p = payoffs_at_maturity(terminal, senior_face, junior_face)
-        total = p.senior_payoff + p.junior_payoff + p.equity_payoff
+        senior, junior, equity = claim_payoffs(terminal, senior_face, junior_face)
+        total = senior + junior + equity
         assert abs(total - terminal) <= math.ulp(max(terminal, senior_face + junior_face))
-
-    def test_rejects_negative_terminal_value(self):
-        with pytest.raises(ValidationError):
-            payoffs_at_maturity(-1.0, 60.0, 10.0)
 
 
 def _cs(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
     return CapitalStructure(v, fs, fj, sigma, tau, r, q)
 
 
+def _option(cs, strike):
+    return OptionInputs(
+        cs.asset_value, strike, cs.volatility, cs.maturity, cs.rate, cs.dividend_yield
+    )
+
+
+def _senior_value(cs):
+    return value_all_claims(cs).senior_value
+
+
+def _equity_value(cs):
+    return value_all_claims(cs).equity_value
+
+
+def _reference_claims(cs):
+    """(senior, junior, equity, total, vega or None) composed from the
+    single-option functions: a riskless bond less a put at F_S, a call
+    spread between F_S and F_S + F_J, and a call at F_S + F_J."""
+    senior_option, total_option = _option(cs, cs.senior_face), _option(cs, cs.total_face)
+    senior = cs.senior_face * math.exp(-cs.rate * cs.maturity) - put_price(senior_option)
+    junior = call_price(senior_option) - call_price(total_option)
+    equity = call_price(total_option)
+    if cs.volatility * math.sqrt(cs.maturity) == 0.0:
+        junior_vega = None
+    else:
+        junior_vega = vega(senior_option) - vega(total_option)
+    return senior, junior, equity, senior + junior + equity, junior_vega
+
+
 class TestZeroVolatilityLimits:
     def test_senior_default_free(self):
-        assert senior_debt_value(_cs(100.0, sigma=0.0)) == pytest.approx(
+        assert _senior_value(_cs(100.0, sigma=0.0)) == pytest.approx(
             60.0 * math.exp(-0.01), rel=1e-15
         )
 
     def test_senior_certain_default_gets_assets(self):
-        assert senior_debt_value(_cs(40.0, sigma=0.0)) == pytest.approx(40.0, rel=1e-15)
+        assert _senior_value(_cs(40.0, sigma=0.0)) == pytest.approx(40.0, rel=1e-15)
 
     def test_junior_default_free(self):
         assert junior_debt_value(_cs(100.0, sigma=0.0)) == pytest.approx(
@@ -87,10 +114,10 @@ class TestZeroVolatilityLimits:
         )
 
     def test_equity_deterministic(self):
-        assert equity_value(_cs(100.0, sigma=0.0)) == pytest.approx(
+        assert _equity_value(_cs(100.0, sigma=0.0)) == pytest.approx(
             100.0 - 70.0 * math.exp(-0.01), rel=1e-15
         )
-        assert equity_value(_cs(62.0, sigma=0.0)) == 0.0
+        assert _equity_value(_cs(62.0, sigma=0.0)) == 0.0
 
 
 class TestClaimBoundsAndIdentities:
@@ -115,18 +142,45 @@ class TestClaimBoundsAndIdentities:
     def test_debt_values_bounded_by_discounted_faces(self, cs):
         discount = math.exp(-cs.rate * cs.maturity)
         slack = 1.0 + 1e-12
-        assert 0.0 <= senior_debt_value(cs) <= cs.senior_face * discount * slack
+        assert 0.0 <= _senior_value(cs) <= cs.senior_face * discount * slack
         assert 0.0 <= junior_debt_value(cs) <= cs.junior_face * discount * slack
 
     def test_value_all_claims_matches_components(self):
         cs = _cs(62.0, sigma=0.262)
         values = value_all_claims(cs)
-        assert values.senior_value == senior_debt_value(cs)
-        assert values.junior_value == junior_debt_value(cs)
-        assert values.equity_value == equity_value(cs)
+        senior, junior, equity, _, _ = _reference_claims(cs)
+        assert values.senior_value == senior
+        assert values.junior_value == junior_debt_value(cs) == junior
+        assert values.equity_value == equity
         assert values.total == pytest.approx(
             values.senior_value + values.junior_value + values.equity_value, rel=1e-15
         )
+
+
+# sigma = 0 (forward limits), the saturated low-sigma range of the solvent
+# sweep in test_03, and the general range.
+_KERNEL_SIGMAS = st.one_of(
+    st.just(0.0), finite_floats(0.005, 0.06), finite_floats(0.0, 1.5)
+)
+
+
+class TestKernelMatchesSingleOptionFunctions:
+    @given(capital_structures(min_sigma=0.0, with_yield=True), _KERNEL_SIGMAS)
+    @example(_cs(100.0), 0.01)
+    @example(_cs(100.0), 0.0)
+    @example(_cs(62.0, q=0.02), 0.262)
+    def test_claims_and_vega_bit_identical(self, cs, sigma):
+        # repr is exact for floats and tells -0.0 from 0.0.
+        cs = replace(cs, volatility=sigma)
+        senior, junior, equity, total, junior_vega = _reference_claims(cs)
+        values = value_all_claims(cs)
+        assert repr(values) == repr(ClaimValues(senior, junior, equity, total))
+        assert repr(junior_debt_value(cs)) == repr(junior)
+        if junior_vega is None:
+            with pytest.raises(DegenerateVolatilityError):
+                junior_debt_vega(cs)
+        else:
+            assert repr(junior_debt_vega(cs)) == repr(junior_vega)
 
 
 def _weakly_above(a, b):
@@ -156,24 +210,24 @@ class TestMonotonicity:
     def test_senior_nondecreasing_in_asset_value(self, cs, other_value):
         lo, hi = sorted((cs.asset_value, other_value))
         _weakly_above(
-            senior_debt_value(replace(cs, asset_value=hi)),
-            senior_debt_value(replace(cs, asset_value=lo)),
+            _senior_value(replace(cs, asset_value=hi)),
+            _senior_value(replace(cs, asset_value=lo)),
         )
 
     @given(capital_structures(min_sigma=0.0), finite_floats(0.0, 1.5))
     def test_senior_nonincreasing_in_volatility(self, cs, other_sigma):
         lo, hi = sorted((cs.volatility, other_sigma))
         _weakly_above(
-            senior_debt_value(replace(cs, volatility=lo)),
-            senior_debt_value(replace(cs, volatility=hi)),
+            _senior_value(replace(cs, volatility=lo)),
+            _senior_value(replace(cs, volatility=hi)),
         )
 
     @given(capital_structures(min_sigma=0.0), finite_floats(0.0, 1.5))
     def test_equity_nondecreasing_in_volatility(self, cs, other_sigma):
         lo, hi = sorted((cs.volatility, other_sigma))
         _weakly_above(
-            equity_value(replace(cs, volatility=hi)),
-            equity_value(replace(cs, volatility=lo)),
+            _equity_value(replace(cs, volatility=hi)),
+            _equity_value(replace(cs, volatility=lo)),
         )
 
 
@@ -181,7 +235,7 @@ class TestLimits:
     @given(distressed_structures())
     def test_junior_approaches_senior_strike_call_for_huge_junior_face(self, cs):
         huge = replace(cs, junior_face=1e9)
-        call = call_price(huge.option_inputs(huge.senior_face))
+        call = call_price(_option(huge, huge.senior_face))
         assert junior_debt_value(huge) == pytest.approx(call, abs=1e-9)
 
     @given(distressed_structures())
@@ -229,6 +283,7 @@ class TestValidation:
             {"volatility": math.inf},
             {"maturity": math.inf},
             {"dividend_yield": math.inf},
+            {"senior_face": 1e308, "junior_face": 1e308},
         ],
     )
     def test_rejects_bad_structures(self, kwargs):

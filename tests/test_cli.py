@@ -183,7 +183,7 @@ class TestSweepSigma:
         assert main(args + ["--out", str(out_path)]) == EXIT_OK
         with open(out_path) as stream:
             table = read_sweep_csv(stream)
-        assert len(table.rows) == 200
+        assert len(table.column("sigma")) == 200
         junior = table.column("junior_value")
         sigmas = table.column("sigma")
         assert sigmas[junior.index(max(junior))] == pytest.approx(0.262, abs=0.004)
@@ -378,6 +378,7 @@ class TestExitCodes:
             ("senior_face = 60", "senior_face = -60"),
             ("asset_value = 62", "asset_value = inf"),
             ("initial_sigma = 0.10", "initial_sigma = inf"),
+            ("rate = 0.01", "rate = -800"),
         ):
             path.write_text(DISTRESSED.replace(old, new))
             for command in ("price", "thresholds"):

@@ -1,4 +1,5 @@
-"""Cold-start guard: the closed-form commands load neither numpy nor scipy.
+"""Cold-start guard: the closed-form commands and the sweeps load neither
+numpy nor scipy.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported both libraries.
@@ -41,19 +42,45 @@ def _loaded_after(argv):
 
 
 @pytest.mark.parametrize(
-    "argv,code,numpy_loaded",
+    "argv,code",
     [
-        ([], 0, False),
-        (["price", "--scenario", str(SCENARIO)], 0, False),
-        (["thresholds", "--scenario", str(SCENARIO), "--format", "json"], 0, False),
-        (["price", "--scenario", str(ROOT / "no-such-scenario.ini")], 2, False),
-        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "1"], 3, False),
-        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5"], 0, True),
+        ([], 0),
+        (["price", "--scenario", str(SCENARIO)], 0),
+        (["thresholds", "--scenario", str(SCENARIO), "--format", "json"], 0),
+        (["price", "--scenario", str(ROOT / "no-such-scenario.ini")], 2),
+        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "1"], 3),
+        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5"], 0),
+        (
+            [
+                "sweep-structure",
+                "--scenario",
+                str(SCENARIO),
+                "--total-face",
+                "100",
+                "--proportions",
+                "0.1,0.2",
+                "--v-min",
+                "50",
+                "--v-max",
+                "70",
+                "--steps",
+                "5",
+            ],
+            0,
+        ),
     ],
-    ids=["import", "price", "thresholds", "parse-error", "sweep-error", "sweep-sigma"],
+    ids=[
+        "import",
+        "price",
+        "thresholds",
+        "parse-error",
+        "sweep-error",
+        "sweep-sigma",
+        "sweep-structure",
+    ],
 )
-def test_commands_load_only_what_they_use(argv, code, numpy_loaded):
+def test_commands_load_only_what_they_use(argv, code):
     loaded = _loaded_after(argv)
     assert loaded["code"] == code
-    assert loaded["numpy"] is numpy_loaded
+    assert loaded["numpy"] is False
     assert loaded["scipy"] is False

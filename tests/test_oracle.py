@@ -222,6 +222,10 @@ class TestFiniteDifference:
             finite_diff_vega(_cs(62.0, sigma=0.10), 0.10)
         with pytest.raises(ValidationError):
             finite_diff_vega(_cs(62.0), -1e-5)
+        with pytest.raises(ValidationError):
+            finite_diff_vega(_cs(62.0), math.nan)
+        with pytest.raises(ValidationError):
+            finite_diff_vega(_cs(62.0), math.inf)
 
 
 class TestConfigValidation:
@@ -246,3 +250,9 @@ class TestConfigValidation:
             GridSpec(0.5, 0.5, 1e-6)
         with pytest.raises(ValidationError):
             GridSpec(0.01, 1.5, 0.0)
+        with pytest.raises(ValidationError):
+            GridSpec(0.01, math.inf, 1e-6)
+        with pytest.raises(ValidationError):
+            GridSpec(math.nan, 1.5, 1e-6)
+        with pytest.raises(ValidationError):
+            GridSpec(0.01, 1.5, math.inf)

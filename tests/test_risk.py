@@ -124,6 +124,37 @@ class TestThresholds:
             60.0, 10.0, 0.0, 1.0, 0.03, dividend_yield=0.03
         ) == pytest.approx(math.sqrt(4200.0), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "threshold,args",
+        [
+            (hump_threshold, (0.0, 10.0, 1.0, 0.01)),
+            (hump_threshold, (60.0, -10.0, 1.0, 0.01)),
+            (risk_shift_threshold, (60.0, 10.0, -0.1, 1.0, 0.01)),
+            (hump_threshold, (math.inf, 10.0, 1.0, 0.01)),
+            (hump_threshold, (60.0, 10.0, 1.0, math.nan)),
+            (hump_threshold, (60.0, 10.0, math.inf, 0.01)),
+            (risk_shift_threshold, (60.0, 10.0, math.inf, 1.0, 0.01)),
+            (risk_shift_threshold, (60.0, 10.0, 0.1, 1.0, 0.01, math.nan)),
+            (hump_threshold, (60.0, 10.0, 1.0, -800.0)),
+            (risk_shift_threshold, (60.0, 10.0, 0.1, 1.0, 0.0, 800.0)),
+        ],
+        ids=[
+            "zero-senior-face",
+            "negative-junior-face",
+            "negative-sigma",
+            "inf-senior-face",
+            "nan-rate",
+            "inf-maturity",
+            "inf-sigma",
+            "nan-yield",
+            "growth-overflow",
+            "yield-growth-overflow",
+        ],
+    )
+    def test_rejects_inputs_outside_the_domain(self, threshold, args):
+        with pytest.raises(ValidationError):
+            threshold(*args)
+
     @given(
         finite_floats(0.5, 300.0),
         finite_floats(0.5, 300.0),
@@ -290,6 +321,8 @@ class TestRegimeClassification:
             chosen_risk(_cs(62.0), -0.1)
         with pytest.raises(ValidationError):
             classify_regime(_cs(62.0), math.inf)
+        with pytest.raises(ValidationError):
+            chosen_risk(_cs(62.0), math.nan)
 
 
 class TestChosenRisk:

@@ -6,6 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from conftest import finite_floats
 
 from subdebt import (
     CapitalStructure,
@@ -38,6 +42,17 @@ class TestSigmaSweep:
         assert len(sigmas) == 200
         assert sigmas[0] == 0.01 and sigmas[-1] == 0.8
 
+    @given(
+        finite_floats(1e-6, 2.0), finite_floats(1e-9, 3.0), st.integers(2, 400)
+    )
+    @example(0.01, 0.79, 200)
+    @example(0.1, 0.2, 3)
+    @example(1e-4, 2.5, 997)
+    def test_sigma_column_bit_identical_to_linspace(self, lower, width, steps):
+        upper = lower + width
+        sigmas = sweep_sigma(SOLVENT, lower, upper, steps).column("sigma")
+        assert sigmas == np.linspace(lower, upper, steps).tolist()
+
     def test_distressed_junior_value_peaks_near_reported_maximizer(self):
         table = sweep_sigma(DISTRESSED, 0.01, 0.8, 200)
         junior = table.column("junior_value")
@@ -68,7 +83,15 @@ class TestSigmaSweep:
 
     @pytest.mark.parametrize(
         "lower,upper,steps",
-        [(0.0, 0.8, 10), (-0.1, 0.8, 10), (0.5, 0.1, 10), (0.1, 0.8, 1)],
+        [
+            (0.0, 0.8, 10),
+            (-0.1, 0.8, 10),
+            (0.5, 0.1, 10),
+            (0.1, 0.8, 1),
+            (0.01, math.inf, 3),
+            (math.nan, 0.8, 3),
+            (0.01, math.nan, 3),
+        ],
     )
     def test_rejects_bad_ranges(self, lower, upper, steps):
         with pytest.raises(ValidationError):
@@ -87,7 +110,7 @@ class TestStructureSweep:
                 "shift_threshold",
                 "hump_threshold",
             )
-            assert len(table.rows) == 21
+            assert len(table.column("asset_value")) == 21
 
     def test_chosen_risk_weakly_decreasing_in_junior_share(self):
         tables = sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 70.0, 41, 0.10, 1.0, 0.01)
@@ -99,12 +122,16 @@ class TestStructureSweep:
         tables = sweep_structure(100.0, [0.3], 75.0, 90.0, 16, 0.10, 1.0, 0.01)
         table = tables[0][1]
         boundary = table.column("hump_threshold")[0]
-        for value, outputs in table.rows:
+        for value, best, chosen in zip(
+            table.column("asset_value"),
+            table.column("optimal_volatility"),
+            table.column("chosen_risk"),
+        ):
             if value > boundary:
-                assert math.isnan(outputs["optimal_volatility"])
-                assert outputs["chosen_risk"] == 0.10
+                assert math.isnan(best)
+                assert chosen == 0.10
             else:
-                assert not math.isnan(outputs["optimal_volatility"])
+                assert not math.isnan(best)
 
     @pytest.mark.parametrize("proportion", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_out_of_range_proportions(self, proportion):
@@ -118,16 +145,22 @@ class TestStructureSweep:
             sweep_structure(100.0, [0.1], 70.0, 50.0, 5, 0.10, 1.0, 0.01)
         with pytest.raises(ValidationError):
             sweep_structure(-100.0, [0.1], 50.0, 70.0, 5, 0.10, 1.0, 0.01)
+        with pytest.raises(ValidationError):
+            sweep_structure(100.0, [0.1], 50.0, math.inf, 5, 0.10, 1.0, 0.01)
+        with pytest.raises(ValidationError):
+            sweep_structure(100.0, [0.1], 50.0, 70.0, 5, 0.10, 1.0, -800.0)
 
 
 class TestTableValidation:
     def test_rejects_nonincreasing_independent_values(self):
         with pytest.raises(ValidationError):
-            SweepTable("x", ("y",), [(1.0, {"y": 1.0}), (1.0, {"y": 2.0})])
+            SweepTable("x", ("y",), ((1.0, 1.0), (1.0, 2.0)))
 
-    def test_rejects_mismatched_row_keys(self):
+    def test_rejects_columns_that_do_not_match_the_names(self):
         with pytest.raises(ValidationError):
-            SweepTable("x", ("y",), [(1.0, {"y": 1.0}), (2.0, {"z": 2.0})])
+            SweepTable("x", ("y",), ((1.0, 2.0), (1.0, 2.0), (3.0, 4.0)))
+        with pytest.raises(ValidationError):
+            SweepTable("x", ("y",), ((1.0, 2.0), (1.0,)))
 
 
 class TestEmission:
@@ -139,9 +172,7 @@ class TestEmission:
         parsed = read_sweep_csv(buffer)
         assert parsed.independent_name == table.independent_name
         assert parsed.output_names == table.output_names
-        for (x0, row0), (x1, row1) in zip(table.rows, parsed.rows):
-            assert x0 == x1
-            assert row0 == row1
+        assert parsed.columns == table.columns
 
     def test_csv_header_and_decimal_format(self):
         table = sweep_sigma(DISTRESSED, 0.1, 0.3, 3)
