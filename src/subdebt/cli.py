@@ -1,8 +1,10 @@
 """Command-line interface: pricing, thresholds, sweeps, and verification.
 
-Exit codes: 0 success; 2 usage error, malformed scenario file or an
-``--out`` path that cannot be opened; 3 parameter validation error; 4
-verification check failure.
+It parses arguments, loads scenarios and formats reports; the checks that
+``verify`` runs, and their tolerances, live in ``subdebt.verify``.  Exit
+codes: 0 success; 2 usage error, malformed scenario file or an ``--out``
+path that cannot be opened; 3 parameter validation error; 4 verification
+check failure.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .claims import value_all_claims
 from .errors import DegenerateVolatilityError, ScenarioParseError, ValidationError
-from .oracle import GridSpec, MCConfig, argmax_sigma_numeric, finite_diff_vega, mc_claim_values
-from .risk import chosen_risk, classify_regime, junior_debt_vega, optimal_volatility
+from .oracle import MCConfig
+from .risk import chosen_risk, classify_regime, junior_debt_vega
 from .scenario import Scenario, load_scenario
 from .sweeps import (
     sweep_sigma,
@@ -28,35 +30,12 @@ from .sweeps import (
     write_sweep_csv,
     write_sweep_json,
 )
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
 EXIT_VERIFY_FAILURE = 4
-
-# Verification tolerances: claim prices must sit within this many standard
-# errors of their Monte-Carlo estimates (plus a tiny absolute slack for
-# exactly degenerate runs); the numeric and closed-form maximizers must
-# agree to ARGMAX_TOL; the analytic vega must match a central finite
-# difference to VEGA_RELTOL, except at a stationary point, where the
-# finite difference itself must vanish at scale STATIONARY_SCALE * V.
-SE_MULTIPLE = 3.0
-SE_SLACK = 1e-9
-ARGMAX_TOL = 1e-4
-VEGA_BUMP = 1e-5
-VEGA_RELTOL = 1e-6
-STATIONARY_SCALE = 1e-6
-VEGA_NEAR_ZERO_SCALE = 1e-8
-ARGMAX_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
-
-# When a claim's payoff sample is (almost) constant -- e.g. a senior bond
-# whose default probability is far below 1/paths -- the sample standard
-# error says nothing about the unsampled tail, so the 3-SE test is
-# vacuous.  In that regime the check instead allows the rule-of-three
-# bound on an unobserved event: probability <= RULE_OF_THREE / paths at
-# ~99.9% confidence, times an upper bound on the claim's value.
-DEGENERATE_SE_SCALE = 1e-12
-RULE_OF_THREE = 7.0
 
 
 class _OutputError(Exception):
@@ -158,7 +137,9 @@ def _cmd_price(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     cs = scenario.structure
     values = value_all_claims(cs)
-    vega = junior_debt_vega(cs) if cs.volatility > 0.0 else None
+    vega = None
+    with suppress(DegenerateVolatilityError):
+        vega = junior_debt_vega(cs)
     report = _input_echo(scenario)
     report.update(
         senior_value=values.senior_value,
@@ -192,11 +173,9 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 def _cmd_sweep_sigma(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     table = sweep_sigma(scenario.structure, args.sigma_min, args.sigma_max, args.steps)
+    write = write_sweep_json if args.format == "json" else write_sweep_csv
     with _open_out(args.out) as stream:
-        if args.format == "json":
-            write_sweep_json(table, stream)
-        else:
-            write_sweep_csv(table, stream)
+        write(table, stream)
     return EXIT_OK
 
 
@@ -221,122 +200,22 @@ def _cmd_sweep_structure(args: argparse.Namespace) -> int:
         rate=cs.rate,
         dividend_yield=cs.dividend_yield,
     )
+    write = write_structure_json if args.format == "json" else write_structure_csv
     with _open_out(args.out) as stream:
-        if args.format == "json":
-            write_structure_json(tables, stream)
-        else:
-            write_structure_csv(tables, stream)
+        write(tables, stream)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    mc = _mc_with_overrides(scenario, args)
-    report = run_verification(scenario, mc, ARGMAX_GRID)
-    _emit_verification(report, args.format, args.out)
-    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILURE
-
-
-def run_verification(scenario: Scenario, mc: MCConfig, grid: GridSpec) -> dict:
-    """Run all verification checks and collect a structured report."""
-    cs = scenario.structure
-    checks = []
-
-    closed = value_all_claims(cs)
-    estimates = mc_claim_values(cs, mc)
-    discount = math.exp(-cs.rate * cs.maturity)
-    value_bounds = (
-        cs.senior_face * discount,
-        cs.junior_face * discount,
-        cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity),
-    )
-    for name, closed_value, estimate, bound in zip(
-        ("senior_value", "junior_value", "equity_value"),
-        (closed.senior_value, closed.junior_value, closed.equity_value),
-        estimates,
-        value_bounds,
-    ):
-        diff = abs(closed_value - estimate.mean)
-        multiples = diff / estimate.std_error if estimate.std_error > 0 else 0.0
-        passed = diff <= SE_MULTIPLE * estimate.std_error + SE_SLACK
-        degenerate = estimate.std_error < DEGENERATE_SE_SCALE * bound
-        if not passed and degenerate:
-            passed = diff <= RULE_OF_THREE * bound / mc.path_count
-        checks.append(
-            {
-                "name": f"mc_{name}",
-                "closed_form": closed_value,
-                "estimate": estimate.mean,
-                "std_error": estimate.std_error,
-                "se_multiples": multiples,
-                "degenerate_sample": degenerate,
-                "passed": passed,
-            }
-        )
-
-    best_closed = optimal_volatility(cs)
-    best_numeric = argmax_sigma_numeric(cs, grid)
-    if best_closed is None or best_numeric is None:
-        argmax_passed = best_closed is None and best_numeric is None
-        argmax_error = None
-    else:
-        argmax_error = abs(best_closed - best_numeric)
-        argmax_passed = argmax_error < ARGMAX_TOL
-    checks.append(
-        {
-            "name": "optimal_volatility",
-            "closed_form": best_closed,
-            "estimate": best_numeric,
-            "error": argmax_error,
-            "passed": argmax_passed,
-        }
-    )
-
-    if cs.volatility > VEGA_BUMP:
-        analytic = junior_debt_vega(cs)
-        numeric = finite_diff_vega(cs, VEGA_BUMP)
-        if abs(analytic) < VEGA_NEAR_ZERO_SCALE * cs.asset_value:
-            # At a stationary point the relative error is meaningless; the
-            # finite difference itself must vanish at the asset scale.
-            vega_passed = abs(numeric) < STATIONARY_SCALE * cs.asset_value
-            rel_error = None
-        else:
-            rel_error = abs(numeric - analytic) / abs(analytic)
-            vega_passed = rel_error < VEGA_RELTOL
-        checks.append(
-            {
-                "name": "junior_vega",
-                "closed_form": analytic,
-                "estimate": numeric,
-                "relative_error": rel_error,
-                "passed": vega_passed,
-            }
-        )
-    else:
-        checks.append(
-            {
-                "name": "junior_vega",
-                "skipped": f"sigma = {cs.volatility} is too small to difference",
-                "passed": True,
-            }
-        )
-
-    return {
-        "scenario": scenario.name,
-        "paths": mc.path_count,
-        "seed": mc.seed,
-        "antithetic": mc.antithetic,
-        "checks": checks,
-        "passed": all(check["passed"] for check in checks),
-    }
-
-
-def _mc_with_overrides(scenario: Scenario, args: argparse.Namespace) -> MCConfig:
-    return MCConfig(
+    mc = MCConfig(
         path_count=args.paths if args.paths is not None else scenario.mc.path_count,
         seed=args.seed if args.seed is not None else scenario.mc.seed,
         antithetic=scenario.mc.antithetic,
     )
+    report = {"scenario": scenario.name, **run_verification(scenario.structure, mc)}
+    _emit_verification(report, args.format, args.out)
+    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILURE
 
 
 def _input_echo(scenario: Scenario) -> dict:

@@ -8,7 +8,7 @@ class ValidationError(ValueError):
 
 
 class DegenerateVolatilityError(ValueError):
-    """An operation that requires sigma > 0 was called with sigma = 0.
+    """An operation that requires sigma sqrt(tau) > 0 was called where it is 0.
 
     Pricing operations handle sigma = 0 through their deterministic
     forward limits; d1/d2 and vega have no such limit and refuse instead.

@@ -58,11 +58,11 @@ def junior_debt_vega(cs: CapitalStructure) -> float:
     negative above it, and zero at the interior maximizer.
 
     Raises:
-        DegenerateVolatilityError: If the structure's volatility is zero.
+        DegenerateVolatilityError: If sigma sqrt(tau) is 0 (sigma = 0 or underflow).
     """
     vega = _claims(cs, cs.volatility)[3]
     if vega is None:
-        raise DegenerateVolatilityError("vega is undefined at sigma = 0")
+        raise DegenerateVolatilityError("vega is undefined where sigma sqrt(tau) is 0")
     return vega
 
 

@@ -74,7 +74,7 @@ def sweep_sigma(
     points = [_claims(cs, sigma) for sigma in sigmas]
     senior, junior, equity, vega = zip(*points)
     if None in vega:
-        raise DegenerateVolatilityError("vega is undefined at sigma = 0")
+        raise DegenerateVolatilityError("vega is undefined where sigma sqrt(tau) is 0")
     columns = (sigmas, junior, senior, equity, vega)
     return SweepTable("sigma", SIGMA_SWEEP_COLUMNS, columns)
 

@@ -1,0 +1,121 @@
+"""Checks of the closed forms against the independent oracles in ``oracle``.
+
+The tolerances, and the rules that decide whether a check passes, live here.
+"""
+
+import math
+
+from .claims import CapitalStructure, value_all_claims
+from .oracle import GridSpec, MCConfig, argmax_sigma_numeric, finite_diff_vega, mc_claim_values
+from .risk import junior_debt_vega, optimal_volatility
+
+# Verification tolerances: claim prices must sit within this many standard
+# errors of their Monte-Carlo estimates (plus a tiny absolute slack for
+# exactly degenerate runs); the numeric and closed-form maximizers must
+# agree to ARGMAX_TOL; the analytic vega must match a central finite
+# difference to VEGA_RELTOL, except at a stationary point, where the
+# finite difference itself must vanish at scale STATIONARY_SCALE * V.
+SE_MULTIPLE = 3.0
+SE_SLACK = 1e-9
+ARGMAX_TOL = 1e-4
+VEGA_BUMP = 1e-5
+VEGA_RELTOL = 1e-6
+STATIONARY_SCALE = 1e-6
+VEGA_NEAR_ZERO_SCALE = 1e-8
+ARGMAX_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
+
+# When a claim's payoff sample is (almost) constant -- e.g. a senior bond
+# whose default probability is far below 1/paths -- the sample standard
+# error says nothing about the unsampled tail, so the 3-SE test is
+# vacuous.  In that regime the check instead allows the rule-of-three
+# bound on an unobserved event: probability <= RULE_OF_THREE / paths at
+# ~99.9% confidence, times an upper bound on the claim's value.
+DEGENERATE_SE_SCALE = 1e-12
+RULE_OF_THREE = 7.0
+
+
+def run_verification(cs: CapitalStructure, mc: MCConfig) -> dict:
+    """Run all verification checks and collect a structured report."""
+    checks = []
+
+    closed = value_all_claims(cs)
+    estimates = mc_claim_values(cs, mc)
+    discount = math.exp(-cs.rate * cs.maturity)
+    value_bounds = (
+        cs.senior_face * discount,
+        cs.junior_face * discount,
+        cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity),
+    )
+    for name, closed_value, estimate, bound in zip(
+        ("senior_value", "junior_value", "equity_value"),
+        (closed.senior_value, closed.junior_value, closed.equity_value),
+        estimates,
+        value_bounds,
+    ):
+        diff = abs(closed_value - estimate.mean)
+        multiples = diff / estimate.std_error if estimate.std_error > 0 else 0.0
+        passed = diff <= SE_MULTIPLE * estimate.std_error + SE_SLACK
+        degenerate = estimate.std_error < DEGENERATE_SE_SCALE * bound
+        if not passed and degenerate:
+            passed = diff <= RULE_OF_THREE * bound / mc.path_count
+        checks.append(
+            {
+                "name": f"mc_{name}",
+                "closed_form": closed_value,
+                "estimate": estimate.mean,
+                "std_error": estimate.std_error,
+                "se_multiples": multiples,
+                "degenerate_sample": degenerate,
+                "passed": passed,
+            }
+        )
+
+    best_closed = optimal_volatility(cs)
+    best_numeric = argmax_sigma_numeric(cs, ARGMAX_GRID)
+    if best_closed is None or best_numeric is None:
+        argmax_passed = best_closed is None and best_numeric is None
+        argmax_error = None
+    else:
+        argmax_error = abs(best_closed - best_numeric)
+        argmax_passed = argmax_error < ARGMAX_TOL
+    checks.append(
+        {
+            "name": "optimal_volatility",
+            "closed_form": best_closed,
+            "estimate": best_numeric,
+            "error": argmax_error,
+            "passed": argmax_passed,
+        }
+    )
+
+    if cs.volatility > VEGA_BUMP:
+        analytic = junior_debt_vega(cs)
+        numeric = finite_diff_vega(cs, VEGA_BUMP)
+        if abs(analytic) < VEGA_NEAR_ZERO_SCALE * cs.asset_value:
+            # At a stationary point the relative error is meaningless; the
+            # finite difference itself must vanish at the asset scale.
+            vega_passed = abs(numeric) < STATIONARY_SCALE * cs.asset_value
+            rel_error = None
+        else:
+            rel_error = abs(numeric - analytic) / abs(analytic)
+            vega_passed = rel_error < VEGA_RELTOL
+        vega_check = {
+            "closed_form": analytic,
+            "estimate": numeric,
+            "relative_error": rel_error,
+            "passed": vega_passed,
+        }
+    else:
+        vega_check = {
+            "skipped": f"sigma = {cs.volatility} is too small to difference",
+            "passed": True,
+        }
+    checks.append({"name": "junior_vega", **vega_check})
+
+    return {
+        "paths": mc.path_count,
+        "seed": mc.seed,
+        "antithetic": mc.antithetic,
+        "checks": checks,
+        "passed": all(check["passed"] for check in checks),
+    }

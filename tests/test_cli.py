@@ -93,18 +93,23 @@ class TestPrice:
         assert report["junior_vega"] < 0.0
 
     def test_zero_volatility_reports_vega_not_applicable(self, tmp_path, capsys):
-        path = tmp_path / "frozen.ini"
-        path.write_text(FROZEN)
-        assert main(["price", "--scenario", str(path)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "n/a" in out
-        main(["price", "--scenario", str(path), "--format", "json"])
-        report = json.loads(capsys.readouterr().out)
-        assert report["junior_vega"] is None
-        # Deterministic residual above the senior tranche at V = 62.
-        assert report["junior_value"] == pytest.approx(
-            62.0 - 60.0 * math.exp(-0.01), rel=1e-12
+        # sigma = 0, and a sigma > 0 whose product with sqrt(0.25) underflows.
+        underflow = FROZEN.replace("sigma = 0.0", "sigma = 5e-324").replace(
+            "maturity = 1.0", "maturity = 0.25"
         )
+        for text, maturity in ((FROZEN, 1.0), (underflow, 0.25)):
+            path = tmp_path / "frozen.ini"
+            path.write_text(text)
+            assert main(["price", "--scenario", str(path)]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert "n/a" in out
+            assert main(["price", "--scenario", str(path), "--format", "json"]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert report["junior_vega"] is None
+            # Deterministic residual above the senior tranche at V = 62.
+            assert report["junior_value"] == pytest.approx(
+                62.0 - 60.0 * math.exp(-0.01 * maturity), rel=1e-12
+            )
 
     def test_csv_report(self, distressed, capsys):
         assert main(["price", "--scenario", distressed, "--format", "csv"]) == EXIT_OK
@@ -348,9 +353,8 @@ class TestVerify:
         assert "skipped" in capsys.readouterr().out
 
     def test_failing_check_exits_nonzero(self, distressed, capsys, monkeypatch):
-        def failing(scenario, mc, grid):
+        def failing(cs, mc):
             return {
-                "scenario": scenario.name,
                 "paths": mc.path_count,
                 "seed": mc.seed,
                 "antithetic": mc.antithetic,
