@@ -296,7 +296,7 @@ def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
                     f"estimate={_format_value(check.get('estimate'), 'n/a')}",
                 ]
                 for key in ("std_error", "se_multiples", "error", "relative_error"):
-                    if check.get(key) is not None:
+                    if key in check:
                         parts.append(f"{key}={_format_value(check[key], 'n/a')}")
                 if check.get("degenerate_sample"):
                     parts.append("degenerate sample (rule-of-three bound)")

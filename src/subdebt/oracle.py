@@ -16,6 +16,14 @@ and to normals through the inverse normal CDF (``scipy.special.ndtri``,
 the Cephes ndtri routine) rather than Box-Muller, so antithetic pairing
 is exact and results are bit-stable across platforms.
 
+Draws are streamed in chunks of ``_CHUNK_DRAWS`` normals taken in order
+from one Philox stream, so the terminal values do not depend on the
+chunk size.  ``mc_claim_values`` reduces each chunk to per-claim (count,
+mean, M2) and merges it before drawing the next, so its memory is
+O(chunk) whatever the path count.  The merged sums depend on where the
+chunks end, so the fixed chunk size is part of the estimate's contract:
+an estimate is a pure function of (seed, path_count) and this constant.
+
 numpy and scipy are imported inside the functions that build arrays, so
 that importing the package, and the closed-form CLI commands, do not
 load them.
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .claims import CapitalStructure, junior_debt_value
 from .errors import ValidationError, check, check_range
@@ -34,6 +42,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _COARSE_POINTS = 64
+# Normals drawn per chunk of the Monte-Carlo stream (about 7 MB of live
+# arrays).  Estimates depend on it through the order of the final sums.
+_CHUNK_DRAWS = 1 << 16
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -87,26 +98,14 @@ def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
 
     V_T = V exp((r - q - sigma^2/2) tau + sigma sqrt(tau) Z).  With
     antithetic pairing the output interleaves pairs (Z_i, -Z_i): element
-    2i uses Z_i and element 2i+1 uses -Z_i.
+    2i uses Z_i and element 2i+1 uses -Z_i.  The values are the streamed
+    chunks joined into one array.
     """
     import numpy as np
-    from scipy.special import ndtri
 
-    n_draws = mc.path_count // 2 if mc.antithetic else mc.path_count
-    raw = np.random.Philox(key=mc.seed).random_raw(n_draws)
-    uniforms = ((raw >> 11).astype(np.float64) + 0.5) * 2.0**-53
-    z = ndtri(uniforms)
-    if mc.antithetic:
-        full = np.empty(mc.path_count)
-        full[0::2] = z
-        full[1::2] = -z
-    else:
-        full = z
-    drift = (
-        cs.rate - cs.dividend_yield - 0.5 * cs.volatility * cs.volatility
-    ) * cs.maturity
-    shock = cs.volatility * math.sqrt(cs.maturity)
-    return cs.asset_value * np.exp(drift + shock * full)
+    return np.concatenate(
+        [np.column_stack(chunk).ravel() for chunk in _terminal_chunks(cs, mc)]
+    )
 
 
 def mc_claim_values(
@@ -117,14 +116,19 @@ def mc_claim_values(
     Each mean is e^{-r tau} times the average claim payoff over the
     simulated terminal values, so the three means sum to the discounted
     average terminal value.  With antithetic pairing the sampling unit
-    for the standard error is the average of each (Z, -Z) pair.
+    for the standard error is the average of each (Z, -Z) pair.  Units are
+    reduced one chunk at a time, so memory does not grow with path_count.
     """
-    terminal = simulate_terminal_values(cs, mc)
     discount = math.exp(-cs.rate * cs.maturity)
-    return tuple(
-        _estimate(discount * payoff, mc)
-        for payoff in claim_payoffs(terminal, cs.senior_face, cs.junior_face)
-    )
+    moments = [(0, 0.0, 0.0)] * 3
+    for chunk in _terminal_chunks(cs, mc):
+        for claim, units in enumerate(_sampling_units(cs, discount, chunk)):
+            moments[claim] = _merge_moments(moments[claim], units)
+    estimates = []
+    for count, mean, m2 in moments:
+        std_error = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
+        estimates.append(MCEstimate(mean, std_error, mc.path_count))
+    return tuple(estimates)
 
 
 def claim_payoffs(
@@ -141,22 +145,77 @@ def claim_payoffs(
     import numpy as np
 
     senior = np.minimum(terminal, senior_face)
-    junior = np.clip(terminal - senior_face, 0.0, junior_face)
-    equity = np.maximum(terminal - senior_face - junior_face, 0.0)
+    excess = terminal - senior_face
+    junior = np.clip(excess, 0.0, junior_face)
+    equity = np.maximum(excess - junior_face, 0.0)
     return senior, junior, equity
 
 
-def _estimate(discounted: np.ndarray, mc: MCConfig) -> MCEstimate:
-    if mc.antithetic:
-        units = 0.5 * (discounted[0::2] + discounted[1::2])
-    else:
-        units = discounted
-    mean = float(units.mean())
-    if units.size > 1:
-        std_error = float(units.std(ddof=1) / math.sqrt(units.size))
-    else:
-        std_error = 0.0
-    return MCEstimate(mean=mean, std_error=std_error, path_count=mc.path_count)
+def _terminal_chunks(
+    cs: CapitalStructure, mc: MCConfig
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield terminal values for up to _CHUNK_DRAWS normals at a time.
+
+    Each chunk is (up, down), the values at Z and -Z, with antithetic
+    pairing, and (terminal,) without.  All chunks come from one Philox
+    stream, so draw i is the same whatever the chunk size.
+    """
+    import numpy as np
+    from scipy.special import ndtri
+
+    n_draws = mc.path_count // 2 if mc.antithetic else mc.path_count
+    bit_generator = np.random.Philox(key=mc.seed)
+    drift = (
+        cs.rate - cs.dividend_yield - 0.5 * cs.volatility * cs.volatility
+    ) * cs.maturity
+    shock = cs.volatility * math.sqrt(cs.maturity)
+    for start in range(0, n_draws, _CHUNK_DRAWS):
+        raw = bit_generator.random_raw(min(_CHUNK_DRAWS, n_draws - start))
+        z = ndtri(((raw >> 11).astype(np.float64) + 0.5) * 2.0**-53)
+        up = cs.asset_value * np.exp(drift + shock * z)
+        if mc.antithetic:
+            # drift + shock * (-z) == drift - shock * z exactly in IEEE arithmetic.
+            yield up, cs.asset_value * np.exp(drift - shock * z)
+        else:
+            yield (up,)
+
+
+def _sampling_units(
+    cs: CapitalStructure, discount: float, chunk: tuple[np.ndarray, ...]
+) -> list[np.ndarray]:
+    """Per claim, a chunk's discounted payoffs, averaged over each (Z, -Z) pair
+    when the chunk holds both halves.
+
+    Each unit takes the same operations, in the same order, as one formed
+    from the joined ``simulate_terminal_values`` array.  Returning from a
+    function frees the payoff arrays before the next chunk is drawn.
+    """
+    split = [claim_payoffs(t, cs.senior_face, cs.junior_face) for t in chunk]
+    if len(chunk) == 1:
+        return [discount * payoff for payoff in split[0]]
+    return [0.5 * (discount * up + discount * down) for up, down in zip(*split)]
+
+
+def _merge_moments(
+    moments: tuple[int, float, float], units: np.ndarray
+) -> tuple[int, float, float]:
+    """Merge a chunk of sampling units into (count, mean, M2).
+
+    M2 is the sum of squared deviations from the mean.  The chunk's own
+    mean and M2 are combined by Chan, Golub and LeVeque's pairwise update.
+    """
+    count, mean, m2 = moments
+    size = units.size
+    chunk_mean = float(units.mean())
+    deviations = units - chunk_mean
+    chunk_m2 = float(deviations @ deviations)
+    total = count + size
+    delta = chunk_mean - mean
+    return (
+        total,
+        mean + delta * (size / total),
+        m2 + chunk_m2 + delta * delta * (count * size / total),
+    )
 
 
 def golden_section_max(

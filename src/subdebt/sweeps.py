@@ -2,9 +2,10 @@
 
 Floats are written with ``repr`` (shortest round-trip form), '.' decimal
 separator, no grouping, header row mandatory; re-parsing a written table
-reproduces the exact values.  Missing values (no interior maximizer) are
-NaN in memory, empty cells in CSV, and null in JSON.  JSON output mirrors
-the CSV columns as arrays.
+reproduces the exact values.  Missing values (no interior maximizer, or
+no vega where sigma sqrt(tau) underflows to 0) are NaN in memory, empty
+cells in CSV, and null in JSON.  JSON output mirrors the CSV columns as
+arrays.
 
 Sweeps use only the standard library.  Their grids place each point as
 numpy.linspace does, i * step + start with the last point set to stop,
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from .claims import CapitalStructure, _claims
-from .errors import DegenerateVolatilityError, ValidationError, check, check_range
+from .errors import ValidationError, check, check_range
 from .risk import _chosen_risk, _optimal_volatility, classify_regime
 
 SIGMA_SWEEP_COLUMNS = ("junior_value", "senior_value", "equity_value", "junior_vega")
@@ -69,12 +70,12 @@ def sweep_sigma(
     """Value the claims on an evenly spaced volatility grid.
 
     Columns: sigma; junior_value, senior_value, equity_value, junior_vega.
+    The vega is NaN where sigma sqrt(tau) underflows to 0.
     """
     sigmas = _grid("sigma", lower, upper, steps)
     points = [_claims(cs, sigma) for sigma in sigmas]
     senior, junior, equity, vega = zip(*points)
-    if None in vega:
-        raise DegenerateVolatilityError("vega is undefined where sigma sqrt(tau) is 0")
+    vega = tuple(math.nan if value is None else value for value in vega)
     columns = (sigmas, junior, senior, equity, vega)
     return SweepTable("sigma", SIGMA_SWEEP_COLUMNS, columns)
 

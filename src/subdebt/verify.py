@@ -53,9 +53,14 @@ def run_verification(cs: CapitalStructure, mc: MCConfig) -> dict:
         value_bounds,
     ):
         diff = abs(closed_value - estimate.mean)
-        multiples = diff / estimate.std_error if estimate.std_error > 0 else 0.0
         passed = diff <= SE_MULTIPLE * estimate.std_error + SE_SLACK
         degenerate = estimate.std_error < DEGENERATE_SE_SCALE * bound
+        # A (near-)constant sample's standard error is rounding noise, so no
+        # multiple of it means anything.
+        if degenerate or estimate.std_error == 0.0:
+            multiples = None
+        else:
+            multiples = diff / estimate.std_error
         if not passed and degenerate:
             passed = diff <= RULE_OF_THREE * bound / mc.path_count
         checks.append(

@@ -228,6 +228,20 @@ class TestSweepSigma:
             == EXIT_VALIDATION_ERROR
         )
 
+    def test_underflowing_sigma_sqrt_tau_leaves_vega_empty(self, tmp_path, capsys):
+        path = tmp_path / "short.ini"
+        path.write_text(DISTRESSED.replace("maturity = 1.0", "maturity = 0.25"))
+        args = ["sweep-sigma", "--scenario", str(path), "--sigma-min", "5e-324"]
+        args += ["--sigma-max", "0.1", "--steps", "3"]
+        assert main(args) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 4
+        assert rows[1].startswith("5e-324,") and rows[1].endswith(",")
+        assert not rows[2].endswith(",")
+        assert main(args + ["--format", "json"]) == EXIT_OK
+        vega = json.loads(capsys.readouterr().out)["columns"]["junior_vega"]
+        assert vega[0] is None and vega[1] > 0.0
+
     def test_identical_runs_produce_identical_bytes(self, distressed, capsys):
         args = ["sweep-sigma", "--scenario", distressed, "--steps", "50"]
         main(args)
@@ -351,6 +365,28 @@ class TestVerify:
         path.write_text(FROZEN + "\n[monte_carlo]\npaths = 1000\n")
         assert main(["verify", "--scenario", str(path)]) == EXIT_OK
         assert "skipped" in capsys.readouterr().out
+
+    def test_degenerate_sample_has_no_se_multiple(self, tmp_path, capsys):
+        # sigma sqrt(tau) underflows, so every path is the same and every
+        # claim's standard error is 0.
+        path = tmp_path / "frozen.ini"
+        text = FROZEN.replace("sigma = 0.0", "sigma = 5e-324").replace(
+            "maturity = 1.0", "maturity = 0.25"
+        )
+        path.write_text(text + "\n[monte_carlo]\npaths = 2000\n")
+        base = ["verify", "--scenario", str(path)]
+        assert main(base + ["--format", "json"]) == EXIT_OK
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        for check in checks[:3]:
+            assert check["degenerate_sample"] is True
+            assert check["se_multiples"] is None
+        assert main(base) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("se_multiples=n/a") == 3
+        assert main(base + ["--format", "csv"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        for row in rows[1:4]:
+            assert row.endswith(",,true")
 
     def test_failing_check_exits_nonzero(self, distressed, capsys, monkeypatch):
         def failing(cs, mc):

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo, argmax, and finite-difference oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import distressed_structures
+import subdebt.oracle as oracle
 from subdebt import (
     CapitalStructure,
     GridSpec,
@@ -170,6 +172,69 @@ class TestMCClaimValues:
                         failures.append((v, sigma))
                         break
         assert len(failures) <= 0.01 * cells, failures
+
+
+class TestStreaming:
+    """Chunk boundaries change neither the draws nor, beyond rounding, the estimates."""
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("paths", [2, 34, 1002])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_terminal_values_do_not_depend_on_chunk_size(
+        self, monkeypatch, chunk, paths, antithetic
+    ):
+        cs = _cs(62.0, sigma=0.3)
+        mc = MCConfig(paths, seed=5, antithetic=antithetic)
+        expected = simulate_terminal_values(cs, mc)
+        monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
+        assert simulate_terminal_values(cs, mc).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("paths", [34, 1002])
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_estimates_match_numpy_over_the_joined_units(
+        self, monkeypatch, chunk, paths, antithetic
+    ):
+        cs = _cs(62.0, sigma=0.3)
+        mc = MCConfig(paths, seed=11, antithetic=antithetic)
+        discount = math.exp(-cs.rate * cs.maturity)
+        terminal = simulate_terminal_values(cs, mc)
+        monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
+        estimates = mc_claim_values(cs, mc)
+        for payoff, estimate in zip(
+            oracle.claim_payoffs(terminal, cs.senior_face, cs.junior_face), estimates
+        ):
+            discounted = discount * payoff
+            if antithetic:
+                units = 0.5 * (discounted[0::2] + discounted[1::2])
+            else:
+                units = discounted
+            std_error = units.std(ddof=1) / math.sqrt(units.size)
+            assert std_error > 0.0
+            assert estimate.mean == pytest.approx(units.mean(), rel=1e-14, abs=0.0)
+            assert estimate.std_error == pytest.approx(std_error, rel=1e-14, abs=0.0)
+            assert estimate.path_count == paths
+
+    def test_single_pair_has_zero_standard_error(self):
+        for estimate in mc_claim_values(_cs(62.0, sigma=0.3), MCConfig(2, seed=1)):
+            assert estimate.std_error == 0.0
+
+    def test_traced_peak_does_not_grow_with_path_count(self):
+        cs = _cs(62.0, sigma=0.3)
+        mc_claim_values(cs, MCConfig(2, seed=1))  # imports outside the trace
+
+        def traced_peak(paths):
+            tracemalloc.start()
+            try:
+                mc_claim_values(cs, MCConfig(paths, seed=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = traced_peak(200_000)
+        large = traced_peak(2_000_000)
+        assert large <= 1.5 * small
+        assert large <= 16 * 2**20
 
 
 class TestArgmaxSearch:

@@ -81,6 +81,20 @@ class TestSigmaSweep:
         assert (vega[:peak] > 0.0).all()
         assert (vega[peak + 1 :] < 0.0).all()
 
+    def test_vega_is_nan_where_sigma_sqrt_tau_underflows(self):
+        # 5e-324 * sqrt(0.25) rounds to 0; every sigma in the grid is valid.
+        cs = CapitalStructure(62.0, 60.0, 10.0, 0.10, 0.25, 0.01)
+        table = sweep_sigma(cs, 5e-324, 0.1, 3)
+        vega = table.column("junior_vega")
+        assert math.isnan(vega[0])
+        assert all(math.isfinite(value) for value in vega[1:])
+        assert all(math.isfinite(value) for value in table.column("junior_value"))
+        csv_out, json_out = io.StringIO(), io.StringIO()
+        write_sweep_csv(table, csv_out)
+        write_sweep_json(table, json_out)
+        assert csv_out.getvalue().splitlines()[1].endswith(",")
+        assert json.loads(json_out.getvalue())["columns"]["junior_vega"][0] is None
+
     @pytest.mark.parametrize(
         "lower,upper,steps",
         [

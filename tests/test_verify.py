@@ -45,7 +45,22 @@ def test_senior_check_passes_through_the_rule_of_three_fallback():
     assert diff == pytest.approx(1.3e-7, rel=0.05)
     assert diff > SE_MULTIPLE * senior["std_error"] + SE_SLACK
     assert diff <= RULE_OF_THREE * 60.0 * math.exp(-0.01) / mc.path_count
+    assert senior["se_multiples"] is None
     assert senior["passed"] is True
+
+
+def test_constant_sample_reports_no_se_multiple():
+    # sigma sqrt(tau) underflows to 0, so every path is the same: the
+    # standard errors are 0 while the junior estimate is 7e-15 off.
+    cs = CapitalStructure(62.0, 60.0, 10.0, 5e-324, 0.25, 0.01)
+    checks = _checks(run_verification(cs, MCConfig(2000, 1)))
+    junior = checks["mc_junior_value"]
+    assert junior["std_error"] == 0.0
+    assert junior["closed_form"] != junior["estimate"]
+    for name in CHECK_NAMES[:3]:
+        assert checks[name]["degenerate_sample"] is True
+        assert checks[name]["se_multiples"] is None
+        assert checks[name]["passed"] is True
 
 
 def test_vega_at_the_stationary_point_has_no_relative_error():
