@@ -45,7 +45,6 @@ from .risk import (
 from .scenario import Scenario, load_scenario
 from .sweeps import (
     SweepTable,
-    read_sweep_csv,
     sweep_sigma,
     sweep_structure,
     write_structure_csv,
@@ -85,7 +84,6 @@ __all__ = [
     "norm_pdf",
     "optimal_volatility",
     "put_price",
-    "read_sweep_csv",
     "risk_shift_threshold",
     "simulate_terminal_values",
     "sweep_sigma",

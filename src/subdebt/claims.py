@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .black_scholes import norm_cdf, norm_pdf
-from .errors import check, checked_exp
+from .errors import ValidationError, check, checked_exp
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,9 @@ def _claims(
     deterministic forward limits.
 
     Raises:
-        ValidationError: If the discount factor e^{-r tau} overflows.
+        ValidationError: If the discount factor e^{-r tau} overflows, if a
+            claim is undefined because the discounted total face does, or if
+            V / (F_S + F_J) underflows to 0.
     """
     tau, rate, dividend_yield = cs.maturity, cs.rate, cs.dividend_yield
     forward = cs.asset_value * math.exp(-dividend_yield * tau)
@@ -125,8 +127,14 @@ def _claims(
         vega = None
     else:
         drift = (rate - dividend_yield + 0.5 * sigma * sigma) * tau
-        d1_s = (math.log(cs.asset_value / cs.senior_face) + drift) / sigma_sqrt_t
-        d1_t = (math.log(cs.asset_value / cs.total_face) + drift) / sigma_sqrt_t
+        try:
+            d1_s = (math.log(cs.asset_value / cs.senior_face) + drift) / sigma_sqrt_t
+            d1_t = (math.log(cs.asset_value / cs.total_face) + drift) / sigma_sqrt_t
+        except ValueError:  # log(0); V / (F_S + F_J) <= V / F_S underflowed
+            raise ValidationError(
+                f"asset_value / total_face = {cs.asset_value} / {cs.total_face} "
+                "underflows to 0"
+            ) from None
         d2_s = d1_s - sigma_sqrt_t
         d2_t = d1_t - sigma_sqrt_t
         put_s = max(pv_s * norm_cdf(-d2_s) - forward * norm_cdf(-d1_s), 0.0)
@@ -135,4 +143,10 @@ def _claims(
         # Two call vegas, V e^{-q tau} sqrt(tau) phi(d1) each, subtracted
         # unfactored: factoring out V e^{-q tau} sqrt(tau) rounds differently.
         vega = forward * sqrt_t * norm_pdf(d1_s) - forward * sqrt_t * norm_pdf(d1_t)
-    return pv_s - put_s, call_s - call_t, call_t, vega
+    senior = pv_s - put_s
+    # A claim is NaN only where the discounted total face overflowed.
+    if senior != senior or call_t != call_t:
+        raise ValidationError(
+            f"discounted total face {cs.total_face} * {discount} overflows"
+        )
+    return senior, call_s - call_t, call_t, vega

@@ -1,7 +1,9 @@
 """Command-line interface: pricing, thresholds, sweeps, and verification.
 
-It parses arguments, loads scenarios and formats reports; the checks that
-``verify`` runs, and their tolerances, live in ``subdebt.verify``.  Exit
+It parses arguments, loads scenarios and lays out each report's text and
+rows; the cell, CSV and JSON conventions they are written with live in
+``subdebt.sweeps``, and the checks that ``verify`` runs, with their
+tolerances, in ``subdebt.verify``.  Exit
 codes: 0 success; 2 usage error, malformed scenario file or an ``--out``
 path that cannot be opened; 3 parameter validation error; 4 verification
 check failure.
@@ -10,9 +12,6 @@ check failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
-import math
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
@@ -23,6 +22,9 @@ from .oracle import MCConfig
 from .risk import chosen_risk, classify_regime, junior_debt_vega
 from .scenario import Scenario, load_scenario
 from .sweeps import (
+    _cell,
+    _write_csv,
+    _write_json,
     sweep_sigma,
     sweep_structure,
     write_structure_csv,
@@ -66,10 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--out", metavar="PATH", help="write output to PATH instead of stdout"
-    )
-    common.add_argument("--seed", type=int, help="override the Monte-Carlo seed")
-    common.add_argument(
-        "--paths", type=int, help="override the Monte-Carlo path count"
     )
 
     parser = argparse.ArgumentParser(
@@ -128,6 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="check closed forms against Monte-Carlo, numeric argmax, and finite differences",
     )
+    verify.add_argument("--seed", type=int, help="override the Monte-Carlo seed")
+    verify.add_argument("--paths", type=int, help="override the Monte-Carlo path count")
     verify.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -248,40 +248,33 @@ def _open_out(out: str | None):
 def _emit_report(report: dict, fmt: str | None, out: str | None) -> None:
     with _open_out(out) as stream:
         if fmt == "json":
-            json.dump(report, stream, indent=2)
-            stream.write("\n")
+            _write_json(report, stream)
         elif fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(("key", "value"))
-            for key, value in report.items():
-                writer.writerow((key, _format_value(value, "")))
+            _write_csv(("key", "value"), report.items(), stream)
         else:
             width = max(len(key) for key in report)
             for key, value in report.items():
-                stream.write(f"{key:<{width}}  {_format_value(value, 'n/a')}\n")
+                stream.write(f"{key:<{width}}  {_cell(value, 'n/a')}\n")
 
 
 def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
     with _open_out(out) as stream:
         if fmt == "json":
-            json.dump(report, stream, indent=2)
-            stream.write("\n")
+            _write_json(report, stream)
         elif fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(("check", "closed_form", "estimate", "detail", "passed"))
+            rows = []
             for check in report["checks"]:
-                detail = check.get("skipped") or _first_detail(check)
-                writer.writerow(
-                    (
-                        check["name"],
-                        _format_value(check.get("closed_form"), ""),
-                        _format_value(check.get("estimate"), ""),
-                        _format_value(detail, ""),
-                        _format_value(check["passed"], ""),
-                    )
-                )
+                # The skip reason, else the first detail the check has.
+                detail = check.get("skipped")
+                for key in ("se_multiples", "error", "relative_error"):
+                    if detail is None:
+                        detail = check.get(key)
+                closed, estimate = check.get("closed_form"), check.get("estimate")
+                rows.append((check["name"], closed, estimate, detail, check["passed"]))
+            header = ("check", "closed_form", "estimate", "detail", "passed")
+            _write_csv(header, rows, stream)
         else:
-            antithetic = _format_value(report["antithetic"], "n/a")
+            antithetic = _cell(report["antithetic"], "n/a")
             stream.write(
                 f"scenario {report['scenario']}: {report['paths']} paths, "
                 f"seed {report['seed']}, antithetic {antithetic}\n"
@@ -292,36 +285,16 @@ def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
                     stream.write(f"[{status}] {check['name']}: skipped ({check['skipped']})\n")
                     continue
                 parts = [
-                    f"closed={_format_value(check.get('closed_form'), 'n/a')}",
-                    f"estimate={_format_value(check.get('estimate'), 'n/a')}",
+                    f"closed={_cell(check.get('closed_form'), 'n/a')}",
+                    f"estimate={_cell(check.get('estimate'), 'n/a')}",
                 ]
                 for key in ("std_error", "se_multiples", "error", "relative_error"):
                     if key in check:
-                        parts.append(f"{key}={_format_value(check[key], 'n/a')}")
+                        parts.append(f"{key}={_cell(check[key], 'n/a')}")
                 if check.get("degenerate_sample"):
                     parts.append("degenerate sample (rule-of-three bound)")
                 stream.write(f"[{status}] {check['name']}: {', '.join(parts)}\n")
             stream.write("result: " + ("PASS" if report["passed"] else "FAIL") + "\n")
-
-
-def _first_detail(check: dict) -> float | None:
-    for key in ("se_multiples", "error", "relative_error"):
-        if check.get(key) is not None:
-            return check[key]
-    return None
-
-
-def _format_value(value, missing: str) -> str:
-    """Render a report value; None and NaN become ``missing``."""
-    if value is None:
-        return missing
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return missing
-        return repr(value)
-    return str(value)
 
 
 if __name__ == "__main__":

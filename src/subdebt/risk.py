@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .claims import CapitalStructure, _claims
-from .errors import DegenerateVolatilityError, check, checked_exp
+from .errors import DegenerateVolatilityError, ValidationError, check, checked_exp
 
 # Radicands this close to zero are treated as the boundary case where the
 # interior maximizer degenerates to sigma = 0.
@@ -79,7 +79,8 @@ def risk_shift_threshold(
     e^{-(r - q + sigma^2/2) tau} sqrt(F_S (F_S + F_J)): the discounted
     geometric mean of the senior and total face values.  The junior vega
     at volatility ``sigma`` changes sign from positive to negative as the
-    asset value crosses this threshold.
+    asset value crosses this threshold.  Raises ValidationError where the
+    threshold overflows.
     """
     check("senior_face", senior_face, "finite and > 0")
     check("junior_face", junior_face, "finite and > 0")
@@ -101,7 +102,13 @@ def _threshold(
     """``risk_shift_threshold`` for validated inputs."""
     exponent = (rate - dividend_yield + 0.5 * sigma * sigma) * maturity
     growth = checked_exp(-exponent, "threshold discount factor")
-    return growth * math.sqrt(senior_face * (senior_face + junior_face))
+    threshold = growth * math.sqrt(senior_face * (senior_face + junior_face))
+    if not threshold < math.inf:  # also 0 * inf = NaN where growth underflows
+        raise ValidationError(
+            f"threshold {growth} * sqrt({senior_face} * "
+            f"{senior_face + junior_face}) overflows"
+        )
+    return threshold
 
 
 def hump_threshold(
@@ -129,20 +136,29 @@ def optimal_volatility(cs: CapitalStructure) -> float | None:
     below ``hump_threshold``; None above it, where the junior value is
     decreasing in volatility.  Radicands within 1e-12 of zero map to the
     boundary value 0.0 rather than to a rounding-noise root.  The
-    structure's own volatility field is ignored.
+    structure's own volatility field is ignored.  Raises ValidationError
+    where the radicand leaves the float range.
     """
     return _optimal_volatility(cs, cs.asset_value)
 
 
 def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float | None:
     """``optimal_volatility`` of ``cs`` with its asset value replaced."""
-    radicand = (
-        math.log(cs.senior_face * cs.total_face / (asset_value * asset_value))
-        / cs.maturity
-        - 2.0 * cs.rate
-        + 2.0 * cs.dividend_yield
-    )
+    try:
+        radicand = (
+            math.log(cs.senior_face * cs.total_face / (asset_value * asset_value))
+            / cs.maturity
+            - 2.0 * cs.rate
+            + 2.0 * cs.dividend_yield
+        )
+    except (ValueError, ZeroDivisionError):  # V^2 or the ratio underflowed to 0
+        radicand = math.inf
     if radicand > _RADICAND_TOL:
+        if radicand == math.inf:
+            raise ValidationError(
+                f"sigma*^2 = ln(F_S (F_S + F_J) / V^2) / tau - 2 r + 2 q at "
+                f"V = {asset_value} leaves the float range"
+            )
         return math.sqrt(radicand)
     if radicand >= -_RADICAND_TOL:
         return 0.0

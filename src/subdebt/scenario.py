@@ -65,17 +65,15 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioParseError(f"{path}: missing required keys {', '.join(missing)}")
 
     structure = CapitalStructure(
-        asset_value=_get_float(section, "asset_value", path),
-        senior_face=_get_float(section, "senior_face", path),
-        junior_face=_get_float(section, "junior_face", path),
-        volatility=_get_float(section, "sigma", path),
-        maturity=_get_float(section, "maturity", path),
-        rate=_get_float(section, "rate", path),
-        dividend_yield=_get_float(section, "dividend_yield", path, default=0.0),
+        asset_value=_get(section, "float", "asset_value", path),
+        senior_face=_get(section, "float", "senior_face", path),
+        junior_face=_get(section, "float", "junior_face", path),
+        volatility=_get(section, "float", "sigma", path),
+        maturity=_get(section, "float", "maturity", path),
+        rate=_get(section, "float", "rate", path),
+        dividend_yield=_get(section, "float", "dividend_yield", path, 0.0),
     )
-    initial_sigma = _get_float(
-        section, "initial_sigma", path, default=structure.volatility
-    )
+    initial_sigma = _get(section, "float", "initial_sigma", path, structure.volatility)
     name = section.get("name", path.stem)
 
     paths = DEFAULT_PATHS
@@ -83,42 +81,22 @@ def load_scenario(path: str | Path) -> Scenario:
     antithetic = True
     if parser.has_section("monte_carlo"):
         mc_section = parser["monte_carlo"]
-        paths = _get_int(mc_section, "paths", path, default=paths)
-        seed = _get_int(mc_section, "seed", path, default=seed)
-        antithetic = _get_bool(mc_section, "antithetic", path, default=antithetic)
+        paths = _get(mc_section, "int", "paths", path, paths)
+        seed = _get(mc_section, "int", "seed", path, seed)
+        antithetic = _get(mc_section, "boolean", "antithetic", path, antithetic)
     mc = MCConfig(path_count=paths, seed=seed, antithetic=antithetic)
 
     return Scenario(name=name, structure=structure, initial_sigma=initial_sigma, mc=mc)
 
 
-def _get_float(section, key: str, path: Path, default: float | None = None) -> float:
-    if key not in section:
-        if default is None:
-            raise ScenarioParseError(f"{path}: missing key {key}")
-        return default
-    raw = section[key]
+_NOUNS = {"float": "a number", "int": "an integer", "boolean": "a boolean"}
+
+
+def _get(section, kind: str, key: str, path: Path, default=None):
+    """``key`` read by ``section.get<kind>``; ``default`` where it is absent."""
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ScenarioParseError(f"{path}: key {key} is not a number: {raw!r}") from exc
-
-
-def _get_int(section, key: str, path: Path, default: int) -> int:
-    if key not in section:
-        return default
-    raw = section[key]
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ScenarioParseError(f"{path}: key {key} is not an integer: {raw!r}") from exc
-
-
-def _get_bool(section, key: str, path: Path, default: bool) -> bool:
-    if key not in section:
-        return default
-    try:
-        return section.getboolean(key)
+        return getattr(section, "get" + kind)(key, fallback=default)
     except ValueError as exc:
         raise ScenarioParseError(
-            f"{path}: key {key} is not a boolean: {section[key]!r}"
+            f"{path}: key {key} is not {_NOUNS[kind]}: {section[key]!r}"
         ) from exc

@@ -1,11 +1,16 @@
-"""Sweep tables over volatility or capital structure, with CSV/JSON emission.
+"""Sweep tables over volatility or capital structure, and the output
+conventions that every command shares.
 
-Floats are written with ``repr`` (shortest round-trip form), '.' decimal
-separator, no grouping, header row mandatory; re-parsing a written table
-reproduces the exact values.  Missing values (no interior maximizer, or
-no vega where sigma sqrt(tau) underflows to 0) are NaN in memory, empty
-cells in CSV, and null in JSON.  JSON output mirrors the CSV columns as
-arrays.
+Every CSV and JSON output, the sweep tables here and the ``price``,
+``thresholds`` and ``verify`` reports of ``subdebt.cli``, is written by
+``_write_csv`` or ``_write_json``, and every CSV or text value by
+``_cell``.  Floats are written with ``repr`` (shortest round-trip form),
+'.' decimal separator, no grouping, header row mandatory, so ``float``
+on a cell gives back the exact value.  Missing values (no interior
+maximizer, or no vega where sigma sqrt(tau) underflows to 0) are NaN in
+memory, empty cells in CSV, ``n/a`` in text, and null in JSON.  JSON is
+indented by two spaces and ends with a newline; sweep JSON mirrors the
+CSV columns as arrays.
 
 Sweeps use only the standard library.  Their grids place each point as
 numpy.linspace does, i * step + start with the last point set to stop,
@@ -142,52 +147,31 @@ def _grid(name: str, start: float, stop: float, steps: int) -> tuple[float, ...]
         raise ValidationError(f"steps must be >= 2, got {steps}")
     step = (stop - start) / (steps - 1)
     grid = [i * step + start for i in range(steps)]
-    grid[-1] = stop
+    grid[-1] = float(stop)
     return tuple(grid)
 
 
 def write_sweep_csv(table: SweepTable, stream: IO[str]) -> None:
     """Write a table as CSV: header row, then one row per grid point."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([table.independent_name, *table.output_names])
-    for row in zip(*table.columns):
-        writer.writerow([_format(value) for value in row])
-
-
-def read_sweep_csv(stream: IO[str]) -> SweepTable:
-    """Re-parse a CSV written by ``write_sweep_csv``."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty sweep CSV") from None
-    independent_name, *output_names = header
-    columns: list[list[float]] = [[] for _ in header]
-    for record in reader:
-        columns[0].append(float(record[0]))
-        for column, cell in zip(columns[1:], record[1:]):
-            column.append(_parse(cell))
-    return SweepTable(independent_name, tuple(output_names), tuple(map(tuple, columns)))
+    header = (table.independent_name, *table.output_names)
+    _write_csv(header, zip(*table.columns), stream)
 
 
 def write_sweep_json(table: SweepTable, stream: IO[str]) -> None:
     """Write a table as JSON with columns mirrored as arrays."""
-    json.dump(_table_payload(table), stream, indent=2)
-    stream.write("\n")
+    _write_json(_table_payload(table), stream)
 
 
 def write_structure_csv(
     tables: list[tuple[float, SweepTable]], stream: IO[str]
 ) -> None:
     """Write per-proportion tables as one CSV with a junior_proportion column."""
-    writer = csv.writer(stream, lineterminator="\n")
-    first_table = tables[0][1]
-    writer.writerow(
-        ["junior_proportion", first_table.independent_name, *first_table.output_names]
+    first = tables[0][1]
+    header = ("junior_proportion", first.independent_name, *first.output_names)
+    rows = (
+        (proportion, *row) for proportion, table in tables for row in zip(*table.columns)
     )
-    for proportion, table in tables:
-        for row in zip(*table.columns):
-            writer.writerow([_format(proportion), *(_format(value) for value in row)])
+    _write_csv(header, rows, stream)
 
 
 def write_structure_json(
@@ -200,8 +184,7 @@ def write_structure_json(
             for proportion, table in tables
         ]
     }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    _write_json(payload, stream)
 
 
 def _table_payload(table: SweepTable) -> dict:
@@ -212,13 +195,27 @@ def _table_payload(table: SweepTable) -> dict:
     return {"independent": table.independent_name, "columns": columns}
 
 
-def _format(value: float) -> str:
-    if math.isnan(value):
-        return ""
-    return repr(float(value))
+def _cell(value, missing: str = "") -> str:
+    """One CSV or text value: None and NaN as ``missing``, bools as true/false.
+
+    ``float`` keeps a numpy float's repr to the digits alone.
+    """
+    if isinstance(value, float):
+        return repr(float(value)) if value == value else missing
+    if value is None:
+        return missing
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def _parse(cell: str) -> float:
-    if cell == "":
-        return math.nan
-    return float(cell)
+def _write_csv(header, rows, stream: IO[str]) -> None:
+    """The header, then each row's values through ``_cell``, rows ending in LF."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_cell, row) for row in rows)
+
+
+def _write_json(payload, stream: IO[str]) -> None:
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")

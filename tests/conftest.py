@@ -1,9 +1,12 @@
-"""Shared hypothesis strategies for model inputs."""
+"""Shared hypothesis strategies for model inputs, and a sweep CSV reader."""
+
+import csv
+import math
 
 import hypothesis
 from hypothesis import strategies as st
 
-from subdebt import CapitalStructure, OptionInputs
+from subdebt import CapitalStructure, OptionInputs, SweepTable
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
@@ -51,3 +54,10 @@ def distressed_structures(draw, min_sigma=0.05, max_sigma=1.2, with_yield=False)
         rate=draw(finite_floats(0.0, 0.05)),
         dividend_yield=draw(finite_floats(0.0, 0.05)) if with_yield else 0.0,
     )
+
+
+def read_sweep_csv(stream):
+    """A sweep table back from its CSV: ``float`` on each cell, empty as NaN."""
+    header, *records = csv.reader(stream)
+    columns = zip(*([float(cell) if cell else math.nan for cell in r] for r in records))
+    return SweepTable(header[0], tuple(header[1:]), tuple(columns))

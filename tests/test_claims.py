@@ -119,6 +119,28 @@ class TestZeroVolatilityLimits:
         )
         assert _equity_value(_cs(62.0, sigma=0.0)) == 0.0
 
+    def test_overflowing_discounted_total_face_keeps_finite_limits(self):
+        # (F_S + F_J) e^{-r tau} overflows, but every deterministic limit is finite.
+        values = value_all_claims(_cs(62.0, fs=1.0, fj=1.5e308, sigma=0.0, r=-0.5))
+        assert values.senior_value == math.exp(0.5)
+        assert values.junior_value == 62.0 - math.exp(0.5)
+        assert values.equity_value == 0.0
+
+
+class TestOutOfFloatRange:
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            _cs(1e-200, fs=1e200),  # V / F_S underflows to 0
+            _cs(62.0, fs=1e300, r=-100.0),  # F_S e^{-r tau} overflows
+            _cs(62.0, fs=1.0, fj=1e300, r=-100.0),  # only F_T e^{-r tau} does
+        ],
+        ids=["tiny-ratio", "huge-senior-face", "huge-total-face"],
+    )
+    def test_undefined_claims_raise_validation_error(self, cs):
+        with pytest.raises(ValidationError):
+            value_all_claims(cs)
+
 
 class TestClaimBoundsAndIdentities:
     @given(capital_structures(min_sigma=0.0))

@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import json
 import math
 
 import pytest
 
+from conftest import read_sweep_csv
+
 import subdebt.cli as cli
-from subdebt import read_sweep_csv
 from subdebt.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -117,6 +119,14 @@ class TestPrice:
         assert lines[0] == "key,value"
         keys = [line.split(",")[0] for line in lines[1:]]
         assert "junior_value" in keys
+
+    def test_csv_quotes_a_scenario_name_with_comma_and_quote(self, tmp_path, capsys):
+        name = 'firm "A", distressed'
+        path = tmp_path / "quoted.ini"
+        path.write_text(DISTRESSED.replace("name = distressed", f"name = {name}"))
+        assert main(["price", "--scenario", str(path), "--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[1] == ["scenario", name]
 
     def test_out_writes_file(self, distressed, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -444,6 +454,55 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["price", "thresholds", "sweep-sigma"])
+    def test_monte_carlo_flags_belong_to_verify_only(self, distressed, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--scenario", distressed, "--paths", "5"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["price", "thresholds"])
+    @pytest.mark.parametrize(
+        "replacements",
+        [
+            # V / F_S and V^2 underflow to 0; F_S (F_S + F_J) overflows.
+            (
+                ("asset_value = 62", "asset_value = 1e-200"),
+                ("senior_face = 60", "senior_face = 1e200"),
+            ),
+            # F_S e^{-r tau} and F_S (F_S + F_J) overflow; e^{-r tau} does not.
+            (
+                ("senior_face = 60", "senior_face = 1e300"),
+                ("rate = 0.01", "rate = -100"),
+            ),
+        ],
+        ids=["tiny-ratio", "huge-discounted-face"],
+    )
+    def test_out_of_float_range_is_finite_or_validation_error(
+        self, tmp_path, capsys, replacements, command, fmt
+    ):
+        text = DISTRESSED
+        for old, new in replacements:
+            text = text.replace(old, new)
+        path = tmp_path / "extreme.ini"
+        path.write_text(text)
+        args = [command, "--scenario", str(path)]
+        code = main(args if fmt == "text" else args + ["--format", "json"])
+        captured = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_VALIDATION_ERROR)
+        assert "Traceback" not in captured.err
+        if code == EXIT_VALIDATION_ERROR:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        elif fmt == "json":
+
+            def reject(constant):
+                raise ValueError(f"{constant} is not valid JSON")
+
+            json.loads(captured.out, parse_constant=reject)
+        else:
+            assert "n/a" not in captured.out and "inf" not in captured.out
 
     def test_invalid_seed_is_validation_error(self, distressed, capsys):
         assert (

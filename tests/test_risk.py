@@ -137,6 +137,8 @@ class TestThresholds:
             (risk_shift_threshold, (60.0, 10.0, 0.1, 1.0, 0.01, math.nan)),
             (hump_threshold, (60.0, 10.0, 1.0, -800.0)),
             (risk_shift_threshold, (60.0, 10.0, 0.1, 1.0, 0.0, 800.0)),
+            (hump_threshold, (1e200, 10.0, 1.0, 0.01)),
+            (hump_threshold, (1e300, 1e300, 1.0, 800.0)),
         ],
         ids=[
             "zero-senior-face",
@@ -149,6 +151,8 @@ class TestThresholds:
             "nan-yield",
             "growth-overflow",
             "yield-growth-overflow",
+            "face-product-overflow",
+            "face-product-overflow-times-zero-growth",
         ],
     )
     def test_rejects_inputs_outside_the_domain(self, threshold, args):
@@ -219,6 +223,25 @@ class TestOptimalVolatility:
         numeric = argmax_sigma_numeric(cs, SEARCH_GRID)
         assert numeric is not None
         assert abs(numeric - closed) < 1e-5
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            _cs(1e-308),
+            _cs(1e-160),
+            _cs(62.0, fs=1e200),
+            _cs(62.0, fs=1e-200, fj=1e-200),
+        ],
+        ids=[
+            "v-squared-underflows",
+            "ratio-overflows",
+            "face-product-overflows",
+            "ratio-underflows",
+        ],
+    )
+    def test_radicand_out_of_float_range_is_validation_error(self, cs):
+        with pytest.raises(ValidationError):
+            optimal_volatility(cs)
 
     def test_structure_volatility_field_is_ignored(self):
         assert optimal_volatility(_cs(62.0, sigma=0.9)) == optimal_volatility(

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import finite_floats
+from conftest import finite_floats, read_sweep_csv
 
 from subdebt import (
     CapitalStructure,
     SweepTable,
     ValidationError,
-    read_sweep_csv,
     sweep_sigma,
     sweep_structure,
     write_structure_csv,
