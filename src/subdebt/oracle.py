@@ -14,7 +14,7 @@ path_count) and never on scheduling or partitioning.  Raw outputs map
 to uniforms by u = ((raw >> 11) + 0.5) * 2**-53, strictly inside (0, 1),
 and to normals through the inverse normal CDF (``scipy.special.ndtri``,
 the Cephes ndtri routine) rather than Box-Muller, so antithetic pairing
-is exact and results are bit-stable across platforms.
+is exact; numpy's ``exp`` loop, chosen per CPU, can change the last bits.
 
 Draws are streamed in chunks of ``_CHUNK_DRAWS`` normals taken in order
 from one Philox stream, so the terminal values do not depend on the
@@ -42,6 +42,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 _COARSE_POINTS = 64
+# A coarse peak must beat its grid neighbours by more than this many ulps of
+# V e^{-q tau}, the scale of the two calls whose difference is the junior value.
+_PEAK_ULPS = 8
 # Normals drawn per chunk of the Monte-Carlo stream (about 7 MB of live
 # arrays).  Estimates depend on it through the order of the final sums.
 _CHUNK_DRAWS = 1 << 16
@@ -203,12 +206,14 @@ def _merge_moments(
 
     M2 is the sum of squared deviations from the mean.  The chunk's own
     mean and M2 are combined by Chan, Golub and LeVeque's pairwise update.
+    Both sums are numpy's pairwise sum: a BLAS dot would follow the thread count.
     """
     count, mean, m2 = moments
     size = units.size
     chunk_mean = float(units.mean())
-    deviations = units - chunk_mean
-    chunk_m2 = float(deviations @ deviations)
+    squares = units - chunk_mean
+    squares *= squares
+    chunk_m2 = float(squares.sum())
     total = count + size
     delta = chunk_mean - mean
     return (
@@ -245,7 +250,8 @@ def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
     [lower, upper] (the value is unimodal in volatility), then refines
     with golden-section search to ``grid.tolerance``.  Returns None when
     the coarse values are nonincreasing from the left edge, i.e. no
-    interior peak exists over the grid.
+    interior peak exists over the grid, or when the coarse peak beats its
+    neighbours only by rounding noise, on a plateau flat at float resolution.
     """
     check("grid.lower", grid.lower, "finite and > 0")
     import numpy as np
@@ -254,6 +260,10 @@ def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
     values = [_junior_value_at(cs, s) for s in sigmas]
     peak = int(np.argmax(values))
     if peak == 0:
+        return None
+    forward = cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity)
+    neighbours = values[peak - 1 : peak + 2 : 2]  # only the left at the right end
+    if values[peak] - max(neighbours) <= _PEAK_ULPS * math.ulp(forward):
         return None
     lo = sigmas[peak - 1]
     hi = sigmas[peak + 1] if peak + 1 < len(sigmas) else sigmas[-1]

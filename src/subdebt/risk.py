@@ -11,7 +11,8 @@ the interior maximizer available in closed form (``optimal_volatility``):
     sigma* = sqrt( ln(F_S (F_S + F_J) / V^2) / tau - 2 r + 2 q )
 
 Above the boundary the value is decreasing in volatility and no interior
-maximizer exists.
+maximizer exists.  Every function takes a validated ``CapitalStructure``;
+only a separately passed volatility is checked here.
 """
 
 from __future__ import annotations
@@ -66,67 +67,41 @@ def junior_debt_vega(cs: CapitalStructure) -> float:
     return vega
 
 
-def risk_shift_threshold(
-    senior_face: float,
-    junior_face: float,
-    sigma: float,
-    maturity: float,
-    rate: float,
-    dividend_yield: float = 0.0,
-) -> float:
+def risk_shift_threshold(cs: CapitalStructure, sigma: float) -> float:
     """Asset value below which junior-bond value rises with volatility.
 
     e^{-(r - q + sigma^2/2) tau} sqrt(F_S (F_S + F_J)): the discounted
     geometric mean of the senior and total face values.  The junior vega
     at volatility ``sigma`` changes sign from positive to negative as the
-    asset value crosses this threshold.  Raises ValidationError where the
-    threshold overflows.
+    asset value crosses this threshold.  The structure's asset value and
+    volatility are ignored.  Raises ValidationError where the threshold
+    overflows.
     """
-    check("senior_face", senior_face, "finite and > 0")
-    check("junior_face", junior_face, "finite and > 0")
     check("sigma", sigma, "finite and >= 0")
-    check("maturity", maturity, "finite and > 0")
-    check("rate", rate, "finite")
-    check("dividend_yield", dividend_yield, "finite and >= 0")
-    return _threshold(senior_face, junior_face, sigma, maturity, rate, dividend_yield)
+    return _threshold(cs, sigma)
 
 
-def _threshold(
-    senior_face: float,
-    junior_face: float,
-    sigma: float,
-    maturity: float,
-    rate: float,
-    dividend_yield: float,
-) -> float:
-    """``risk_shift_threshold`` for validated inputs."""
-    exponent = (rate - dividend_yield + 0.5 * sigma * sigma) * maturity
-    growth = checked_exp(-exponent, "threshold discount factor")
-    threshold = growth * math.sqrt(senior_face * (senior_face + junior_face))
-    if not threshold < math.inf:  # also 0 * inf = NaN where growth underflows
-        raise ValidationError(
-            f"threshold {growth} * sqrt({senior_face} * "
-            f"{senior_face + junior_face}) overflows"
-        )
-    return threshold
-
-
-def hump_threshold(
-    senior_face: float,
-    junior_face: float,
-    maturity: float,
-    rate: float,
-    dividend_yield: float = 0.0,
-) -> float:
+def hump_threshold(cs: CapitalStructure) -> float:
     """Asset value below which an interior junior-value maximizer exists.
 
     e^{-(r - q) tau} sqrt(F_S (F_S + F_J)).  Equals
     ``risk_shift_threshold`` evaluated at sigma = 0 and strictly exceeds
-    it for any sigma > 0.
+    it for any sigma > 0.  The structure's asset value and volatility
+    are ignored.
     """
-    return risk_shift_threshold(
-        senior_face, junior_face, 0.0, maturity, rate, dividend_yield
-    )
+    return _threshold(cs, 0.0)
+
+
+def _threshold(cs: CapitalStructure, sigma: float) -> float:
+    """``risk_shift_threshold`` for a validated ``sigma``."""
+    exponent = (cs.rate - cs.dividend_yield + 0.5 * sigma * sigma) * cs.maturity
+    growth = checked_exp(-exponent, "threshold discount factor")
+    threshold = growth * math.sqrt(cs.senior_face * cs.total_face)
+    if not threshold < math.inf:  # also 0 * inf = NaN where growth underflows
+        raise ValidationError(
+            f"threshold {growth} * sqrt({cs.senior_face} * {cs.total_face}) overflows"
+        )
+    return threshold
 
 
 def optimal_volatility(cs: CapitalStructure) -> float | None:
@@ -176,15 +151,12 @@ def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
     """
     check("initial_sigma", initial_sigma, "finite and > 0")
     best = optimal_volatility(cs)
-    faces = cs.senior_face, cs.junior_face
-    market = cs.maturity, cs.rate, cs.dividend_yield
-    shift_at_initial = _threshold(*faces, initial_sigma, *market)
-    boundary = _threshold(*faces, 0.0, *market)
+    shift_at_initial = _threshold(cs, initial_sigma)
     regime = Regime.DECREASING_IN_RISK if best is None else Regime.HUMP_SHAPED
     return RiskProfile(
         optimal_volatility=best,
         shift_threshold=shift_at_initial,
-        hump_threshold=boundary,
+        hump_threshold=hump_threshold(cs),
         regime=regime,
         shifts_above_initial=cs.asset_value < shift_at_initial,
         initial_sigma=initial_sigma,

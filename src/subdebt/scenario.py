@@ -47,7 +47,10 @@ def load_scenario(path: str | Path) -> Scenario:
         ValidationError: If the parsed parameters violate their domains.
     """
     path = Path(path)
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a "%" in a value is plain text.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     try:
         text = path.read_text()
     except OSError as exc:

@@ -73,7 +73,7 @@ def test_01_interior_maximizer_and_search_agree():
 
 def test_02_shift_threshold_matches_reported_value():
     with _Budget(2, "risk-shift threshold 63.8 at 10% volatility", 1.0) as budget:
-        value = risk_shift_threshold(60.0, 10.0, 0.10, 1.0, 0.01)
+        value = risk_shift_threshold(_cs(62.0), 0.10)
         assert value == pytest.approx(63.8, abs=0.05)
         budget.ok = True
 
@@ -239,8 +239,8 @@ def test_08_analytic_vega_agrees_with_finite_differences():
 def test_09_shift_flag_is_the_threshold_comparison():
     with _Budget(9, "shift flag iff V below threshold iff peak above sigma0", 5.0) as budget:
         initial_sigma = 0.10
-        threshold = risk_shift_threshold(60.0, 10.0, initial_sigma, 1.0, 0.01)
-        boundary = hump_threshold(60.0, 10.0, 1.0, 0.01)
+        threshold = risk_shift_threshold(_cs(62.0), initial_sigma)
+        boundary = hump_threshold(_cs(62.0))
         assert threshold < boundary
         for v in np.arange(63.0, 65.0001, 0.05):
             cs = _cs(float(v))
@@ -267,13 +267,13 @@ def test_10_dividend_formulas_reduce_to_base_at_zero_yield():
             tau = rng.uniform(0.05, 5.0)
             r = rng.uniform(-0.02, 0.10)
             v = rng.uniform(1.0, 500.0)
-            assert risk_shift_threshold(fs, fj, sigma, tau, r, 0.0) == math.exp(
+            cs = CapitalStructure(v, fs, fj, 0.1, tau, r, 0.0)
+            assert risk_shift_threshold(cs, sigma) == math.exp(
                 -(r + 0.5 * sigma * sigma) * tau
             ) * math.sqrt(fs * (fs + fj))
-            assert hump_threshold(fs, fj, tau, r, 0.0) == math.exp(
+            assert hump_threshold(cs) == math.exp(
                 -r * tau
             ) * math.sqrt(fs * (fs + fj))
-            cs = CapitalStructure(v, fs, fj, 0.1, tau, r, 0.0)
             radicand = math.log(fs * (fs + fj) / (v * v)) / tau - 2.0 * r
             if radicand > 1e-12:
                 expected = math.sqrt(radicand)

@@ -306,6 +306,9 @@ class TestValidation:
             {"maturity": math.inf},
             {"dividend_yield": math.inf},
             {"senior_face": 1e308, "junior_face": 1e308},
+            {"junior_face": -10.0},
+            {"rate": math.nan},
+            {"dividend_yield": math.nan},
         ],
     )
     def test_rejects_bad_structures(self, kwargs):

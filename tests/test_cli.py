@@ -128,6 +128,12 @@ class TestPrice:
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows[1] == ["scenario", name]
 
+    def test_percent_sign_in_name_is_echoed(self, tmp_path, capsys):
+        path = tmp_path / "percent.ini"
+        path.write_text(DISTRESSED.replace("name = distressed", "name = 50% off"))
+        assert main(["price", "--scenario", str(path)]) == EXIT_OK
+        assert "50% off" in capsys.readouterr().out
+
     def test_out_writes_file(self, distressed, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         assert (
@@ -418,6 +424,14 @@ class TestExitCodes:
         path.write_text("this is not remotely an ini file")
         assert main(["price", "--scenario", str(path)]) == EXIT_PARSE_ERROR
         assert "error:" in capsys.readouterr().err
+
+    def test_percent_sign_in_a_number_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "percent.ini"
+        path.write_text(DISTRESSED.replace("asset_value = 62", "asset_value = 5%"))
+        assert main(["price", "--scenario", str(path)]) == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "key asset_value is not a number: '5%'" in err
 
     def test_missing_scenario_file_is_parse_error(self, capsys):
         assert main(["price", "--scenario", "/no/such/file.ini"]) == EXIT_PARSE_ERROR

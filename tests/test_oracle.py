@@ -1,8 +1,12 @@
 """Tests for the Monte-Carlo, argmax, and finite-difference oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,16 @@ from subdebt import (
 )
 
 SEARCH_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints the std-error reprs of 200k-path estimates for three structures.
+_STD_ERROR_PROBE = """\
+from subdebt import CapitalStructure, MCConfig, mc_claim_values
+for v, q, antithetic in ((62.0, 0.0, True), (100.0, 0.02, True), (64.0, 0.0, False)):
+    cs = CapitalStructure(v, 60.0, 10.0, 0.2, 1.0, 0.01, q)
+    for estimate in mc_claim_values(cs, MCConfig(200_000, 5, antithetic)):
+        print(repr(estimate.std_error))
+"""
 
 
 def _cs(v, fs=60.0, fj=10.0, sigma=0.262, tau=1.0, r=0.01, q=0.0):
@@ -215,6 +229,26 @@ class TestStreaming:
             assert estimate.std_error == pytest.approx(std_error, rel=1e-14, abs=0.0)
             assert estimate.path_count == paths
 
+    def test_standard_errors_do_not_depend_on_blas_threads(self):
+        # A threaded BLAS dot product splits its sum, so its last bits would
+        # follow OPENBLAS_NUM_THREADS.  Each run needs a fresh process.
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(SRC), env.get("PYTHONPATH")])
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", _STD_ERROR_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs.append(result.stdout)
+        assert len(outputs[0].split()) == 9
+        assert outputs[0] == outputs[1]
+
     def test_single_pair_has_zero_standard_error(self):
         for estimate in mc_claim_values(_cs(62.0, sigma=0.3), MCConfig(2, seed=1)):
             assert estimate.std_error == 0.0
@@ -249,6 +283,18 @@ class TestArgmaxSearch:
 
     def test_absent_for_solvent_firm(self):
         assert argmax_sigma_numeric(_cs(100.0), SEARCH_GRID) is None
+
+    def test_agrees_with_closed_form_across_asset_values(self):
+        # At V = 76 and 77 the junior value is flat at float resolution at
+        # low sigma, and a rounding bump on the coarse grid is no peak.
+        for v in range(60, 100):
+            cs = _cs(float(v), sigma=0.2)
+            closed = optimal_volatility(cs)
+            numeric = argmax_sigma_numeric(cs, SEARCH_GRID)
+            if closed is None:
+                assert numeric is None, v
+            else:
+                assert abs(numeric - closed) < 1e-4, v
 
     def test_respects_grid_tolerance(self):
         loose = argmax_sigma_numeric(_cs(62.0), GridSpec(0.01, 1.5, 1e-2))

@@ -71,14 +71,7 @@ class TestJuniorDebtVega:
     def test_sign_flips_across_shift_threshold(self, cs):
         # sigma sqrt(tau) >= 0.05 here, so the vegas at the threshold are
         # resolvable in double precision and the sign flip is visible.
-        threshold = risk_shift_threshold(
-            cs.senior_face,
-            cs.junior_face,
-            cs.volatility,
-            cs.maturity,
-            cs.rate,
-            cs.dividend_yield,
-        )
+        threshold = risk_shift_threshold(cs, cs.volatility)
         below = replace(cs, asset_value=threshold * 0.99)
         above = replace(cs, asset_value=threshold * 1.01)
         assert junior_debt_vega(below) > 0.0
@@ -87,68 +80,52 @@ class TestJuniorDebtVega:
 
 class TestThresholds:
     def test_shift_threshold_matches_reported_value(self):
-        assert risk_shift_threshold(60.0, 10.0, 0.10, 1.0, 0.01) == pytest.approx(
-            63.8, abs=0.05
-        )
+        assert risk_shift_threshold(_cs(62.0), 0.10) == pytest.approx(63.8, abs=0.05)
 
     def test_shift_threshold_direct_arithmetic(self):
         expected = math.exp(-(0.02 + 0.5 * 0.3 * 0.3) * 2.0) * math.sqrt(50.0 * 80.0)
-        assert risk_shift_threshold(50.0, 30.0, 0.3, 2.0, 0.02) == pytest.approx(
-            expected, rel=1e-15
-        )
+        cs = _cs(62.0, fs=50.0, fj=30.0, tau=2.0, r=0.02)
+        assert risk_shift_threshold(cs, 0.3) == pytest.approx(expected, rel=1e-15)
 
     def test_hump_threshold_direct_arithmetic(self):
         expected = math.exp(-0.01) * math.sqrt(60.0 * 70.0)
-        value = hump_threshold(60.0, 10.0, 1.0, 0.01)
+        value = hump_threshold(_cs(62.0))
         assert value == pytest.approx(expected, rel=1e-15)
         assert value == pytest.approx(64.16, abs=0.01)
 
     def test_hump_threshold_no_discounting(self):
-        assert hump_threshold(60.0, 10.0, 1.0, 0.0) == pytest.approx(
+        assert hump_threshold(_cs(62.0, r=0.0)) == pytest.approx(
             math.sqrt(4200.0), rel=1e-15
         )
 
     def test_hump_threshold_equal_faces(self):
         face = 40.0
-        assert hump_threshold(face, face, 2.0, 0.03) == pytest.approx(
+        cs = _cs(62.0, fs=face, fj=face, tau=2.0, r=0.03)
+        assert hump_threshold(cs) == pytest.approx(
             math.exp(-0.06) * face * math.sqrt(2.0), rel=1e-12
         )
 
     def test_shift_threshold_at_zero_sigma_equals_hump_threshold(self):
-        assert risk_shift_threshold(60.0, 10.0, 0.0, 1.0, 0.01) == hump_threshold(
-            60.0, 10.0, 1.0, 0.01
-        )
+        assert risk_shift_threshold(_cs(62.0), 0.0) == hump_threshold(_cs(62.0))
 
     def test_undiscounted_when_rate_equals_yield_at_zero_sigma(self):
-        assert risk_shift_threshold(
-            60.0, 10.0, 0.0, 1.0, 0.03, dividend_yield=0.03
-        ) == pytest.approx(math.sqrt(4200.0), rel=1e-15)
+        assert risk_shift_threshold(_cs(62.0, r=0.03, q=0.03), 0.0) == pytest.approx(
+            math.sqrt(4200.0), rel=1e-15
+        )
 
     @pytest.mark.parametrize(
         "threshold,args",
         [
-            (hump_threshold, (0.0, 10.0, 1.0, 0.01)),
-            (hump_threshold, (60.0, -10.0, 1.0, 0.01)),
-            (risk_shift_threshold, (60.0, 10.0, -0.1, 1.0, 0.01)),
-            (hump_threshold, (math.inf, 10.0, 1.0, 0.01)),
-            (hump_threshold, (60.0, 10.0, 1.0, math.nan)),
-            (hump_threshold, (60.0, 10.0, math.inf, 0.01)),
-            (risk_shift_threshold, (60.0, 10.0, math.inf, 1.0, 0.01)),
-            (risk_shift_threshold, (60.0, 10.0, 0.1, 1.0, 0.01, math.nan)),
-            (hump_threshold, (60.0, 10.0, 1.0, -800.0)),
-            (risk_shift_threshold, (60.0, 10.0, 0.1, 1.0, 0.0, 800.0)),
-            (hump_threshold, (1e200, 10.0, 1.0, 0.01)),
-            (hump_threshold, (1e300, 1e300, 1.0, 800.0)),
+            (risk_shift_threshold, (_cs(62.0), -0.1)),
+            (risk_shift_threshold, (_cs(62.0), math.inf)),
+            (hump_threshold, (_cs(62.0, r=-800.0),)),
+            (risk_shift_threshold, (_cs(62.0, r=0.0, q=800.0), 0.1)),
+            (hump_threshold, (_cs(62.0, fs=1e200),)),
+            (hump_threshold, (_cs(62.0, fs=1e300, fj=1e300, r=800.0),)),
         ],
         ids=[
-            "zero-senior-face",
-            "negative-junior-face",
             "negative-sigma",
-            "inf-senior-face",
-            "nan-rate",
-            "inf-maturity",
             "inf-sigma",
-            "nan-yield",
             "growth-overflow",
             "yield-growth-overflow",
             "face-product-overflow",
@@ -167,10 +144,11 @@ class TestThresholds:
         finite_floats(-0.02, 0.10),
     )
     def test_shift_threshold_below_hump_threshold(self, fs, fj, sigma, tau, r):
-        assert risk_shift_threshold(fs, fj, sigma, tau, r) < hump_threshold(fs, fj, tau, r)
+        cs = _cs(62.0, fs=fs, fj=fj, tau=tau, r=r)
+        assert risk_shift_threshold(cs, sigma) < hump_threshold(cs)
 
     def test_maximizer_exists_just_below_boundary_only(self):
-        boundary = hump_threshold(60.0, 10.0, 1.0, 0.01)
+        boundary = hump_threshold(_cs(62.0))
         below = _cs(boundary - 0.5)
         above = _cs(boundary + 0.5)
         assert argmax_sigma_numeric(below, SEARCH_GRID) is not None
@@ -188,7 +166,7 @@ class TestOptimalVolatility:
         assert optimal_volatility(_cs(62.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_boundary_value_is_exactly_zero(self):
-        boundary = hump_threshold(60.0, 10.0, 1.0, 0.01)
+        boundary = hump_threshold(_cs(62.0))
         assert optimal_volatility(_cs(boundary)) == 0.0
 
     def test_dividend_yield_raises_the_peak(self):
@@ -215,7 +193,7 @@ class TestOptimalVolatility:
         # The ranges keep target * sqrt(tau) large enough that the hump is
         # resolvable in double precision and the search can see it.
         fj = fs * junior_ratio
-        boundary = hump_threshold(fs, fj, tau, r)
+        boundary = hump_threshold(_cs(62.0, fs=fs, fj=fj, tau=tau, r=r))
         asset_value = boundary * math.exp(-0.5 * target * target * tau)
         cs = CapitalStructure(asset_value, fs, fj, 0.1, tau, r)
         closed = optimal_volatility(cs)
@@ -265,9 +243,7 @@ class TestComparativeStatics:
             small = _cs(62.0, fs=total - fj_small, fj=fj_small)
             big = _cs(62.0, fs=total - fj_big, fj=fj_big)
             assert optimal_volatility(big) < optimal_volatility(small)
-            assert risk_shift_threshold(
-                total - fj_big, fj_big, 0.1, 1.0, 0.01
-            ) < risk_shift_threshold(total - fj_small, fj_small, 0.1, 1.0, 0.01)
+            assert risk_shift_threshold(big, 0.1) < risk_shift_threshold(small, 0.1)
 
 
 class TestUnimodality:
@@ -380,10 +356,11 @@ class TestDividendReduction:
         finite_floats(-0.02, 0.10),
     )
     def test_zero_yield_thresholds_bit_identical(self, fs, fj, sigma, tau, r):
-        with_yield = risk_shift_threshold(fs, fj, sigma, tau, r, dividend_yield=0.0)
+        cs = _cs(62.0, fs=fs, fj=fj, tau=tau, r=r, q=0.0)
+        with_yield = risk_shift_threshold(cs, sigma)
         base = math.exp(-(r + 0.5 * sigma * sigma) * tau) * math.sqrt(fs * (fs + fj))
         assert with_yield == base
-        assert hump_threshold(fs, fj, tau, r, dividend_yield=0.0) == math.exp(
+        assert hump_threshold(cs) == math.exp(
             -r * tau
         ) * math.sqrt(fs * (fs + fj))
 
