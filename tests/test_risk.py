@@ -113,18 +113,26 @@ class TestThresholds:
             math.sqrt(4200.0), rel=1e-15
         )
 
+    # The structure-level cases raise when the structure is built, so every
+    # case builds its structure inside the raises block.
     @pytest.mark.parametrize(
-        "threshold,args",
+        "evaluate",
         [
-            (risk_shift_threshold, (_cs(62.0), -0.1)),
-            (risk_shift_threshold, (_cs(62.0), math.inf)),
-            (hump_threshold, (_cs(62.0, r=-800.0),)),
-            (risk_shift_threshold, (_cs(62.0, r=0.0, q=800.0), 0.1)),
-            (hump_threshold, (_cs(62.0, fs=1e200),)),
-            (hump_threshold, (_cs(62.0, fs=1e300, fj=1e300, r=800.0),)),
+            lambda: hump_threshold(_cs(62.0, fs=0.0)),
+            lambda: risk_shift_threshold(_cs(62.0), -0.1),
+            lambda: hump_threshold(_cs(62.0, fs=math.inf)),
+            lambda: hump_threshold(_cs(62.0, tau=math.inf)),
+            lambda: risk_shift_threshold(_cs(62.0), math.inf),
+            lambda: hump_threshold(_cs(62.0, r=-800.0)),
+            lambda: risk_shift_threshold(_cs(62.0, r=0.0, q=800.0), 0.1),
+            lambda: hump_threshold(_cs(62.0, fs=1e200)),
+            lambda: hump_threshold(_cs(62.0, fs=1e300, fj=1e300, r=800.0)),
         ],
         ids=[
+            "zero-senior-face",
             "negative-sigma",
+            "inf-senior-face",
+            "inf-maturity",
             "inf-sigma",
             "growth-overflow",
             "yield-growth-overflow",
@@ -132,9 +140,9 @@ class TestThresholds:
             "face-product-overflow-times-zero-growth",
         ],
     )
-    def test_rejects_inputs_outside_the_domain(self, threshold, args):
+    def test_rejects_inputs_outside_the_domain(self, evaluate):
         with pytest.raises(ValidationError):
-            threshold(*args)
+            evaluate()
 
     @given(
         finite_floats(0.5, 300.0),
