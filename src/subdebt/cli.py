@@ -19,7 +19,7 @@ from pathlib import Path
 from .claims import value_all_claims
 from .errors import DegenerateVolatilityError, ScenarioParseError, ValidationError
 from .oracle import MCConfig
-from .risk import chosen_risk, classify_regime, junior_debt_vega
+from .risk import classify_regime, junior_debt_vega
 from .scenario import Scenario, load_scenario
 from .sweeps import (
     _cell,
@@ -154,8 +154,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    cs = scenario.structure
-    profile = classify_regime(cs, scenario.initial_sigma)
+    profile = classify_regime(scenario.structure, scenario.initial_sigma)
     report = _input_echo(scenario)
     report.update(
         initial_sigma=scenario.initial_sigma,
@@ -164,7 +163,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         optimal_volatility=profile.optimal_volatility,
         regime=profile.regime.value,
         shifts_above_initial=profile.shifts_above_initial,
-        chosen_risk=chosen_risk(cs, scenario.initial_sigma),
+        chosen_risk=profile.chosen_risk,
     )
     _emit_report(report, args.format, args.out)
     return EXIT_OK
@@ -211,7 +210,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     mc = MCConfig(
         path_count=args.paths if args.paths is not None else scenario.mc.path_count,
         seed=args.seed if args.seed is not None else scenario.mc.seed,
-        antithetic=scenario.mc.antithetic,
     )
     report = {"scenario": scenario.name, **run_verification(scenario.structure, mc)}
     _emit_verification(report, args.format, args.out)

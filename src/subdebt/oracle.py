@@ -13,8 +13,10 @@ function of (seed, i), so an estimate depends only on (seed,
 path_count) and never on scheduling or partitioning.  Raw outputs map
 to uniforms by u = ((raw >> 11) + 0.5) * 2**-53, strictly inside (0, 1),
 and to normals through the inverse normal CDF (``scipy.special.ndtri``,
-the Cephes ndtri routine) rather than Box-Muller, so antithetic pairing
-is exact; numpy's ``exp`` loop, chosen per CPU, can change the last bits.
+the Cephes ndtri routine) rather than Box-Muller.  Every draw Z is used
+twice, at Z and at -Z (antithetic pairing, the only sampling scheme), and
+the pair mean is the sampling unit; numpy's ``exp`` loop, chosen per CPU,
+can change the last bits.
 
 Draws are streamed in chunks of ``_CHUNK_DRAWS`` normals taken in order
 from one Philox stream, so the terminal values do not depend on the
@@ -55,20 +57,17 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class MCConfig:
     """Monte-Carlo run configuration.
 
-    path_count must be even when antithetic pairing is on; the seed is a
-    64-bit unsigned integer.
+    path_count counts both halves of each antithetic pair, so it must be
+    even and at least 2; the seed is a 64-bit unsigned integer.
     """
 
     path_count: int
     seed: int
-    antithetic: bool = True
 
     def __post_init__(self) -> None:
-        if self.path_count < 2:
-            raise ValidationError(f"path_count must be >= 2, got {self.path_count}")
-        if self.antithetic and self.path_count % 2 != 0:
+        if self.path_count < 2 or self.path_count % 2:
             raise ValidationError(
-                f"path_count must be even with antithetic pairing, got {self.path_count}"
+                f"path_count must be even and >= 2, got {self.path_count}"
             )
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -92,6 +91,7 @@ class GridSpec:
     tolerance: float
 
     def __post_init__(self) -> None:
+        check("grid.lower", self.lower, "finite and > 0")
         check_range("search interval", self.lower, self.upper)
         check("tolerance", self.tolerance, "finite and > 0")
 
@@ -99,10 +99,10 @@ class GridSpec:
 def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
     """Draw terminal asset values in a single exact step.
 
-    V_T = V exp((r - q - sigma^2/2) tau + sigma sqrt(tau) Z).  With
-    antithetic pairing the output interleaves pairs (Z_i, -Z_i): element
-    2i uses Z_i and element 2i+1 uses -Z_i.  The values are the streamed
-    chunks joined into one array.
+    V_T = V exp((r - q - sigma^2/2) tau + sigma sqrt(tau) Z).  The output
+    interleaves antithetic pairs (Z_i, -Z_i): element 2i uses Z_i and
+    element 2i+1 uses -Z_i.  The values are the streamed chunks joined
+    into one array.
     """
     import numpy as np
 
@@ -118,9 +118,9 @@ def mc_claim_values(
 
     Each mean is e^{-r tau} times the average claim payoff over the
     simulated terminal values, so the three means sum to the discounted
-    average terminal value.  With antithetic pairing the sampling unit
-    for the standard error is the average of each (Z, -Z) pair.  Units are
-    reduced one chunk at a time, so memory does not grow with path_count.
+    average terminal value.  The sampling unit for the standard error is
+    the average of each antithetic (Z, -Z) pair.  Units are reduced one
+    chunk at a time, so memory does not grow with path_count.
     """
     discount = math.exp(-cs.rate * cs.maturity)
     moments = [(0, 0.0, 0.0)] * 3
@@ -156,17 +156,16 @@ def claim_payoffs(
 
 def _terminal_chunks(
     cs: CapitalStructure, mc: MCConfig
-) -> Iterator[tuple[np.ndarray, ...]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield terminal values for up to _CHUNK_DRAWS normals at a time.
 
-    Each chunk is (up, down), the values at Z and -Z, with antithetic
-    pairing, and (terminal,) without.  All chunks come from one Philox
-    stream, so draw i is the same whatever the chunk size.
+    Each chunk is (up, down), the values at Z and -Z.  All chunks come
+    from one Philox stream, so draw i is the same whatever the chunk size.
     """
     import numpy as np
     from scipy.special import ndtri
 
-    n_draws = mc.path_count // 2 if mc.antithetic else mc.path_count
+    n_draws = mc.path_count // 2
     bit_generator = np.random.Philox(key=mc.seed)
     drift = (
         cs.rate - cs.dividend_yield - 0.5 * cs.volatility * cs.volatility
@@ -176,26 +175,20 @@ def _terminal_chunks(
         raw = bit_generator.random_raw(min(_CHUNK_DRAWS, n_draws - start))
         z = ndtri(((raw >> 11).astype(np.float64) + 0.5) * 2.0**-53)
         up = cs.asset_value * np.exp(drift + shock * z)
-        if mc.antithetic:
-            # drift + shock * (-z) == drift - shock * z exactly in IEEE arithmetic.
-            yield up, cs.asset_value * np.exp(drift - shock * z)
-        else:
-            yield (up,)
+        # drift + shock * (-z) == drift - shock * z exactly in IEEE arithmetic.
+        yield up, cs.asset_value * np.exp(drift - shock * z)
 
 
 def _sampling_units(
-    cs: CapitalStructure, discount: float, chunk: tuple[np.ndarray, ...]
+    cs: CapitalStructure, discount: float, chunk: tuple[np.ndarray, np.ndarray]
 ) -> list[np.ndarray]:
-    """Per claim, a chunk's discounted payoffs, averaged over each (Z, -Z) pair
-    when the chunk holds both halves.
+    """Per claim, a chunk's discounted payoffs averaged over each (Z, -Z) pair.
 
     Each unit takes the same operations, in the same order, as one formed
     from the joined ``simulate_terminal_values`` array.  Returning from a
     function frees the payoff arrays before the next chunk is drawn.
     """
     split = [claim_payoffs(t, cs.senior_face, cs.junior_face) for t in chunk]
-    if len(chunk) == 1:
-        return [discount * payoff for payoff in split[0]]
     return [0.5 * (discount * up + discount * down) for up, down in zip(*split)]
 
 
@@ -253,7 +246,6 @@ def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
     interior peak exists over the grid, or when the coarse peak beats its
     neighbours only by rounding noise, on a plateau flat at float resolution.
     """
-    check("grid.lower", grid.lower, "finite and > 0")
     import numpy as np
 
     sigmas = np.geomspace(grid.lower, grid.upper, _COARSE_POINTS)

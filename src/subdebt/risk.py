@@ -42,6 +42,7 @@ class RiskProfile:
 
     ``shift_threshold`` is evaluated at ``initial_sigma``.  The regime is
     HUMP_SHAPED exactly when ``optimal_volatility`` is present.
+    ``chosen_risk`` is the value of the function of that name.
     """
 
     optimal_volatility: float | None
@@ -50,6 +51,7 @@ class RiskProfile:
     regime: Regime
     shifts_above_initial: bool
     initial_sigma: float
+    chosen_risk: float
 
 
 def junior_debt_vega(cs: CapitalStructure) -> float:
@@ -153,13 +155,15 @@ def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
     best = optimal_volatility(cs)
     shift_at_initial = _threshold(cs, initial_sigma)
     regime = Regime.DECREASING_IN_RISK if best is None else Regime.HUMP_SHAPED
+    shifts_up = cs.asset_value < shift_at_initial
     return RiskProfile(
         optimal_volatility=best,
         shift_threshold=shift_at_initial,
         hump_threshold=hump_threshold(cs),
         regime=regime,
-        shifts_above_initial=cs.asset_value < shift_at_initial,
+        shifts_above_initial=shifts_up,
         initial_sigma=initial_sigma,
+        chosen_risk=_chosen_risk(best, shifts_up, initial_sigma),
     )
 
 
@@ -170,10 +174,7 @@ def chosen_risk(cs: CapitalStructure, initial_sigma: float) -> float:
     below the shift threshold), otherwise the initial volatility: risk
     shifting is limited to the level that maximizes the junior bond.
     """
-    profile = classify_regime(cs, initial_sigma)
-    return _chosen_risk(
-        profile.optimal_volatility, profile.shifts_above_initial, initial_sigma
-    )
+    return classify_regime(cs, initial_sigma).chosen_risk
 
 
 def _chosen_risk(best: float | None, shifts_up: bool, initial_sigma: float) -> float:

@@ -4,7 +4,9 @@ One scenario per file.  The ``[scenario]`` section holds the capital
 structure (required keys: asset_value, senior_face, junior_face, sigma,
 maturity, rate; optional: dividend_yield, initial_sigma, name) and the
 optional ``[monte_carlo]`` section overrides the simulation defaults
-(paths, seed, antithetic).  Numbers are parsed as decimal text at full
+(paths, seed).  Its ``antithetic`` key is still read so that existing
+files load, but antithetic pairing is the only sampling scheme, so only
+``true`` is accepted.  Numbers are parsed as decimal text at full
 double precision.  ``initial_sigma`` defaults to ``sigma``; scenarios
 priced at sigma = 0 must therefore state it explicitly.
 """
@@ -81,13 +83,16 @@ def load_scenario(path: str | Path) -> Scenario:
 
     paths = DEFAULT_PATHS
     seed = DEFAULT_SEED
-    antithetic = True
     if parser.has_section("monte_carlo"):
         mc_section = parser["monte_carlo"]
         paths = _get(mc_section, "int", "paths", path, paths)
         seed = _get(mc_section, "int", "seed", path, seed)
-        antithetic = _get(mc_section, "boolean", "antithetic", path, antithetic)
-    mc = MCConfig(path_count=paths, seed=seed, antithetic=antithetic)
+        if not _get(mc_section, "boolean", "antithetic", path, True):
+            raise ScenarioParseError(
+                f"{path}: key antithetic must be true: antithetic pairing is the "
+                "only sampling scheme"
+            )
+    mc = MCConfig(path_count=paths, seed=seed)
 
     return Scenario(name=name, structure=structure, initial_sigma=initial_sigma, mc=mc)
 

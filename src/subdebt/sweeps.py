@@ -29,7 +29,7 @@ from typing import IO
 
 from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range
-from .risk import _chosen_risk, _optimal_volatility, classify_regime
+from .risk import _chosen_risk, _optimal_volatility, _threshold, hump_threshold
 
 SIGMA_SWEEP_COLUMNS = ("junior_value", "senior_value", "equity_value", "junior_vega")
 STRUCTURE_SWEEP_COLUMNS = (
@@ -121,17 +121,18 @@ def sweep_structure(
             rate,
             dividend_yield,
         )
-        profile = classify_regime(cs, initial_sigma)
+        check("initial_sigma", initial_sigma, "finite and > 0")
         best = [_optimal_volatility(cs, asset_value) for asset_value in asset_values]
+        shift = _threshold(cs, initial_sigma)
         columns = (
             asset_values,
             tuple(
-                _chosen_risk(peak, asset_value < profile.shift_threshold, initial_sigma)
+                _chosen_risk(peak, asset_value < shift, initial_sigma)
                 for peak, asset_value in zip(best, asset_values)
             ),
             tuple(math.nan if peak is None else peak for peak in best),
-            (profile.shift_threshold,) * steps,
-            (profile.hump_threshold,) * steps,
+            (shift,) * steps,
+            (hump_threshold(cs),) * steps,
         )
         tables.append(
             (proportion, SweepTable("asset_value", STRUCTURE_SWEEP_COLUMNS, columns))

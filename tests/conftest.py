@@ -56,6 +56,18 @@ def distressed_structures(draw, min_sigma=0.05, max_sigma=1.2, with_yield=False)
     )
 
 
+def count_calls(monkeypatch, counts, key, modules, name):
+    """Patch ``name`` in each of ``modules`` to add 1 to ``counts[key]`` per call."""
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        counts[key] += 1
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
 def read_sweep_csv(stream):
     """A sweep table back from its CSV: ``float`` on each cell, empty as NaN."""
     header, *records = csv.reader(stream)

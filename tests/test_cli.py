@@ -3,12 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import read_sweep_csv
+from conftest import count_calls, read_sweep_csv
 
 import subdebt.cli as cli
+import subdebt.risk as risk
 from subdebt.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -32,6 +37,8 @@ rate = 0.01
 paths = 100000
 seed = 1
 """
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SOLVENT = DISTRESSED.replace("asset_value = 62", "asset_value = 100").replace(
     "name = distressed", "name = solvent"
@@ -185,6 +192,14 @@ class TestThresholds:
         report = json.loads(capsys.readouterr().out)
         assert report["optimal_volatility"] == 0.0
         assert report["regime"] == "hump-shaped"
+
+    def test_classifies_once(self, distressed, monkeypatch, capsys):
+        # One shift and one hump threshold, and sigma* once, per command.
+        counts = {"threshold": 0, "sigma*": 0}
+        count_calls(monkeypatch, counts, "threshold", (risk,), "_threshold")
+        count_calls(monkeypatch, counts, "sigma*", (risk,), "_optimal_volatility")
+        assert main(["thresholds", "--scenario", distressed]) == EXIT_OK
+        assert counts == {"threshold": 2, "sigma*": 1}
 
 
 class TestSweepSigma:
@@ -409,7 +424,7 @@ class TestVerify:
             return {
                 "paths": mc.path_count,
                 "seed": mc.seed,
-                "antithetic": mc.antithetic,
+                "antithetic": True,
                 "checks": [{"name": "mc_junior_value", "passed": False}],
                 "passed": False,
             }
@@ -432,6 +447,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "key asset_value is not a number: '5%'" in err
+
+    @pytest.mark.parametrize("value", ["false", "maybe"])
+    def test_antithetic_other_than_true_is_parse_error(self, tmp_path, value):
+        # A fresh process, so that a traceback would reach stderr.
+        path = tmp_path / "plain.ini"
+        path.write_text(DISTRESSED + f"antithetic = {value}\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "subdebt", "verify", "--scenario", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_PARSE_ERROR
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "antithetic" in result.stderr
 
     def test_missing_scenario_file_is_parse_error(self, capsys):
         assert main(["price", "--scenario", "/no/such/file.ini"]) == EXIT_PARSE_ERROR

@@ -35,9 +35,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Prints the std-error reprs of 200k-path estimates for three structures.
 _STD_ERROR_PROBE = """\
 from subdebt import CapitalStructure, MCConfig, mc_claim_values
-for v, q, antithetic in ((62.0, 0.0, True), (100.0, 0.02, True), (64.0, 0.0, False)):
+for v, q in ((62.0, 0.0), (100.0, 0.02), (64.0, 0.0)):
     cs = CapitalStructure(v, 60.0, 10.0, 0.2, 1.0, 0.01, q)
-    for estimate in mc_claim_values(cs, MCConfig(200_000, 5, antithetic)):
+    for estimate in mc_claim_values(cs, MCConfig(200_000, 5)):
         print(repr(estimate.std_error))
 """
 
@@ -82,12 +82,6 @@ class TestSimulation:
             cs.volatility * math.sqrt(cs.maturity)
         )
         assert np.allclose(z[1::2], -z[0::2], atol=1e-12)
-
-    def test_plain_sampling_has_no_mirroring(self):
-        terminal = simulate_terminal_values(
-            _cs(62.0), MCConfig(1000, seed=7, antithetic=False)
-        )
-        assert terminal.shape == (1000,)
 
     def test_zero_volatility_is_deterministic_drift(self):
         cs = _cs(62.0, sigma=0.0, q=0.002)
@@ -145,15 +139,6 @@ class TestMCClaimValues:
         ratio = coarse.std_error / fine.std_error
         assert 10.0 / 1.5 <= ratio <= 10.0 * 1.5
 
-    def test_plain_sampling_also_agrees(self):
-        cs = _cs(62.0)
-        closed = value_all_claims(cs)
-        estimates = mc_claim_values(cs, MCConfig(200_000, seed=2, antithetic=False))
-        for estimate, closed_value in zip(
-            estimates, (closed.senior_value, closed.junior_value, closed.equity_value)
-        ):
-            assert abs(estimate.mean - closed_value) <= 3.0 * estimate.std_error
-
     def test_oracle_agreement_over_standard_grid(self):
         # 3-SE agreement cell by cell at one million paths; when a payoff
         # sample is degenerate (no default/exercise events sampled), the
@@ -191,26 +176,20 @@ class TestMCClaimValues:
 class TestStreaming:
     """Chunk boundaries change neither the draws nor, beyond rounding, the estimates."""
 
-    @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("paths", [2, 34, 1002])
     @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_terminal_values_do_not_depend_on_chunk_size(
-        self, monkeypatch, chunk, paths, antithetic
-    ):
+    def test_terminal_values_do_not_depend_on_chunk_size(self, monkeypatch, chunk, paths):
         cs = _cs(62.0, sigma=0.3)
-        mc = MCConfig(paths, seed=5, antithetic=antithetic)
+        mc = MCConfig(paths, seed=5)
         expected = simulate_terminal_values(cs, mc)
         monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
         assert simulate_terminal_values(cs, mc).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("paths", [34, 1002])
     @pytest.mark.parametrize("chunk", [1, 3, 7])
-    def test_estimates_match_numpy_over_the_joined_units(
-        self, monkeypatch, chunk, paths, antithetic
-    ):
+    def test_estimates_match_numpy_over_the_joined_units(self, monkeypatch, chunk, paths):
         cs = _cs(62.0, sigma=0.3)
-        mc = MCConfig(paths, seed=11, antithetic=antithetic)
+        mc = MCConfig(paths, seed=11)
         discount = math.exp(-cs.rate * cs.maturity)
         terminal = simulate_terminal_values(cs, mc)
         monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
@@ -219,10 +198,7 @@ class TestStreaming:
             oracle.claim_payoffs(terminal, cs.senior_face, cs.junior_face), estimates
         ):
             discounted = discount * payoff
-            if antithetic:
-                units = 0.5 * (discounted[0::2] + discounted[1::2])
-            else:
-                units = discounted
+            units = 0.5 * (discounted[0::2] + discounted[1::2])
             std_error = units.std(ddof=1) / math.sqrt(units.size)
             assert std_error > 0.0
             assert estimate.mean == pytest.approx(units.mean(), rel=1e-14, abs=0.0)
@@ -347,7 +323,7 @@ class TestConfigValidation:
     def test_rejects_odd_path_count_with_antithetic(self):
         with pytest.raises(ValidationError):
             MCConfig(101, seed=0)
-        MCConfig(101, seed=0, antithetic=False)
+        MCConfig(102, seed=0)
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValidationError):
@@ -367,3 +343,7 @@ class TestConfigValidation:
             GridSpec(math.nan, 1.5, 1e-6)
         with pytest.raises(ValidationError):
             GridSpec(0.01, 1.5, math.inf)
+        with pytest.raises(ValidationError):
+            GridSpec(0.0, 1.5, 1e-6)
+        with pytest.raises(ValidationError):
+            GridSpec(-1.0, 1.5, 1e-6)

@@ -24,7 +24,7 @@ dividend_yield = 0.005
 [monte_carlo]
 paths = 50000
 seed = 9
-antithetic = false
+antithetic = true
 """
 
 MINIMAL = """\
@@ -54,7 +54,6 @@ def test_parses_all_keys(tmp_path):
     assert scenario.initial_sigma == 0.15
     assert scenario.mc.path_count == 50000
     assert scenario.mc.seed == 9
-    assert scenario.mc.antithetic is False
 
 
 def test_defaults(tmp_path):
@@ -65,7 +64,6 @@ def test_defaults(tmp_path):
     assert scenario.initial_sigma == scenario.structure.volatility
     assert scenario.mc.path_count == 1_000_000
     assert scenario.mc.seed == 1
-    assert scenario.mc.antithetic is True
 
 
 def test_missing_file():
@@ -99,7 +97,7 @@ def test_malformed_mc_values(tmp_path):
     text = FULL.replace("paths = 50000", "paths = many")
     with pytest.raises(ScenarioParseError, match="paths"):
         load_scenario(_write(tmp_path, text))
-    text = FULL.replace("antithetic = false", "antithetic = maybe")
+    text = FULL.replace("antithetic = true", "antithetic = maybe")
     with pytest.raises(ScenarioParseError, match="antithetic"):
         load_scenario(_write(tmp_path, text))
 
@@ -115,11 +113,21 @@ def test_invalid_parameters_are_validation_errors(tmp_path):
 
 
 def test_odd_path_count_with_antithetic_rejected(tmp_path):
-    text = FULL.replace("paths = 50000", "paths = 50001").replace(
-        "antithetic = false", "antithetic = true"
-    )
+    text = FULL.replace("paths = 50000", "paths = 50001")
     with pytest.raises(ValidationError):
         load_scenario(_write(tmp_path, text))
+
+
+def test_antithetic_false_is_rejected(tmp_path):
+    # Antithetic pairing is the only sampling scheme; false must not be ignored.
+    text = FULL.replace("antithetic = true", "antithetic = false")
+    with pytest.raises(ScenarioParseError, match="antithetic"):
+        load_scenario(_write(tmp_path, text))
+
+
+def test_antithetic_key_may_be_absent(tmp_path):
+    scenario = load_scenario(_write(tmp_path, FULL.replace("antithetic = true\n", "")))
+    assert (scenario.mc.path_count, scenario.mc.seed) == (50000, 9)
 
 
 def test_zero_sigma_requires_explicit_initial_sigma(tmp_path):

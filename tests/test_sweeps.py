@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import finite_floats, read_sweep_csv
+import subdebt.risk as risk
+import subdebt.sweeps as sweeps
+from conftest import count_calls, finite_floats, read_sweep_csv
 
 from subdebt import (
     CapitalStructure,
@@ -146,6 +148,12 @@ class TestStructureSweep:
             else:
                 assert not math.isnan(best)
 
+    def test_one_optimal_volatility_per_point(self, monkeypatch):
+        counts = {"sigma*": 0}
+        count_calls(monkeypatch, counts, "sigma*", (risk, sweeps), "_optimal_volatility")
+        sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 70.0, 201, 0.10, 1.0, 0.01)
+        assert counts == {"sigma*": 3 * 201}
+
     @pytest.mark.parametrize("proportion", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_out_of_range_proportions(self, proportion):
         with pytest.raises(ValidationError):
@@ -162,6 +170,8 @@ class TestStructureSweep:
             sweep_structure(100.0, [0.1], 50.0, math.inf, 5, 0.10, 1.0, 0.01)
         with pytest.raises(ValidationError):
             sweep_structure(100.0, [0.1], 50.0, 70.0, 5, 0.10, 1.0, -800.0)
+        with pytest.raises(ValidationError, match="initial_sigma"):
+            sweep_structure(100.0, [0.1], 50.0, 70.0, 5, 0.0, 1.0, 0.01)
 
 
 class TestTableValidation:
