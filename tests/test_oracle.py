@@ -173,11 +173,23 @@ class TestMCClaimValues:
         assert len(failures) <= 0.01 * cells, failures
 
 
+def _chunk_cases(*path_counts):
+    """(chunk, paths) cases for chunk sizes 1, 3 and 7.
+
+    Each id ends in ``-True``, the antithetic flag that named these cases when
+    the sampling scheme was a parameter, so the case names stay stable.
+    """
+    return [
+        pytest.param(chunk, paths, id=f"{chunk}-{paths}-True")
+        for paths in path_counts
+        for chunk in (1, 3, 7)
+    ]
+
+
 class TestStreaming:
     """Chunk boundaries change neither the draws nor, beyond rounding, the estimates."""
 
-    @pytest.mark.parametrize("paths", [2, 34, 1002])
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("chunk, paths", _chunk_cases(2, 34, 1002))
     def test_terminal_values_do_not_depend_on_chunk_size(self, monkeypatch, chunk, paths):
         cs = _cs(62.0, sigma=0.3)
         mc = MCConfig(paths, seed=5)
@@ -185,8 +197,7 @@ class TestStreaming:
         monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
         assert simulate_terminal_values(cs, mc).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("paths", [34, 1002])
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("chunk, paths", _chunk_cases(34, 1002))
     def test_estimates_match_numpy_over_the_joined_units(self, monkeypatch, chunk, paths):
         cs = _cs(62.0, sigma=0.3)
         mc = MCConfig(paths, seed=11)
