@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .claims import CapitalStructure, junior_debt_value
-from .errors import ValidationError, check, check_range
+from .errors import ValidationError, check, check_range, checked_exp
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,13 +58,18 @@ class MCConfig:
     """Monte-Carlo run configuration.
 
     path_count counts both halves of each antithetic pair, so it must be
-    even and at least 2; the seed is a 64-bit unsigned integer.
+    an even int of at least 2; the seed is an int in [0, 2**64).  Neither
+    may be a float or a bool: Philox would silently truncate a float key.
     """
 
     path_count: int
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("path_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
         if self.path_count < 2 or self.path_count % 2:
             raise ValidationError(
                 f"path_count must be even and >= 2, got {self.path_count}"
@@ -121,15 +126,29 @@ def mc_claim_values(
     average terminal value.  The sampling unit for the standard error is
     the average of each antithetic (Z, -Z) pair.  Units are reduced one
     chunk at a time, so memory does not grow with path_count.
+
+    Raises:
+        ValidationError: If the discount factor overflows, or a mean or
+            standard error is not finite (simulated values or their sums
+            leave the float range).
     """
-    discount = math.exp(-cs.rate * cs.maturity)
+    import numpy as np
+
+    discount = checked_exp(-cs.rate * cs.maturity, "discount factor")
     moments = [(0, 0.0, 0.0)] * 3
-    for chunk in _terminal_chunks(cs, mc):
-        for claim, units in enumerate(_sampling_units(cs, discount, chunk)):
-            moments[claim] = _merge_moments(moments[claim], units)
+    # Overflow turns into inf or NaN moments, refused below as one error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in _terminal_chunks(cs, mc):
+            for claim, units in enumerate(_sampling_units(cs, discount, chunk)):
+                moments[claim] = _merge_moments(moments[claim], units)
     estimates = []
     for count, mean, m2 in moments:
         std_error = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(std_error)):
+            raise ValidationError(
+                "Monte-Carlo claim values leave the float range "
+                f"(mean {mean}, standard error {std_error})"
+            )
         estimates.append(MCEstimate(mean, std_error, mc.path_count))
     return tuple(estimates)
 
@@ -219,12 +238,20 @@ def _merge_moments(
 def golden_section_max(
     f: Callable[[float], float], lower: float, upper: float, tolerance: float
 ) -> float:
-    """Golden-section search for the maximizer of a unimodal f on [lower, upper]."""
+    """Golden-section search for the maximizer of a unimodal f on [lower, upper].
+
+    Stops once the bracket is no wider than ``tolerance``, or once a step
+    no longer narrows it (a tolerance below the float spacing there).
+
+    Raises:
+        ValidationError: If tolerance is not finite and > 0.
+    """
+    check("tolerance", tolerance, "finite and > 0")
     a, b = lower, upper
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tolerance:
+    while (width := b - a) > tolerance:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -233,6 +260,8 @@ def golden_section_max(
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = f(d)
+        if not b - a < width:
+            break
     return float(0.5 * (a + b))
 
 

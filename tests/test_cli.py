@@ -466,6 +466,24 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "antithetic" in result.stderr
 
+    def test_verify_out_of_float_range_is_validation_error(self, tmp_path):
+        # rate = 800 overflows every terminal value; a fresh process under
+        # -W error, so that a NumPy warning or a traceback would show.
+        path = tmp_path / "overflow.ini"
+        path.write_text(DISTRESSED.replace("rate = 0.01", "rate = 800"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        args = ["verify", "--scenario", str(path), "--paths", "2000", "--format", "json"]
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "subdebt", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_VALIDATION_ERROR
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
     def test_missing_scenario_file_is_parse_error(self, capsys):
         assert main(["price", "--scenario", "/no/such/file.ini"]) == EXIT_PARSE_ERROR
 

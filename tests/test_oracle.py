@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from subdebt import (
     argmax_sigma_numeric,
     finite_diff_vega,
     golden_section_max,
+    junior_debt_value,
     junior_debt_vega,
     mc_claim_values,
     optimal_volatility,
@@ -40,6 +42,20 @@ for v, q in ((62.0, 0.0), (100.0, 0.02), (64.0, 0.0)):
     for estimate in mc_claim_values(cs, MCConfig(200_000, 5)):
         print(repr(estimate.std_error))
 """
+
+
+def _bounded(f, limit=1000):
+    """f, raising once it has been called more than ``limit`` times."""
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise RuntimeError(f"more than {limit} evaluations: the search does not end")
+        return f(x)
+
+    return counted
 
 
 def _cs(v, fs=60.0, fj=10.0, sigma=0.262, tau=1.0, r=0.01, q=0.0):
@@ -131,6 +147,13 @@ class TestMCClaimValues:
         ):
             assert abs(estimate.mean - closed_value) <= 3.0 * estimate.std_error
             assert estimate.path_count == 1_000_000
+
+    @pytest.mark.parametrize("rate", [800.0, -800.0], ids=["values-overflow", "discount-overflows"])
+    def test_out_of_float_range_is_validation_error(self, rate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                mc_claim_values(_cs(62.0, r=rate), MCConfig(1000, seed=1))
 
     def test_standard_error_shrinks_with_path_count(self):
         cs = _cs(62.0)
@@ -294,6 +317,17 @@ class TestArgmaxSearch:
         with pytest.raises(ValidationError):
             argmax_sigma_numeric(_cs(62.0), GridSpec(0.0, 1.5, 1e-6))
 
+    def test_tolerance_below_float_spacing_ends(self, monkeypatch):
+        # A search that stops narrowing must stop; the bound turns a hang into a failure.
+        monkeypatch.setattr(oracle, "junior_debt_value", _bounded(junior_debt_value))
+        numeric = argmax_sigma_numeric(_cs(62.0), GridSpec(0.01, 1.5, 1e-300))
+        assert abs(numeric - optimal_volatility(_cs(62.0))) < 1e-4
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf])
+    def test_golden_section_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValidationError):
+            golden_section_max(_bounded(lambda s: -((s - 1.7) ** 2)), 0.0, 2.0, tolerance)
+
 
 class TestFiniteDifference:
     def test_matches_analytic_vega(self):
@@ -342,6 +376,14 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             MCConfig(100, seed=2**64)
         MCConfig(100, seed=2**64 - 1)
+
+    @pytest.mark.parametrize(
+        "path_count, seed",
+        [(4, 1.5), (4.0, 1), (True, 1), (4, True), (4, False), (4, "1"), (4, None)],
+    )
+    def test_rejects_non_int_path_count_or_seed(self, path_count, seed):
+        with pytest.raises(ValidationError):
+            MCConfig(path_count, seed)
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValidationError):
