@@ -11,12 +11,16 @@ Terminal draws use numpy's Philox 4x64 counter-based generator (10
 rounds) keyed by the seed.  The i-th raw 64-bit output is a pure
 function of (seed, i), so an estimate depends only on (seed,
 path_count) and never on scheduling or partitioning.  Raw outputs map
-to uniforms by u = ((raw >> 11) + 0.5) * 2**-53, strictly inside (0, 1),
-and to normals through the inverse normal CDF (``scipy.special.ndtri``,
-the Cephes ndtri routine) rather than Box-Muller.  Every draw Z is used
-twice, at Z and at -Z (antithetic pairing, the only sampling scheme), and
-the pair mean is the sampling unit; numpy's ``exp`` loop, chosen per CPU,
-can change the last bits.
+to uniforms by u = ((raw >> 11) + 0.5) * 2**-53 in float64, and to
+normals through the inverse normal CDF (``scipy.special.ndtri``, the
+Cephes ndtri routine) rather than Box-Muller.  The sum k + 0.5 is exact
+for k = raw >> 11 below 2**52 and rounds half to even above, so u lies
+in (0, 1], not strictly inside: u = 1.0 only at k = 2**53 - 1, where
+ndtri gives inf and ``mc_claim_values`` refuses the run with
+``ValidationError``.  Every draw Z is used twice, at Z and at -Z
+(antithetic pairing, the only sampling scheme), and the pair mean is the
+sampling unit; numpy's ``exp`` loop, chosen per CPU, can change the last
+bits.
 
 Draws are streamed in chunks of ``_CHUNK_DRAWS`` normals taken in order
 from one Philox stream, so the terminal values do not depend on the
@@ -29,11 +33,24 @@ an estimate is a pure function of (seed, path_count) and this constant.
 numpy and scipy are imported inside the functions that build arrays, so
 that importing the package, and the closed-form CLI commands, do not
 load them.
+
+``ndtri`` is resolved once per process.  If ``scipy.special`` is already
+loaded, its ``ndtri`` is used.  Otherwise it is taken from the compiled
+``scipy.special._ufuncs`` module, imported under a bare package module
+that stands in for ``scipy.special`` only while that import runs.  The
+package ``__init__`` also loads ``numpy.f2py`` and scipy's array-API
+backends: with numpy loaded, ``from scipy.special import ndtri`` took
+270-410 ms on a 2-vCPU Xeon (scipy 1.17.1), ``_ufuncs`` alone 24-30 ms.
+It is the same C ufunc, so a later ``import scipy.special`` works and
+yields the same object.  That module layout is private to scipy, so on
+any failure the route falls back to ``from scipy.special import ndtri``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -182,8 +199,8 @@ def _terminal_chunks(
     from one Philox stream, so draw i is the same whatever the chunk size.
     """
     import numpy as np
-    from scipy.special import ndtri
 
+    ndtri = _ndtri()
     n_draws = mc.path_count // 2
     bit_generator = np.random.Philox(key=mc.seed)
     drift = (
@@ -196,6 +213,43 @@ def _terminal_chunks(
         up = cs.asset_value * np.exp(drift + shock * z)
         # drift + shock * (-z) == drift - shock * z exactly in IEEE arithmetic.
         yield up, cs.asset_value * np.exp(drift - shock * z)
+
+
+@functools.cache
+def _ndtri() -> np.ufunc:
+    """scipy's ``ndtri`` ufunc, by the route the module docstring describes."""
+    # Reading scipy.special as an attribute would import it through scipy's
+    # module __getattr__, so only sys.modules is consulted.
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.ndtri
+    try:
+        return _compiled_ndtri()
+    except Exception:  # any change to scipy's private layout
+        from scipy.special import ndtri
+
+        return ndtri
+
+
+def _compiled_ndtri() -> np.ufunc:
+    """Import ``scipy.special._ufuncs`` without running the package ``__init__``.
+
+    The stub is in ``sys.modules`` only while this import runs; an import
+    of ``scipy.special`` from another thread in that window would get it.
+    """
+    import importlib
+    import os
+    import types
+
+    import scipy
+
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+    sys.modules["scipy.special"] = stub
+    try:
+        return importlib.import_module("scipy.special._ufuncs").ndtri
+    finally:
+        sys.modules.pop("scipy.special", None)
 
 
 def _sampling_units(

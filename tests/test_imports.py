@@ -1,5 +1,6 @@
 """Cold-start guard: the closed-form commands and the sweeps load neither
-numpy nor scipy.
+numpy nor scipy, and ``verify`` loads numpy and only scipy's compiled
+``_ufuncs``, not the ``scipy.special`` package.
 
 Each case runs in a fresh interpreter, because this test process has
 already imported both libraries.
@@ -16,13 +17,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "scenarios" / "distressed.ini"
 
+# After the command, reports what it loaded; then, if it loaded scipy's
+# ufuncs, whether a real ``import scipy.special`` yields the same ndtri.
 _PROBE = """\
 import json, sys
 from subdebt.cli import main
 argv = json.loads(sys.argv[1])
 code = main(argv) if argv else 0
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "scipy": "scipy" in sys.modules}))
+modules = sorted(sys.modules)
+same_ndtri = None
+if "scipy.special._ufuncs" in modules:
+    import scipy.special
+    from subdebt.oracle import _ndtri
+    same_ndtri = _ndtri() is scipy.special.ndtri
+print(json.dumps({"code": code, "numpy": "numpy" in modules,
+                  "scipy": "scipy" in modules, "modules": modules,
+                  "same_ndtri": same_ndtri}))
 """
 
 
@@ -84,3 +94,16 @@ def test_commands_load_only_what_they_use(argv, code):
     assert loaded["code"] == code
     assert loaded["numpy"] is False
     assert loaded["scipy"] is False
+
+
+def test_verify_loads_only_the_compiled_ufuncs():
+    loaded = _loaded_after(
+        ["verify", "--scenario", str(SCENARIO), "--paths", "2000", "--format", "json"]
+    )
+    assert loaded["code"] == 0
+    modules = set(loaded["modules"])
+    assert {"numpy", "scipy.special._ufuncs"} <= modules
+    assert "scipy.special._support_alternative_backends" not in modules
+    assert "numpy.f2py" not in modules
+    assert "scipy.special" not in modules
+    assert loaded["same_ndtri"] is True

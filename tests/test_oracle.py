@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo, argmax, and finite-difference oracles."""
 
+import json
 import math
 import os
 import subprocess
@@ -43,6 +44,33 @@ for v, q in ((62.0, 0.0), (100.0, 0.02), (64.0, 0.0)):
         print(repr(estimate.std_error))
 """
 
+# Runs the frozen-sequence structure at 200k paths by the default ndtri
+# route, or with the compiled-ufuncs route broken as a changed scipy layout
+# would break it, and prints the results and the scipy.special left loaded.
+_NDTRI_ROUTE_PROBE = """\
+import hashlib, importlib, json, sys
+if sys.argv[1] == "fallback":
+    import_module = importlib.import_module
+
+    def broken(name, package=None):
+        if name == "scipy.special._ufuncs":
+            raise ImportError("scipy.special._ufuncs moved")
+        return import_module(name, package)
+
+    importlib.import_module = broken
+from subdebt import CapitalStructure, MCConfig, mc_claim_values, simulate_terminal_values
+cs = CapitalStructure(62.0, 60.0, 10.0, 0.262, 1.0, 0.01, 0.0)
+mc = MCConfig(200_000, seed=42)
+terminal = simulate_terminal_values(cs, mc)
+special = sys.modules.get("scipy.special")
+print(json.dumps({
+    "head": terminal[:8].tolist(),
+    "terminal": hashlib.sha256(terminal.tobytes()).hexdigest(),
+    "estimates": [[e.mean.hex(), e.std_error.hex()] for e in mc_claim_values(cs, mc)],
+    "special": None if special is None else getattr(special, "__file__", "stub"),
+}))
+"""
+
 
 def _bounded(f, limit=1000):
     """f, raising once it has been called more than ``limit`` times."""
@@ -60,6 +88,19 @@ def _bounded(f, limit=1000):
 
 def _cs(v, fs=60.0, fj=10.0, sigma=0.262, tau=1.0, r=0.01, q=0.0):
     return CapitalStructure(v, fs, fj, sigma, tau, r, q)
+
+
+def _run_probe(probe, *args, **env_vars):
+    """stdout of ``probe`` run with ``args`` in a fresh interpreter."""
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
 
 
 class TestSimulation:
@@ -113,6 +154,42 @@ class TestSimulation:
         std_error = units.std(ddof=1) / math.sqrt(units.size)
         expected = cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity)
         assert abs(units.mean() - expected) <= 3.0 * std_error
+
+    def test_top_raw_value_maps_to_one(self, monkeypatch):
+        # raw >> 11 = 2**53 - 1: k + 0.5 rounds half to even up to 2**53, so
+        # u = 1.0 and ndtri(u) = inf, the one value outside the open interval.
+        class TopRaw:
+            def __init__(self, key):
+                pass
+
+            def random_raw(self, size):
+                return np.full(size, 2**64 - 1, dtype=np.uint64)
+
+        ndtri = oracle._ndtri()
+        uniforms = []
+
+        def recording_ndtri(u):
+            uniforms.extend(u.tolist())
+            return ndtri(u)
+
+        monkeypatch.setattr(np.random, "Philox", TopRaw)
+        monkeypatch.setattr(oracle, "_ndtri", lambda: recording_ndtri)
+        cs = _cs(62.0)
+        assert simulate_terminal_values(cs, MCConfig(2, seed=1)).tolist() == [math.inf, 0.0]
+        assert uniforms == [1.0]
+        with pytest.raises(ValidationError, match="leave the float range"):
+            mc_claim_values(cs, MCConfig(2, seed=1))
+
+    def test_ndtri_fallback_route_gives_the_same_bits(self):
+        default, fallback = (
+            json.loads(_run_probe(_NDTRI_ROUTE_PROBE, route)) for route in ("default", "fallback")
+        )
+        # The compiled-ufuncs route leaves no scipy.special, stub or real,
+        # behind; the fallback leaves the real package.
+        assert default.pop("special") is None
+        assert fallback.pop("special").endswith("__init__.py")
+        assert default["head"] == self.FROZEN
+        assert fallback == default
 
 
 class TestMCClaimValues:
@@ -242,20 +319,9 @@ class TestStreaming:
     def test_standard_errors_do_not_depend_on_blas_threads(self):
         # A threaded BLAS dot product splits its sum, so its last bits would
         # follow OPENBLAS_NUM_THREADS.  Each run needs a fresh process.
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(
-                filter(None, [str(SRC), env.get("PYTHONPATH")])
-            )
-            result = subprocess.run(
-                [sys.executable, "-c", _STD_ERROR_PROBE],
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-            )
-            outputs.append(result.stdout)
+        outputs = [
+            _run_probe(_STD_ERROR_PROBE, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")
+        ]
         assert len(outputs[0].split()) == 9
         assert outputs[0] == outputs[1]
 
