@@ -1,10 +1,9 @@
 """European option primitives on a lognormal asset.
 
 All rates and yields are continuously compounded annual rates and all
-times are year fractions.  The standard normal CDF is computed as
-N(x) = erfc(-x / sqrt(2)) / 2 with the C library's double-precision
-complementary error function (``math.erfc``), which keeps the absolute
-error below 1e-15 over the whole real line.
+times are year fractions.  The standard normal CDF and density,
+``norm_cdf`` and ``norm_pdf``, live in ``claims`` next to the fused
+kernel, and are imported from there.
 
 These single-option functions are the independent reference that the
 tests compare the fused claims kernel in ``claims`` against.
@@ -15,20 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .claims import norm_cdf, norm_pdf
 from .errors import DegenerateVolatilityError, check
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF, N(x) = erfc(-x / sqrt(2)) / 2."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def norm_pdf(x: float) -> float:
-    """Standard normal density, phi(x) = exp(-x^2 / 2) / sqrt(2 pi)."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 @dataclass(frozen=True)

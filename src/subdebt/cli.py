@@ -2,37 +2,26 @@
 
 It parses arguments, loads scenarios and lays out each report's text and
 rows; the cell, CSV and JSON conventions they are written with live in
-``subdebt.sweeps``, and the checks that ``verify`` runs, with their
-tolerances, in ``subdebt.verify``.  Exit
-codes: 0 success; 2 usage error, malformed scenario file or an ``--out``
-path that cannot be opened; 3 parameter validation error; 4 verification
-check failure.
+``subdebt.output``, and the checks that ``verify`` runs, with their
+tolerances, in ``subdebt.verify``.  Each command imports the modules it
+runs inside its handler, so ``price`` and ``thresholds`` load neither
+the sweeps nor the Monte-Carlo engine.  Exit codes: 0 success; 2 usage
+error, malformed or unreadable scenario file, or output that cannot be
+written (an ``--out`` path that cannot be opened, or a failed write or
+close of the output stream, stdout included); 3 parameter validation
+error; 4 verification check failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
-from .claims import value_all_claims
 from .errors import DegenerateVolatilityError, ScenarioParseError, ValidationError
-from .oracle import MCConfig
-from .risk import classify_regime, junior_debt_vega
-from .scenario import Scenario, load_scenario
-from .sweeps import (
-    _cell,
-    _write_csv,
-    _write_json,
-    sweep_sigma,
-    sweep_structure,
-    write_structure_csv,
-    write_structure_json,
-    write_sweep_csv,
-    write_sweep_json,
-)
-from .verify import run_verification
+from .scenario import MCConfig, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -41,7 +30,8 @@ EXIT_VERIFY_FAILURE = 4
 
 
 class _OutputError(Exception):
-    """The ``--out`` file cannot be opened for writing."""
+    """The output cannot be written: the ``--out`` file does not open, or a
+    write or close of the output stream fails."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,6 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
+    from .claims import value_all_claims
+    from .risk import junior_debt_vega
+
     scenario = load_scenario(args.scenario)
     cs = scenario.structure
     values = value_all_claims(cs)
@@ -153,6 +146,8 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
+    from .risk import classify_regime
+
     scenario = load_scenario(args.scenario)
     profile = classify_regime(scenario.structure, scenario.initial_sigma)
     report = _input_echo(scenario)
@@ -170,6 +165,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_sigma(args: argparse.Namespace) -> int:
+    from .sweeps import sweep_sigma, write_sweep_csv, write_sweep_json
+
     scenario = load_scenario(args.scenario)
     table = sweep_sigma(scenario.structure, args.sigma_min, args.sigma_max, args.steps)
     write = write_sweep_json if args.format == "json" else write_sweep_csv
@@ -179,6 +176,8 @@ def _cmd_sweep_sigma(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_structure(args: argparse.Namespace) -> int:
+    from .sweeps import sweep_structure, write_structure_csv, write_structure_json
+
     scenario = load_scenario(args.scenario)
     try:
         proportions = [float(part) for part in args.proportions.split(",") if part]
@@ -206,6 +205,8 @@ def _cmd_sweep_structure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verification
+
     scenario = load_scenario(args.scenario)
     mc = MCConfig(
         path_count=args.paths if args.paths is not None else scenario.mc.path_count,
@@ -232,33 +233,52 @@ def _input_echo(scenario: Scenario) -> dict:
 
 @contextmanager
 def _open_out(out: str | None):
-    if out is None:
-        yield sys.stdout
-    else:
-        try:
-            stream = Path(out).open("w")
-        except OSError as exc:
-            raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
-        with stream:
-            yield stream
+    """The output stream, stdout or the file ``out``, flushed or closed on
+    exit; ``_OutputError`` where it cannot be opened, written or closed."""
+    target = "stdout" if out is None else out
+    try:
+        if out is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with Path(out).open("w") as stream:
+                yield stream
+    except OSError as exc:
+        if out is None:
+            _discard_stdout()
+        raise _OutputError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point file descriptor 1 at the null device after a failed write, so
+    that the interpreter's final flush of stdout does not fail again."""
+    with suppress(OSError, ValueError):  # no descriptor: nothing to redirect
+        fd = sys.stdout.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def _emit_report(report: dict, fmt: str | None, out: str | None) -> None:
+    from .output import cell, write_csv, write_json
+
     with _open_out(out) as stream:
         if fmt == "json":
-            _write_json(report, stream)
+            write_json(report, stream)
         elif fmt == "csv":
-            _write_csv(("key", "value"), report.items(), stream)
+            write_csv(("key", "value"), report.items(), stream)
         else:
             width = max(len(key) for key in report)
             for key, value in report.items():
-                stream.write(f"{key:<{width}}  {_cell(value, 'n/a')}\n")
+                stream.write(f"{key:<{width}}  {cell(value, 'n/a')}\n")
 
 
 def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
+    from .output import cell, write_csv, write_json
+
     with _open_out(out) as stream:
         if fmt == "json":
-            _write_json(report, stream)
+            write_json(report, stream)
         elif fmt == "csv":
             rows = []
             for check in report["checks"]:
@@ -270,9 +290,9 @@ def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
                 closed, estimate = check.get("closed_form"), check.get("estimate")
                 rows.append((check["name"], closed, estimate, detail, check["passed"]))
             header = ("check", "closed_form", "estimate", "detail", "passed")
-            _write_csv(header, rows, stream)
+            write_csv(header, rows, stream)
         else:
-            antithetic = _cell(report["antithetic"], "n/a")
+            antithetic = cell(report["antithetic"], "n/a")
             stream.write(
                 f"scenario {report['scenario']}: {report['paths']} paths, "
                 f"seed {report['seed']}, antithetic {antithetic}\n"
@@ -283,12 +303,12 @@ def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
                     stream.write(f"[{status}] {check['name']}: skipped ({check['skipped']})\n")
                     continue
                 parts = [
-                    f"closed={_cell(check.get('closed_form'), 'n/a')}",
-                    f"estimate={_cell(check.get('estimate'), 'n/a')}",
+                    f"closed={cell(check.get('closed_form'), 'n/a')}",
+                    f"estimate={cell(check.get('estimate'), 'n/a')}",
                 ]
                 for key in ("std_error", "se_multiples", "error", "relative_error"):
                     if key in check:
-                        parts.append(f"{key}={_cell(check[key], 'n/a')}")
+                        parts.append(f"{key}={cell(check[key], 'n/a')}")
                 if check.get("degenerate_sample"):
                     parts.append("degenerate sample (rule-of-three bound)")
                 stream.write(f"[{status}] {check['name']}: {', '.join(parts)}\n")

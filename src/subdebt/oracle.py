@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from .claims import CapitalStructure, junior_debt_value
 from .errors import ValidationError, check, check_range, checked_exp
+from .scenario import MCConfig
 
 if TYPE_CHECKING:
     import numpy as np
@@ -68,31 +69,6 @@ _PEAK_ULPS = 8
 # arrays).  Estimates depend on it through the order of the final sums.
 _CHUNK_DRAWS = 1 << 16
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    """Monte-Carlo run configuration.
-
-    path_count counts both halves of each antithetic pair, so it must be
-    an even int of at least 2; the seed is an int in [0, 2**64).  Neither
-    may be a float or a bool: Philox would silently truncate a float key.
-    """
-
-    path_count: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        for name in ("path_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an int, got {value!r}")
-        if self.path_count < 2 or self.path_count % 2:
-            raise ValidationError(
-                f"path_count must be even and >= 2, got {self.path_count}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

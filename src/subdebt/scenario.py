@@ -8,7 +8,12 @@ optional ``[monte_carlo]`` section overrides the simulation defaults
 files load, but antithetic pairing is the only sampling scheme, so only
 ``true`` is accepted.  Numbers are parsed as decimal text at full
 double precision.  ``initial_sigma`` defaults to ``sigma``; scenarios
-priced at sigma = 0 must therefore state it explicitly.
+priced at sigma = 0 must therefore state it explicitly.  Files are read
+as UTF-8.
+
+``MCConfig``, the Monte-Carlo engine's configuration, is defined here
+rather than in ``oracle``, so that every command checks the file's
+``[monte_carlo]`` values without loading the engine.
 """
 
 from __future__ import annotations
@@ -18,13 +23,37 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .claims import CapitalStructure
-from .errors import ScenarioParseError, check
-from .oracle import MCConfig
+from .errors import ScenarioParseError, ValidationError, check
 
 DEFAULT_PATHS = 1_000_000
 DEFAULT_SEED = 1
 
 _REQUIRED_KEYS = ("asset_value", "senior_face", "junior_face", "sigma", "maturity", "rate")
+
+
+@dataclass(frozen=True)
+class MCConfig:
+    """Monte-Carlo run configuration.
+
+    path_count counts both halves of each antithetic pair, so it must be
+    an even int of at least 2; the seed is an int in [0, 2**64).  Neither
+    may be a float or a bool: Philox would silently truncate a float key.
+    """
+
+    path_count: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        for name in ("path_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
+        if self.path_count < 2 or self.path_count % 2:
+            raise ValidationError(
+                f"path_count must be even and >= 2, got {self.path_count}"
+            )
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +83,8 @@ def load_scenario(path: str | Path) -> Scenario:
         inline_comment_prefixes=("#", ";"), interpolation=None
     )
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         parser.read_string(text, source=str(path))

@@ -1,16 +1,8 @@
-"""Sweep tables over volatility or capital structure, and the output
-conventions that every command shares.
+"""Sweep tables over volatility or capital structure.
 
-Every CSV and JSON output, the sweep tables here and the ``price``,
-``thresholds`` and ``verify`` reports of ``subdebt.cli``, is written by
-``_write_csv`` or ``_write_json``, and every CSV or text value by
-``_cell``.  Floats are written with ``repr`` (shortest round-trip form),
-'.' decimal separator, no grouping, header row mandatory, so ``float``
-on a cell gives back the exact value.  Missing values (no interior
-maximizer, or no vega where sigma sqrt(tau) underflows to 0) are NaN in
-memory, empty cells in CSV, ``n/a`` in text, and null in JSON.  JSON is
-indented by two spaces and ends with a newline; sweep JSON mirrors the
-CSV columns as arrays.
+The tables are written as CSV or JSON with the conventions of
+``subdebt.output``, which the ``price``, ``thresholds`` and ``verify``
+reports share; sweep JSON mirrors the CSV columns as arrays.
 
 Sweeps use only the standard library.  Their grids place each point as
 numpy.linspace does, i * step + start with the last point set to stop,
@@ -21,14 +13,13 @@ thresholds, which do not depend on the asset value, once per debt mix.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import IO
 
 from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range
+from .output import write_csv, write_json
 from .risk import _chosen_risk, _optimal_volatility, _threshold, hump_threshold
 
 SIGMA_SWEEP_COLUMNS = ("junior_value", "senior_value", "equity_value", "junior_vega")
@@ -155,12 +146,12 @@ def _grid(name: str, start: float, stop: float, steps: int) -> tuple[float, ...]
 def write_sweep_csv(table: SweepTable, stream: IO[str]) -> None:
     """Write a table as CSV: header row, then one row per grid point."""
     header = (table.independent_name, *table.output_names)
-    _write_csv(header, zip(*table.columns), stream)
+    write_csv(header, zip(*table.columns), stream)
 
 
 def write_sweep_json(table: SweepTable, stream: IO[str]) -> None:
     """Write a table as JSON with columns mirrored as arrays."""
-    _write_json(_table_payload(table), stream)
+    write_json(_table_payload(table), stream)
 
 
 def write_structure_csv(
@@ -172,7 +163,7 @@ def write_structure_csv(
     rows = (
         (proportion, *row) for proportion, table in tables for row in zip(*table.columns)
     )
-    _write_csv(header, rows, stream)
+    write_csv(header, rows, stream)
 
 
 def write_structure_json(
@@ -185,7 +176,7 @@ def write_structure_json(
             for proportion, table in tables
         ]
     }
-    _write_json(payload, stream)
+    write_json(payload, stream)
 
 
 def _table_payload(table: SweepTable) -> dict:
@@ -194,29 +185,3 @@ def _table_payload(table: SweepTable) -> dict:
     for name, column in zip(table.output_names, outputs):
         columns[name] = [None if math.isnan(value) else value for value in column]
     return {"independent": table.independent_name, "columns": columns}
-
-
-def _cell(value, missing: str = "") -> str:
-    """One CSV or text value: None and NaN as ``missing``, bools as true/false.
-
-    ``float`` keeps a numpy float's repr to the digits alone.
-    """
-    if isinstance(value, float):
-        return repr(float(value)) if value == value else missing
-    if value is None:
-        return missing
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _write_csv(header, rows, stream: IO[str]) -> None:
-    """The header, then each row's values through ``_cell``, rows ending in LF."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(_cell, row) for row in rows)
-
-
-def _write_json(payload, stream: IO[str]) -> None:
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import count_calls, read_sweep_csv
 
-import subdebt.cli as cli
 import subdebt.risk as risk
+import subdebt.verify as verify
 from subdebt.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -69,6 +69,13 @@ def solvent(tmp_path):
     path = tmp_path / "solvent.ini"
     path.write_text(SOLVENT)
     return str(path)
+
+
+def _env():
+    """This environment with the checkout's ``src`` first on the module path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 class TestPrice:
@@ -429,7 +436,7 @@ class TestVerify:
                 "passed": False,
             }
 
-        monkeypatch.setattr(cli, "run_verification", failing)
+        monkeypatch.setattr(verify, "run_verification", failing)
         assert main(["verify", "--scenario", distressed]) == EXIT_VERIFY_FAILURE
 
 
@@ -453,11 +460,9 @@ class TestExitCodes:
         # A fresh process, so that a traceback would reach stderr.
         path = tmp_path / "plain.ini"
         path.write_text(DISTRESSED + f"antithetic = {value}\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "subdebt", "verify", "--scenario", str(path)],
-            env=env,
+            env=_env(),
             capture_output=True,
             text=True,
         )
@@ -471,12 +476,10 @@ class TestExitCodes:
         # -W error, so that a NumPy warning or a traceback would show.
         path = tmp_path / "overflow.ini"
         path.write_text(DISTRESSED.replace("rate = 0.01", "rate = 800"))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         args = ["verify", "--scenario", str(path), "--paths", "2000", "--format", "json"]
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", "subdebt", *args],
-            env=env,
+            env=_env(),
             capture_output=True,
             text=True,
         )
@@ -486,6 +489,14 @@ class TestExitCodes:
 
     def test_missing_scenario_file_is_parse_error(self, capsys):
         assert main(["price", "--scenario", "/no/such/file.ini"]) == EXIT_PARSE_ERROR
+
+    def test_scenario_file_that_is_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe[scenario]\n")
+        assert main(["price", "--scenario", str(path)]) == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read scenario file {path}: ")
+        assert err.count("\n") == 1
 
     def test_invalid_parameters_are_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -514,6 +525,44 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {out_path}: ")
         assert err.count("\n") == 1
         assert not out_path.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_output_that_cannot_be_written_is_usage_error(self, distressed, to_stdout):
+        # A fresh process, so that a traceback, or a failure reported again
+        # at interpreter shutdown, would reach stderr.
+        args = ["price", "--scenario", distressed]
+        if not to_stdout:
+            args += ["--out", "/dev/full"]
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "subdebt", *args],
+                env=_env(),
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert result.returncode == EXIT_PARSE_ERROR
+        assert result.stderr.startswith("error: cannot write ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert "Exception ignored" not in result.stderr
+
+    def test_closed_stdout_pipe_is_usage_error(self, distressed):
+        # Far more output than a pipe holds, so the writes outrun the reader.
+        args = ["sweep-sigma", "--scenario", distressed, "--steps", "20000"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "subdebt", *args],
+            env=_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as process:
+            assert process.stdout.readline().startswith("sigma,")
+            process.stdout.close()
+            _, stderr = process.communicate(timeout=60)
+        assert process.returncode == EXIT_PARSE_ERROR
+        assert stderr == "error: cannot write stdout: Broken pipe\n"
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -71,6 +71,13 @@ def test_missing_file():
         load_scenario("/nonexistent/scenario.ini")
 
 
+def test_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"\xff\xfe[scenario]\n")
+    with pytest.raises(ScenarioParseError, match="cannot read scenario file"):
+        load_scenario(path)
+
+
 def test_missing_section(tmp_path):
     with pytest.raises(ScenarioParseError, match="scenario"):
         load_scenario(_write(tmp_path, "[other]\nx = 1\n"))
