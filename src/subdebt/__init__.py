@@ -49,7 +49,6 @@ _NAMES = {
     ),
     "scenario": ("MCConfig", "Scenario", "load_scenario"),
     "sweeps": (
-        "SweepTable",
         "sweep_sigma",
         "sweep_structure",
         "write_structure_csv",

@@ -8,8 +8,8 @@ runs inside its handler, so ``price`` and ``thresholds`` load neither
 the sweeps nor the Monte-Carlo engine.  Exit codes: 0 success; 2 usage
 error, malformed or unreadable scenario file, or output that cannot be
 written (an ``--out`` path that cannot be opened, or a failed write or
-close of the output stream, stdout included); 3 parameter validation
-error; 4 verification check failure.
+close of the output stream, stdout and the help text included); 3
+parameter validation error; 4 verification check failure.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class _OutputError(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     except (ScenarioParseError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -44,6 +44,17 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, DegenerateVolatilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, but help for stdout is written through ``_open_out``:
+    argparse's own writer ignores a failed write, and the exit would be 0."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            return super().print_help(file)
+        with _open_out(None) as stream:
+            stream.write(self.format_help())
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", metavar="PATH", help="write output to PATH instead of stdout"
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subdebt",
         description=(
             "Two-tranche structural credit model: claim values, junior-debt "
@@ -104,11 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_f.add_argument("--v-min", type=float, required=True)
     sweep_f.add_argument("--v-max", type=float, required=True)
     sweep_f.add_argument("--steps", type=int, default=201)
-    sweep_f.add_argument(
-        "--initial-sigma",
-        type=float,
-        help="override the scenario's pre-shift volatility",
-    )
     sweep_f.set_defaults(handler=_cmd_sweep_structure)
 
     verify = subparsers.add_parser(
@@ -183,9 +189,6 @@ def _cmd_sweep_structure(args: argparse.Namespace) -> int:
         proportions = [float(part) for part in args.proportions.split(",") if part]
     except ValueError:
         raise ValidationError(f"cannot parse proportions: {args.proportions!r}") from None
-    initial_sigma = (
-        args.initial_sigma if args.initial_sigma is not None else scenario.initial_sigma
-    )
     cs = scenario.structure
     tables = sweep_structure(
         total_face=args.total_face,
@@ -193,7 +196,7 @@ def _cmd_sweep_structure(args: argparse.Namespace) -> int:
         v_lower=args.v_min,
         v_upper=args.v_max,
         steps=args.steps,
-        initial_sigma=initial_sigma,
+        initial_sigma=scenario.initial_sigma,
         maturity=cs.maturity,
         rate=cs.rate,
         dividend_yield=cs.dividend_yield,

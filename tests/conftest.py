@@ -6,7 +6,7 @@ import math
 import hypothesis
 from hypothesis import strategies as st
 
-from subdebt import CapitalStructure, OptionInputs, SweepTable
+from subdebt import CapitalStructure, OptionInputs
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
@@ -72,4 +72,4 @@ def read_sweep_csv(stream):
     """A sweep table back from its CSV: ``float`` on each cell, empty as NaN."""
     header, *records = csv.reader(stream)
     columns = zip(*([float(cell) if cell else math.nan for cell in r] for r in records))
-    return SweepTable(header[0], tuple(header[1:]), tuple(columns))
+    return dict(zip(header, columns))

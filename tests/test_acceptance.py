@@ -105,8 +105,8 @@ def test_03_junior_value_strictly_decreasing_when_solvent():
     with _Budget(3, "strict decrease of junior value at V=100", 1.0) as budget:
         cs = _cs(100.0)
         table = sweep_sigma(cs, 0.01, 0.8, 200)
-        sigmas = table.column("sigma")
-        junior = table.column("junior_value")
+        sigmas = list(table["sigma"])
+        junior = list(table["junior_value"])
         diffs = np.diff(junior)
         # At the small-sigma end the true decrements (below 2.5e-16, and
         # below 1e-45 at the first steps) are under one ulp of the junior
@@ -125,7 +125,7 @@ def test_03_junior_value_strictly_decreasing_when_solvent():
         ]
         assert not failures, "; ".join(failures[:5])
         # The derivative keeps its sign where the value cannot show it.
-        vegas = table.column("junior_vega")
+        vegas = list(table["junior_vega"])
         nonnegative = [
             f"point {i} (sigma {sigmas[i]!r}): junior vega {vega!r}"
             for i, vega in enumerate(vegas)
@@ -138,8 +138,8 @@ def test_03_junior_value_strictly_decreasing_when_solvent():
 def test_04_junior_value_unimodal_when_distressed():
     with _Budget(4, "unimodal junior value at V=62 peaking nearest 26.2%", 1.0) as budget:
         table = sweep_sigma(_cs(62.0), 0.01, 0.8, 200)
-        junior = np.asarray(table.column("junior_value"))
-        sigmas = np.asarray(table.column("sigma"))
+        junior = np.asarray(table["junior_value"])
+        sigmas = np.asarray(table["sigma"])
         peak = int(np.argmax(junior))
         nearest = int(np.argmin(np.abs(sigmas - 0.262)))
         assert peak == nearest
@@ -161,10 +161,10 @@ def test_05_chosen_risk_ordered_by_junior_share():
             maturity=1.0,
             rate=0.01,
         )
-        chosen = [table.column("chosen_risk") for _, table in tables]
+        chosen = [list(table["chosen_risk"]) for _, table in tables]
         for smaller_share, bigger_share in zip(chosen, chosen[1:]):
             assert all(a >= b for a, b in zip(smaller_share, bigger_share))
-        maximizers = [table.column("optimal_volatility") for _, table in tables]
+        maximizers = [list(table["optimal_volatility"]) for _, table in tables]
         for smaller_share, bigger_share in zip(maximizers, maximizers[1:]):
             for a, b in zip(smaller_share, bigger_share):
                 if not math.isnan(a) and not math.isnan(b) and a > 0.0 and b > 0.0:

@@ -226,9 +226,9 @@ class TestSweepSigma:
         assert main(args + ["--out", str(out_path)]) == EXIT_OK
         with open(out_path) as stream:
             table = read_sweep_csv(stream)
-        assert len(table.column("sigma")) == 200
-        junior = table.column("junior_value")
-        sigmas = table.column("sigma")
+        assert len(table["sigma"]) == 200
+        junior = list(table["junior_value"])
+        sigmas = list(table["sigma"])
         assert sigmas[junior.index(max(junior))] == pytest.approx(0.262, abs=0.004)
 
     def test_json_output(self, distressed, capsys):
@@ -326,11 +326,13 @@ class TestSweepStructure:
         payload = json.loads(capsys.readouterr().out)
         assert [t["junior_proportion"] for t in payload["tables"]] == [0.1, 0.2, 0.3]
 
-    def test_initial_sigma_override(self, distressed, capsys):
+    def test_initial_sigma_override(self, tmp_path, capsys):
+        path = tmp_path / "override.ini"
+        path.write_text(DISTRESSED.replace("initial_sigma = 0.10", "initial_sigma = 0.4"))
         args = [
             "sweep-structure",
             "--scenario",
-            distressed,
+            str(path),
             "--format",
             "json",
             "--total-face",
@@ -343,14 +345,16 @@ class TestSweepStructure:
             "90",
             "--steps",
             "7",
-            "--initial-sigma",
-            "0.4",
         ]
         main(args)
         payload = json.loads(capsys.readouterr().out)
         # Above the shift threshold at sigma0 = 0.4 (about 76.5 for this
         # mix) the chosen risk stays at the overridden pre-shift level.
         assert payload["tables"][0]["columns"]["chosen_risk"] == [0.4] * 7
+        # The scenario key is the one way to set it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(args + ["--initial-sigma", "0.4"])
+        assert excinfo.value.code == EXIT_PARSE_ERROR
 
     def test_rejects_bad_proportions(self, distressed, capsys):
         base = ["sweep-structure", "--scenario", distressed]
@@ -547,6 +551,47 @@ class TestExitCodes:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
         assert "Exception ignored" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-sigma", "--sigma-min", "0.1", "--sigma-max", "0.10000000000000002"],
+            ["sweep-structure", "--total-face", "100", "--proportions", "0.1"]
+            + ["--v-min", "0.1", "--v-max", "0.10000000000000002"],
+        ],
+        ids=["sigma", "structure"],
+    )
+    def test_degenerate_grid_is_validation_error(self, distressed, capsys, args):
+        command, *flags = args
+        code = main([command, "--scenario", distressed, *flags, "--steps", "5"])
+        assert code == EXIT_VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: independent values must be strictly increasing, "
+            "got 0.1 before 0.1\n"
+        )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", [["--help"], ["price", "--help"]], ids=["main", "price"])
+    def test_help_that_cannot_be_written_is_usage_error(self, args, unbuffered):
+        # Unbuffered, the failed write happens inside argparse; buffered, at
+        # the flush after it.
+        env = _env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "subdebt", *args],
+                env=env,
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert result.returncode == EXIT_PARSE_ERROR
+        assert result.stderr == "error: cannot write stdout: No space left on device\n"
 
     def test_closed_stdout_pipe_is_usage_error(self, distressed):
         # Far more output than a pipe holds, so the writes outrun the reader.

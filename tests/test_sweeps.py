@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from conftest import count_calls, finite_floats, read_sweep_csv
 
 from subdebt import (
     CapitalStructure,
-    SweepTable,
     ValidationError,
     sweep_sigma,
     sweep_structure,
@@ -32,14 +32,14 @@ SOLVENT = CapitalStructure(100.0, 60.0, 10.0, 0.10, 1.0, 0.01)
 class TestSigmaSweep:
     def test_columns_and_grid(self):
         table = sweep_sigma(DISTRESSED, 0.01, 0.8, 200)
-        assert table.independent_name == "sigma"
-        assert table.output_names == (
+        assert tuple(table) == (
+            "sigma",
             "junior_value",
             "senior_value",
             "equity_value",
             "junior_vega",
         )
-        sigmas = table.column("sigma")
+        sigmas = list(table["sigma"])
         assert len(sigmas) == 200
         assert sigmas[0] == 0.01 and sigmas[-1] == 0.8
 
@@ -51,33 +51,33 @@ class TestSigmaSweep:
     @example(1e-4, 2.5, 997)
     def test_sigma_column_bit_identical_to_linspace(self, lower, width, steps):
         upper = lower + width
-        sigmas = sweep_sigma(SOLVENT, lower, upper, steps).column("sigma")
+        sigmas = list(sweep_sigma(SOLVENT, lower, upper, steps)["sigma"])
         assert sigmas == np.linspace(lower, upper, steps).tolist()
 
     def test_distressed_junior_value_peaks_near_reported_maximizer(self):
         table = sweep_sigma(DISTRESSED, 0.01, 0.8, 200)
-        junior = table.column("junior_value")
-        sigmas = table.column("sigma")
+        junior = list(table["junior_value"])
+        sigmas = list(table["sigma"])
         assert sigmas[int(np.argmax(junior))] == pytest.approx(0.262, abs=0.004)
 
     def test_solvent_junior_value_never_rises(self):
         table = sweep_sigma(SOLVENT, 0.01, 0.8, 200)
-        diffs = np.diff(table.column("junior_value"))
+        diffs = np.diff(table["junior_value"])
         assert (diffs <= 0.0).all()
         # Strict decrease once option values are out of their saturated
         # deep-in-the-money regime.
-        sigmas = np.asarray(table.column("sigma")[1:])
+        sigmas = np.asarray(table["sigma"][1:])
         assert (diffs[sigmas >= 0.06] < 0.0).all()
 
     @pytest.mark.parametrize("cs", [DISTRESSED, SOLVENT])
     def test_equity_nondecreasing_in_volatility(self, cs):
         table = sweep_sigma(cs, 0.01, 0.8, 200)
-        assert (np.diff(table.column("equity_value")) >= 0.0).all()
+        assert (np.diff(table["equity_value"]) >= 0.0).all()
 
     def test_vega_column_sign_tracks_junior_value_shape(self):
         table = sweep_sigma(DISTRESSED, 0.05, 0.8, 100)
-        junior = np.asarray(table.column("junior_value"))
-        vega = np.asarray(table.column("junior_vega"))
+        junior = np.asarray(table["junior_value"])
+        vega = np.asarray(table["junior_vega"])
         peak = int(np.argmax(junior))
         assert (vega[:peak] > 0.0).all()
         assert (vega[peak + 1 :] < 0.0).all()
@@ -86,10 +86,10 @@ class TestSigmaSweep:
         # 5e-324 * sqrt(0.25) rounds to 0; every sigma in the grid is valid.
         cs = CapitalStructure(62.0, 60.0, 10.0, 0.10, 0.25, 0.01)
         table = sweep_sigma(cs, 5e-324, 0.1, 3)
-        vega = table.column("junior_vega")
+        vega = list(table["junior_vega"])
         assert math.isnan(vega[0])
         assert all(math.isfinite(value) for value in vega[1:])
-        assert all(math.isfinite(value) for value in table.column("junior_value"))
+        assert all(math.isfinite(value) for value in table["junior_value"])
         csv_out, json_out = io.StringIO(), io.StringIO()
         write_sweep_csv(table, csv_out)
         write_sweep_json(table, json_out)
@@ -118,29 +118,29 @@ class TestStructureSweep:
         tables = sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 70.0, 21, 0.10, 1.0, 0.01)
         assert [p for p, _ in tables] == [0.1, 0.2, 0.3]
         for _, table in tables:
-            assert table.independent_name == "asset_value"
-            assert table.output_names == (
+            assert tuple(table) == (
+                "asset_value",
                 "chosen_risk",
                 "optimal_volatility",
                 "shift_threshold",
                 "hump_threshold",
             )
-            assert len(table.column("asset_value")) == 21
+            assert len(table["asset_value"]) == 21
 
     def test_chosen_risk_weakly_decreasing_in_junior_share(self):
         tables = sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 70.0, 41, 0.10, 1.0, 0.01)
-        columns = [table.column("chosen_risk") for _, table in tables]
+        columns = [list(table["chosen_risk"]) for _, table in tables]
         for smaller_share, bigger_share in zip(columns, columns[1:]):
             assert all(a >= b for a, b in zip(smaller_share, bigger_share))
 
     def test_absent_maximizer_is_nan_above_boundary(self):
         tables = sweep_structure(100.0, [0.3], 75.0, 90.0, 16, 0.10, 1.0, 0.01)
         table = tables[0][1]
-        boundary = table.column("hump_threshold")[0]
+        boundary = table["hump_threshold"][0]
         for value, best, chosen in zip(
-            table.column("asset_value"),
-            table.column("optimal_volatility"),
-            table.column("chosen_risk"),
+            table["asset_value"],
+            table["optimal_volatility"],
+            table["chosen_risk"],
         ):
             if value > boundary:
                 assert math.isnan(best)
@@ -176,14 +176,17 @@ class TestStructureSweep:
 
 class TestTableValidation:
     def test_rejects_nonincreasing_independent_values(self):
-        with pytest.raises(ValidationError):
-            SweepTable("x", ("y",), ((1.0, 1.0), (1.0, 2.0)))
-
-    def test_rejects_columns_that_do_not_match_the_names(self):
-        with pytest.raises(ValidationError):
-            SweepTable("x", ("y",), ((1.0, 2.0), (1.0, 2.0), (3.0, 4.0)))
-        with pytest.raises(ValidationError):
-            SweepTable("x", ("y",), ((1.0, 2.0), (1.0,)))
+        # Each range is one ulp wide, so 5 evenly spaced points repeat its start.
+        message = re.escape(
+            "independent values must be strictly increasing, got 0.1 before 0.1"
+        )
+        with pytest.raises(ValidationError, match=message):
+            sweep_sigma(DISTRESSED, 0.1, 0.10000000000000002, 5)
+        message = re.escape(
+            "independent values must be strictly increasing, got 50.0 before 50.0"
+        )
+        with pytest.raises(ValidationError, match=message):
+            sweep_structure(100.0, [0.1], 50.0, 50.00000000000001, 5, 0.10, 1.0, 0.01)
 
 
 class TestEmission:
@@ -193,9 +196,7 @@ class TestEmission:
         write_sweep_csv(table, buffer)
         buffer.seek(0)
         parsed = read_sweep_csv(buffer)
-        assert parsed.independent_name == table.independent_name
-        assert parsed.output_names == table.output_names
-        assert parsed.columns == table.columns
+        assert list(parsed.items()) == list(table.items())
 
     def test_csv_header_and_decimal_format(self):
         table = sweep_sigma(DISTRESSED, 0.1, 0.3, 3)
@@ -220,8 +221,8 @@ class TestEmission:
             "equity_value",
             "junior_vega",
         ]
-        assert payload["columns"]["sigma"] == table.column("sigma")
-        assert payload["columns"]["junior_value"] == table.column("junior_value")
+        assert payload["columns"]["sigma"] == list(table["sigma"])
+        assert payload["columns"]["junior_value"] == list(table["junior_value"])
 
     def test_structure_csv_flattens_with_proportion_column(self):
         tables = sweep_structure(100.0, [0.1, 0.3], 75.0, 90.0, 4, 0.10, 1.0, 0.01)
