@@ -10,6 +10,12 @@ Every public name loads its module on first use (PEP 562): ``import
 subdebt`` loads no submodule, and ``subdebt.X`` or ``from subdebt import
 X`` imports only the module that defines X.  The value is then stored in
 the package namespace, so later lookups are plain attribute reads.
+
+The value classes (``CapitalStructure``, ``ClaimValues``,
+``RiskProfile``, ``MCConfig``, ``Scenario``, ``MCEstimate`` and
+``GridSpec``) are immutable ``subdebt.record.Record`` classes rather
+than dataclasses, so that no command loads ``dataclasses``; only
+``black_scholes.OptionInputs``, which no command uses, is one.
 """
 
 import importlib

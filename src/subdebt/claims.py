@@ -29,9 +29,9 @@ error below 1e-15 over the whole real line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ValidationError, check, checked_exp
+from .record import Record, set_field
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -47,8 +47,7 @@ def norm_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-@dataclass(frozen=True)
-class CapitalStructure:
+class CapitalStructure(Record):
     """Firm state: asset value, the two debt faces, and market parameters.
 
     Attributes:
@@ -63,37 +62,59 @@ class CapitalStructure:
     Every field, and the total face, must be finite.
     """
 
-    asset_value: float
-    senior_face: float
-    junior_face: float
-    volatility: float
-    maturity: float
-    rate: float
-    dividend_yield: float = 0.0
+    __slots__ = (
+        "asset_value",
+        "senior_face",
+        "junior_face",
+        "volatility",
+        "maturity",
+        "rate",
+        "dividend_yield",
+    )
 
-    def __post_init__(self) -> None:
-        check("asset_value", self.asset_value, "finite and > 0")
-        check("senior_face", self.senior_face, "finite and > 0")
-        check("junior_face", self.junior_face, "finite and > 0")
-        check("volatility", self.volatility, "finite and >= 0")
-        check("maturity", self.maturity, "finite and > 0")
-        check("rate", self.rate, "finite")
-        check("dividend_yield", self.dividend_yield, "finite and >= 0")
-        check("total_face", self.total_face, "finite")
+    def __init__(
+        self,
+        asset_value: float,
+        senior_face: float,
+        junior_face: float,
+        volatility: float,
+        maturity: float,
+        rate: float,
+        dividend_yield: float = 0.0,
+    ) -> None:
+        check("asset_value", asset_value, "finite and > 0")
+        check("senior_face", senior_face, "finite and > 0")
+        check("junior_face", junior_face, "finite and > 0")
+        check("volatility", volatility, "finite and >= 0")
+        check("maturity", maturity, "finite and > 0")
+        check("rate", rate, "finite")
+        check("dividend_yield", dividend_yield, "finite and >= 0")
+        check("total_face", senior_face + junior_face, "finite")
+        set_field(self, "asset_value", asset_value)
+        set_field(self, "senior_face", senior_face)
+        set_field(self, "junior_face", junior_face)
+        set_field(self, "volatility", volatility)
+        set_field(self, "maturity", maturity)
+        set_field(self, "rate", rate)
+        set_field(self, "dividend_yield", dividend_yield)
 
     @property
     def total_face(self) -> float:
         return self.senior_face + self.junior_face
 
 
-@dataclass(frozen=True)
-class ClaimValues:
+class ClaimValues(Record):
     """Present values of the three claims and their sum."""
 
-    senior_value: float
-    junior_value: float
-    equity_value: float
-    total: float
+    __slots__ = ("senior_value", "junior_value", "equity_value", "total")
+
+    def __init__(
+        self, senior_value: float, junior_value: float, equity_value: float, total: float
+    ) -> None:
+        set_field(self, "senior_value", senior_value)
+        set_field(self, "junior_value", junior_value)
+        set_field(self, "equity_value", equity_value)
+        set_field(self, "total", total)
 
 
 def junior_debt_value(cs: CapitalStructure) -> float:

@@ -51,11 +51,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .claims import CapitalStructure, junior_debt_value
 from .errors import ValidationError, check, check_range, checked_exp
+from .record import Record, set_field
 from .scenario import MCConfig
 
 if TYPE_CHECKING:
@@ -71,27 +71,29 @@ _CHUNK_DRAWS = 1 << 16
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(Record):
     """Monte-Carlo price with its standard error and path count."""
 
-    mean: float
-    std_error: float
-    path_count: int
+    __slots__ = ("mean", "std_error", "path_count")
+
+    def __init__(self, mean: float, std_error: float, path_count: int) -> None:
+        set_field(self, "mean", mean)
+        set_field(self, "std_error", std_error)
+        set_field(self, "path_count", path_count)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Search interval and convergence tolerance for the numeric argmax."""
 
-    lower: float
-    upper: float
-    tolerance: float
+    __slots__ = ("lower", "upper", "tolerance")
 
-    def __post_init__(self) -> None:
-        check("grid.lower", self.lower, "finite and > 0")
-        check_range("search interval", self.lower, self.upper)
-        check("tolerance", self.tolerance, "finite and > 0")
+    def __init__(self, lower: float, upper: float, tolerance: float) -> None:
+        check("grid.lower", lower, "finite and > 0")
+        check_range("search interval", lower, upper)
+        check("tolerance", tolerance, "finite and > 0")
+        set_field(self, "lower", lower)
+        set_field(self, "upper", upper)
+        set_field(self, "tolerance", tolerance)
 
 
 def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
@@ -338,4 +340,15 @@ def finite_diff_vega(cs: CapitalStructure, bump: float) -> float:
 
 
 def _junior_value_at(cs: CapitalStructure, sigma: float) -> float:
-    return junior_debt_value(replace(cs, volatility=sigma))
+    """``junior_debt_value`` of ``cs`` rebuilt, and so checked, at ``sigma``."""
+    return junior_debt_value(
+        CapitalStructure(
+            cs.asset_value,
+            cs.senior_face,
+            cs.junior_face,
+            sigma,
+            cs.maturity,
+            cs.rate,
+            cs.dividend_yield,
+        )
+    )

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .claims import CapitalStructure, _claims
 from .errors import DegenerateVolatilityError, ValidationError, check, checked_exp
+from .record import Record, set_field
 
 # Radicands this close to zero are treated as the boundary case where the
 # interior maximizer degenerates to sigma = 0.
@@ -36,8 +36,7 @@ class Regime(enum.Enum):
     HUMP_SHAPED = "hump-shaped"
 
 
-@dataclass(frozen=True)
-class RiskProfile:
+class RiskProfile(Record):
     """Risk-shifting diagnostics for one capital structure.
 
     ``shift_threshold`` is evaluated at ``initial_sigma``.  The regime is
@@ -45,13 +44,33 @@ class RiskProfile:
     ``chosen_risk`` is the value of the function of that name.
     """
 
-    optimal_volatility: float | None
-    shift_threshold: float
-    hump_threshold: float
-    regime: Regime
-    shifts_above_initial: bool
-    initial_sigma: float
-    chosen_risk: float
+    __slots__ = (
+        "optimal_volatility",
+        "shift_threshold",
+        "hump_threshold",
+        "regime",
+        "shifts_above_initial",
+        "initial_sigma",
+        "chosen_risk",
+    )
+
+    def __init__(
+        self,
+        optimal_volatility: float | None,
+        shift_threshold: float,
+        hump_threshold: float,
+        regime: Regime,
+        shifts_above_initial: bool,
+        initial_sigma: float,
+        chosen_risk: float,
+    ) -> None:
+        set_field(self, "optimal_volatility", optimal_volatility)
+        set_field(self, "shift_threshold", shift_threshold)
+        set_field(self, "hump_threshold", hump_threshold)
+        set_field(self, "regime", regime)
+        set_field(self, "shifts_above_initial", shifts_above_initial)
+        set_field(self, "initial_sigma", initial_sigma)
+        set_field(self, "chosen_risk", chosen_risk)
 
 
 def junior_debt_vega(cs: CapitalStructure) -> float:

@@ -19,11 +19,11 @@ rather than in ``oracle``, so that every command checks the file's
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
 from pathlib import Path
 
 from .claims import CapitalStructure
 from .errors import ScenarioParseError, ValidationError, check
+from .record import Record, set_field
 
 DEFAULT_PATHS = 1_000_000
 DEFAULT_SEED = 1
@@ -31,8 +31,7 @@ DEFAULT_SEED = 1
 _REQUIRED_KEYS = ("asset_value", "senior_face", "junior_face", "sigma", "maturity", "rate")
 
 
-@dataclass(frozen=True)
-class MCConfig:
+class MCConfig(Record):
     """Monte-Carlo run configuration.
 
     path_count counts both halves of each antithetic pair, so it must be
@@ -40,33 +39,33 @@ class MCConfig:
     may be a float or a bool: Philox would silently truncate a float key.
     """
 
-    path_count: int
-    seed: int
+    __slots__ = ("path_count", "seed")
 
-    def __post_init__(self) -> None:
-        for name in ("path_count", "seed"):
-            value = getattr(self, name)
+    def __init__(self, path_count: int, seed: int) -> None:
+        for name, value in (("path_count", path_count), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValidationError(f"{name} must be an int, got {value!r}")
-        if self.path_count < 2 or self.path_count % 2:
-            raise ValidationError(
-                f"path_count must be even and >= 2, got {self.path_count}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if path_count < 2 or path_count % 2:
+            raise ValidationError(f"path_count must be even and >= 2, got {path_count}")
+        if not 0 <= seed < 2**64:
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        set_field(self, "path_count", path_count)
+        set_field(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A named capital structure plus the pre-shift volatility and MC config."""
 
-    name: str
-    structure: CapitalStructure
-    initial_sigma: float
-    mc: MCConfig
+    __slots__ = ("name", "structure", "initial_sigma", "mc")
 
-    def __post_init__(self) -> None:
-        check("initial_sigma", self.initial_sigma, "finite and > 0")
+    def __init__(
+        self, name: str, structure: CapitalStructure, initial_sigma: float, mc: MCConfig
+    ) -> None:
+        check("initial_sigma", initial_sigma, "finite and > 0")
+        set_field(self, "name", name)
+        set_field(self, "structure", structure)
+        set_field(self, "initial_sigma", initial_sigma)
+        set_field(self, "mc", mc)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -71,6 +71,7 @@ def sweep_structure(
     if not junior_proportions:
         raise ValidationError("at least one junior proportion is required")
     asset_values = _grid("asset-value", v_lower, v_upper, steps)
+    check("initial_sigma", initial_sigma, "finite and > 0")
     tables = []
     for proportion in junior_proportions:
         check("junior proportion", proportion, "strictly in (0, 1)")
@@ -86,7 +87,6 @@ def sweep_structure(
             rate,
             dividend_yield,
         )
-        check("initial_sigma", initial_sigma, "finite and > 0")
         best = [_optimal_volatility(cs, asset_value) for asset_value in asset_values]
         shift = _threshold(cs, initial_sigma)
         table = {

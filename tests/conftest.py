@@ -1,6 +1,8 @@
-"""Shared hypothesis strategies for model inputs, and a sweep CSV reader."""
+"""Shared hypothesis strategies for model inputs, a record rebuilder, and a
+sweep CSV reader."""
 
 import csv
+import inspect
 import math
 
 import hypothesis
@@ -54,6 +56,13 @@ def distressed_structures(draw, min_sigma=0.05, max_sigma=1.2, with_yield=False)
         rate=draw(finite_floats(0.0, 0.05)),
         dividend_yield=draw(finite_floats(0.0, 0.05)) if with_yield else 0.0,
     )
+
+
+def rebuilt(record, **changes):
+    """``record`` built again through its constructor, with ``changes`` applied."""
+    parameters = inspect.signature(type(record)).parameters
+    fields = {name: getattr(record, name) for name in parameters}
+    return type(record)(**{**fields, **changes})
 
 
 def count_calls(monkeypatch, counts, key, modules, name):

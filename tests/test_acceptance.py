@@ -6,11 +6,11 @@ and enforces both its numerical tolerance and a runtime budget.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import rebuilt
 from subdebt import (
     CapitalStructure,
     GridSpec,
@@ -230,7 +230,7 @@ def test_08_analytic_vega_agrees_with_finite_differences():
             best = optimal_volatility(cs)
             if best is not None and best > 0.0:
                 stationary += 1
-                at_peak = junior_debt_vega(replace(cs, volatility=best))
+                at_peak = junior_debt_vega(rebuilt(cs, volatility=best))
                 assert abs(at_peak) < 1e-8 * cs.asset_value
         assert stationary >= 100
         budget.ok = True
@@ -251,7 +251,7 @@ def test_09_shift_flag_is_the_threshold_comparison():
                     profile.optimal_volatility > initial_sigma
                 )
                 # The vega sign at sigma0 tells the same story.
-                vega_at_initial = junior_debt_vega(replace(cs, volatility=initial_sigma))
+                vega_at_initial = junior_debt_vega(rebuilt(cs, volatility=initial_sigma))
                 if abs(v - threshold) > 1e-6:
                     assert profile.shifts_above_initial == (vega_at_initial > 0.0)
         budget.ok = True

@@ -1,13 +1,12 @@
 """Tests for the three-claim valuation layer."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import capital_structures, distressed_structures, finite_floats
+from conftest import capital_structures, distressed_structures, finite_floats, rebuilt
 from subdebt import (
     CapitalStructure,
     ClaimValues,
@@ -193,7 +192,7 @@ class TestKernelMatchesSingleOptionFunctions:
     @example(_cs(62.0, q=0.02), 0.262)
     def test_claims_and_vega_bit_identical(self, cs, sigma):
         # repr is exact for floats and tells -0.0 from 0.0.
-        cs = replace(cs, volatility=sigma)
+        cs = rebuilt(cs, volatility=sigma)
         senior, junior, equity, total, junior_vega = _reference_claims(cs)
         values = value_all_claims(cs)
         assert repr(values) == repr(ClaimValues(senior, junior, equity, total))
@@ -216,53 +215,53 @@ class TestMonotonicity:
     def test_junior_nondecreasing_in_asset_value(self, cs, other_value):
         lo, hi = sorted((cs.asset_value, other_value))
         _weakly_above(
-            junior_debt_value(replace(cs, asset_value=hi)),
-            junior_debt_value(replace(cs, asset_value=lo)),
+            junior_debt_value(rebuilt(cs, asset_value=hi)),
+            junior_debt_value(rebuilt(cs, asset_value=lo)),
         )
 
     @given(capital_structures(min_sigma=0.0), finite_floats(0.5, 300.0))
     def test_junior_nondecreasing_in_junior_face(self, cs, other_face):
         lo, hi = sorted((cs.junior_face, other_face))
         _weakly_above(
-            junior_debt_value(replace(cs, junior_face=hi)),
-            junior_debt_value(replace(cs, junior_face=lo)),
+            junior_debt_value(rebuilt(cs, junior_face=hi)),
+            junior_debt_value(rebuilt(cs, junior_face=lo)),
         )
 
     @given(capital_structures(min_sigma=0.0), finite_floats(1.0, 500.0))
     def test_senior_nondecreasing_in_asset_value(self, cs, other_value):
         lo, hi = sorted((cs.asset_value, other_value))
         _weakly_above(
-            _senior_value(replace(cs, asset_value=hi)),
-            _senior_value(replace(cs, asset_value=lo)),
+            _senior_value(rebuilt(cs, asset_value=hi)),
+            _senior_value(rebuilt(cs, asset_value=lo)),
         )
 
     @given(capital_structures(min_sigma=0.0), finite_floats(0.0, 1.5))
     def test_senior_nonincreasing_in_volatility(self, cs, other_sigma):
         lo, hi = sorted((cs.volatility, other_sigma))
         _weakly_above(
-            _senior_value(replace(cs, volatility=lo)),
-            _senior_value(replace(cs, volatility=hi)),
+            _senior_value(rebuilt(cs, volatility=lo)),
+            _senior_value(rebuilt(cs, volatility=hi)),
         )
 
     @given(capital_structures(min_sigma=0.0), finite_floats(0.0, 1.5))
     def test_equity_nondecreasing_in_volatility(self, cs, other_sigma):
         lo, hi = sorted((cs.volatility, other_sigma))
         _weakly_above(
-            _equity_value(replace(cs, volatility=hi)),
-            _equity_value(replace(cs, volatility=lo)),
+            _equity_value(rebuilt(cs, volatility=hi)),
+            _equity_value(rebuilt(cs, volatility=lo)),
         )
 
 
 class TestLimits:
     @given(distressed_structures())
     def test_junior_approaches_senior_strike_call_for_huge_junior_face(self, cs):
-        huge = replace(cs, junior_face=1e9)
+        huge = rebuilt(cs, junior_face=1e9)
         call = call_price(_option(huge, huge.senior_face))
         assert junior_debt_value(huge) == pytest.approx(call, abs=1e-9)
 
     @given(distressed_structures())
     def test_junior_vanishes_at_extreme_volatility(self, cs):
-        assert junior_debt_value(replace(cs, volatility=30.0)) <= 1e-9
+        assert junior_debt_value(rebuilt(cs, volatility=30.0)) <= 1e-9
 
 
 class TestMonteCarloAgreement:

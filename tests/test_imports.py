@@ -1,11 +1,12 @@
 """Cold-start guard: each command loads only the modules it runs.
 
 ``import subdebt`` loads no submodule.  The closed-form commands and the
-sweeps load neither numpy nor scipy; ``price`` and ``thresholds`` load
-neither the sweeps, the oracles nor the option functions of
-``black_scholes``, and as text neither ``json`` nor ``csv``.  ``verify``
-loads numpy and only scipy's compiled ``_ufuncs``, not the
-``scipy.special`` package.
+sweeps load neither numpy, scipy, ``dataclasses`` nor ``inspect``;
+``price`` and ``thresholds`` load neither the sweeps, the oracles nor the
+option functions of ``black_scholes``, and as text neither ``json`` nor
+``csv``.  ``verify`` loads numpy and only scipy's compiled ``_ufuncs``,
+not the ``scipy.special`` package, and not ``dataclasses`` (numpy loads
+``inspect`` itself).
 
 Each case runs in a fresh interpreter, because this test process has
 already imported all of these.
@@ -48,18 +49,33 @@ print(json.dumps({"code": code, "numpy": "numpy" in modules,
 
 # Modules that the sweeps do not load; those that ``price`` and
 # ``thresholds`` do not load either; and those that text output does not.
-_NOT_IN_SWEEPS = {"subdebt.oracle", "subdebt.verify", "subdebt.black_scholes"}
+_NOT_IN_SWEEPS = {
+    "subdebt.oracle",
+    "subdebt.verify",
+    "subdebt.black_scholes",
+    "dataclasses",
+    "inspect",
+}
 _NOT_IN_CLOSED_FORM = _NOT_IN_SWEEPS | {"subdebt.sweeps"}
 _NOT_IN_TEXT = {"json", "csv"}
 
 
-def _loaded_after(argv):
+# Imports each module named in its arguments, then reports what is loaded.
+_IMPORT_PROBE = """\
+import importlib, json, sys
+for name in sys.argv[1:]:
+    importlib.import_module(name)
+print(json.dumps({"modules": sorted(sys.modules)}))
+"""
+
+
+def _loaded_after(argv, probe=_PROBE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -132,4 +148,16 @@ def test_verify_loads_only_the_compiled_ufuncs():
     assert "scipy.special._support_alternative_backends" not in modules
     assert "numpy.f2py" not in modules
     assert "scipy.special" not in modules
+    assert "dataclasses" not in modules
     assert loaded["same_ndtri"] is True
+
+
+def test_only_black_scholes_loads_dataclasses():
+    names = [
+        f"subdebt.{path.stem}"
+        for path in sorted((ROOT / "src" / "subdebt").glob("*.py"))
+        if path.stem not in {"__init__", "__main__", "black_scholes"}
+    ]
+    modules = set(_loaded_after(names, _IMPORT_PROBE)["modules"])
+    assert set(names) <= modules
+    assert not {"dataclasses", "inspect", "subdebt.black_scholes"} & modules

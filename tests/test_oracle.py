@@ -7,14 +7,13 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import distressed_structures
+from conftest import distressed_structures, rebuilt
 import subdebt.oracle as oracle
 from subdebt import (
     CapitalStructure,
@@ -405,7 +404,7 @@ class TestFiniteDifference:
     def test_vanishes_at_the_maximizer(self):
         cs = _cs(62.0)
         best = optimal_volatility(cs)
-        assert abs(finite_diff_vega(replace(cs, volatility=best), 1e-5)) < 1e-6 * 62.0
+        assert abs(finite_diff_vega(rebuilt(cs, volatility=best), 1e-5)) < 1e-6 * 62.0
 
     @given(distressed_structures(min_sigma=0.1))
     @settings(max_examples=50)

@@ -1,13 +1,12 @@
 """Tests for the junior-debt vega, thresholds, and regime classification."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import distressed_structures, finite_floats
+from conftest import distressed_structures, finite_floats, rebuilt
 from subdebt import (
     CapitalStructure,
     DegenerateVolatilityError,
@@ -46,7 +45,7 @@ class TestJuniorDebtVega:
     def test_vanishes_at_the_exact_maximizer(self):
         cs = _cs(62.0)
         best = optimal_volatility(cs)
-        assert abs(junior_debt_vega(replace(cs, volatility=best))) < 1e-8
+        assert abs(junior_debt_vega(rebuilt(cs, volatility=best))) < 1e-8
 
     def test_zero_volatility_refused(self):
         with pytest.raises(DegenerateVolatilityError):
@@ -65,15 +64,15 @@ class TestJuniorDebtVega:
         best = optimal_volatility(cs)
         if best is None or best == 0.0:
             return
-        assert abs(junior_debt_vega(replace(cs, volatility=best))) < 1e-8 * cs.asset_value
+        assert abs(junior_debt_vega(rebuilt(cs, volatility=best))) < 1e-8 * cs.asset_value
 
     @given(distressed_structures(min_sigma=0.1, with_yield=True))
     def test_sign_flips_across_shift_threshold(self, cs):
         # sigma sqrt(tau) >= 0.05 here, so the vegas at the threshold are
         # resolvable in double precision and the sign flip is visible.
         threshold = risk_shift_threshold(cs, cs.volatility)
-        below = replace(cs, asset_value=threshold * 0.99)
-        above = replace(cs, asset_value=threshold * 1.01)
+        below = rebuilt(cs, asset_value=threshold * 0.99)
+        above = rebuilt(cs, asset_value=threshold * 1.01)
         assert junior_debt_vega(below) > 0.0
         assert junior_debt_vega(above) < 0.0
 
@@ -266,7 +265,7 @@ class TestUnimodality:
     def test_value_rises_then_falls_on_fine_grid(self, cs):
         sigmas = np.arange(1e-3, 1.5 + 1e-9, 1e-3)
         values = np.array(
-            [junior_debt_value(replace(cs, volatility=float(s))) for s in sigmas]
+            [junior_debt_value(rebuilt(cs, volatility=float(s))) for s in sigmas]
         )
         peak = int(np.argmax(values))
         diffs = np.diff(values)

@@ -173,6 +173,15 @@ class TestStructureSweep:
         with pytest.raises(ValidationError, match="initial_sigma"):
             sweep_structure(100.0, [0.1], 50.0, 70.0, 5, 0.0, 1.0, 0.01)
 
+    @pytest.mark.parametrize("initial_sigma", [-0.1, math.nan, math.inf])
+    def test_initial_sigma_is_named_before_any_structure_is_built(self, initial_sigma):
+        message = "initial_sigma must be finite and > 0"
+        with pytest.raises(ValidationError, match=message):
+            sweep_structure(100.0, [0.1], 50.0, 70.0, 5, initial_sigma, 1.0, 0.01)
+        # Also ahead of a proportion that would be refused in the loop.
+        with pytest.raises(ValidationError, match=message):
+            sweep_structure(100.0, [1.5], 50.0, 70.0, 5, initial_sigma, 1.0, 0.01)
+
 
 class TestTableValidation:
     def test_rejects_nonincreasing_independent_values(self):
