@@ -25,10 +25,15 @@ bits.
 Draws are streamed in chunks of ``_CHUNK_DRAWS`` normals taken in order
 from one Philox stream, so the terminal values do not depend on the
 chunk size.  ``mc_claim_values`` reduces each chunk to per-claim (count,
-mean, M2) and merges it before drawing the next, so its memory is
-O(chunk) whatever the path count.  The merged sums depend on where the
-chunks end, so the fixed chunk size is part of the estimate's contract:
-an estimate is a pure function of (seed, path_count) and this constant.
+mean, M2) in buffers allocated once per call.  With two or more chunks
+two threads do this, the caller and one helper, each taking the next
+chunk and its index from the stream under a lock, so memory is O(2
+chunks) whatever the path count.  The per-chunk moments are merged in
+chunk order once both threads are done, so an estimate does not depend
+on which thread reduced which chunk.  The merged sums depend on where
+the chunks end, so the fixed chunk size is part of the estimate's
+contract: an estimate is a pure function of (seed, path_count) and this
+constant.
 
 numpy and scipy are imported inside the functions that build arrays, so
 that importing the package, and the closed-form CLI commands, do not
@@ -65,8 +70,10 @@ _COARSE_POINTS = 64
 # A coarse peak must beat its grid neighbours by more than this many ulps of
 # V e^{-q tau}, the scale of the two calls whose difference is the junior value.
 _PEAK_ULPS = 8
-# Normals drawn per chunk of the Monte-Carlo stream (about 7 MB of live
-# arrays).  Estimates depend on it through the order of the final sums.
+# Normals drawn per chunk of the Monte-Carlo stream.  Each of the two threads
+# holds four float64 buffers of a chunk and its raw draws, 2.5 MiB; the traced
+# peak of a 2M-path call is 5.5 MiB.  Estimates depend on it through the order
+# of the final sums.
 _CHUNK_DRAWS = 1 << 16
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -101,14 +108,22 @@ def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
 
     V_T = V exp((r - q - sigma^2/2) tau + sigma sqrt(tau) Z).  The output
     interleaves antithetic pairs (Z_i, -Z_i): element 2i uses Z_i and
-    element 2i+1 uses -Z_i.  The values are the streamed chunks joined
-    into one array.
+    element 2i+1 uses -Z_i.  Each chunk comes from the draw stage that
+    ``mc_claim_values`` runs and is copied out of its buffers.
     """
     import numpy as np
 
-    return np.concatenate(
-        [np.column_stack(chunk).ravel() for chunk in _terminal_chunks(cs, mc)]
-    )
+    draw = _draw_stage(cs)
+    chunk = min(_CHUNK_DRAWS, mc.path_count // 2)
+    buffers = np.empty((2, chunk))
+    pairs = np.empty((mc.path_count // 2, 2))
+    start = 0
+    for raw in _raw_chunks(mc, chunk):
+        up, down = draw(raw, buffers)
+        pairs[start : start + raw.size, 0] = up
+        pairs[start : start + raw.size, 1] = down
+        start += raw.size
+    return pairs.ravel()
 
 
 def mc_claim_values(
@@ -120,22 +135,19 @@ def mc_claim_values(
     simulated terminal values, so the three means sum to the discounted
     average terminal value.  The sampling unit for the standard error is
     the average of each antithetic (Z, -Z) pair.  Units are reduced one
-    chunk at a time, so memory does not grow with path_count.
+    chunk at a time, by two threads when there are two or more chunks, so
+    memory does not grow with path_count.
 
     Raises:
         ValidationError: If the discount factor overflows, or a mean or
             standard error is not finite (simulated values or their sums
             leave the float range).
     """
-    import numpy as np
-
     discount = checked_exp(-cs.rate * cs.maturity, "discount factor")
     moments = [(0, 0.0, 0.0)] * 3
-    # Overflow turns into inf or NaN moments, refused below as one error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in _terminal_chunks(cs, mc):
-            for claim, units in enumerate(_sampling_units(cs, discount, chunk)):
-                moments[claim] = _merge_moments(moments[claim], units)
+    for size, claims in _chunk_moments(cs, mc, discount):
+        for claim, (chunk_mean, chunk_m2) in enumerate(claims):
+            moments[claim] = _merge_moments(moments[claim], size, chunk_mean, chunk_m2)
     estimates = []
     for count, mean, m2 in moments:
         std_error = math.sqrt(m2 / (count - 1)) / math.sqrt(count) if count > 1 else 0.0
@@ -168,29 +180,57 @@ def claim_payoffs(
     return senior, junior, equity
 
 
-def _terminal_chunks(
-    cs: CapitalStructure, mc: MCConfig
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield terminal values for up to _CHUNK_DRAWS normals at a time.
+def _raw_chunks(mc: MCConfig, chunk: int) -> Iterator[np.ndarray]:
+    """The seed's path_count / 2 raw Philox outputs, up to ``chunk`` at a time.
 
-    Each chunk is (up, down), the values at Z and -Z.  All chunks come
-    from one Philox stream, so draw i is the same whatever the chunk size.
+    Successive ``random_raw`` calls continue one stream, so draw i is the
+    same whatever the chunk size.
+    """
+    import numpy as np
+
+    bit_generator = np.random.Philox(key=mc.seed)
+    n_draws = mc.path_count // 2
+    for start in range(0, n_draws, chunk):
+        yield bit_generator.random_raw(min(chunk, n_draws - start))
+
+
+def _draw_stage(
+    cs: CapitalStructure,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``draw(raw, buffers)``: a raw chunk's terminal values at Z and -Z.
+
+    ``draw`` shifts ``raw`` in place, writes the values at Z and -Z into
+    rows 0 and 1 of ``buffers`` and returns those rows cut to the chunk.
+    Each value takes the operations of V exp(drift +- shock z) in their
+    order, so it has the bits of the same expression over new arrays.
     """
     import numpy as np
 
     ndtri = _ndtri()
-    n_draws = mc.path_count // 2
-    bit_generator = np.random.Philox(key=mc.seed)
     drift = (
         cs.rate - cs.dividend_yield - 0.5 * cs.volatility * cs.volatility
     ) * cs.maturity
     shock = cs.volatility * math.sqrt(cs.maturity)
-    for start in range(0, n_draws, _CHUNK_DRAWS):
-        raw = bit_generator.random_raw(min(_CHUNK_DRAWS, n_draws - start))
-        z = ndtri(((raw >> 11).astype(np.float64) + 0.5) * 2.0**-53)
-        up = cs.asset_value * np.exp(drift + shock * z)
+
+    def draw(raw: np.ndarray, buffers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        up, down = buffers[0, : raw.size], buffers[1, : raw.size]
+        np.right_shift(raw, 11, out=raw)
+        # raw >> 11 < 2**53 converts to float64 exactly from either integer
+        # type, and numpy's cast from int64 is about ten times faster.
+        down[...] = raw.view(np.int64)
+        down += 0.5
+        down *= 2.0**-53
+        ndtri(down, out=down)
+        down *= shock
+        np.add(drift, down, out=up)
         # drift + shock * (-z) == drift - shock * z exactly in IEEE arithmetic.
-        yield up, cs.asset_value * np.exp(drift - shock * z)
+        np.subtract(drift, down, out=down)
+        for values in (up, down):
+            np.exp(values, out=values)
+            values *= cs.asset_value
+        return up, down
+
+    return draw
 
 
 @functools.cache
@@ -230,34 +270,127 @@ def _compiled_ndtri() -> np.ufunc:
         sys.modules.pop("scipy.special", None)
 
 
-def _sampling_units(
-    cs: CapitalStructure, discount: float, chunk: tuple[np.ndarray, np.ndarray]
-) -> list[np.ndarray]:
-    """Per claim, a chunk's discounted payoffs averaged over each (Z, -Z) pair.
+def _chunk_moments(
+    cs: CapitalStructure, mc: MCConfig, discount: float
+) -> list[tuple[int, list[tuple[float, float]]]]:
+    """Per chunk, in stream order, its size and each claim's (mean, M2).
 
-    Each unit takes the same operations, in the same order, as one formed
-    from the joined ``simulate_terminal_values`` array.  Returning from a
-    function frees the payoff arrays before the next chunk is drawn.
+    With two or more chunks, two threads run the chunk kernel: the caller
+    and one helper.  Each takes the next raw chunk and its index under a
+    lock, draws and reduces it in its own buffers, and stores the result
+    at that index.  The first error stops both at their next chunk and is
+    raised here.
     """
-    split = [claim_payoffs(t, cs.senior_face, cs.junior_face) for t in chunk]
-    return [0.5 * (discount * up + discount * down) for up, down in zip(*split)]
+    import threading
+
+    import numpy as np
+
+    draw = _draw_stage(cs)
+    n_draws = mc.path_count // 2
+    chunk = min(_CHUNK_DRAWS, n_draws)
+    stream = enumerate(_raw_chunks(mc, chunk))
+    per_chunk = [None] * -(-n_draws // chunk)
+    errors = []
+    lock = threading.Lock()
+
+    def reduce_next(buffers: np.ndarray) -> bool:
+        """Draw and reduce the next chunk; False once none is left or after an error."""
+        # The chunk's raw array is freed on return, before the next is drawn.
+        with lock:
+            taken = None if errors else next(stream, None)
+        if taken is None:
+            return False
+        index, raw = taken
+        up, down = draw(raw, buffers)
+        scratch = buffers[2:, : raw.size]
+        per_chunk[index] = raw.size, _claim_moments(cs, discount, up, down, scratch)
+        return True
+
+    def kernel(buffers: np.ndarray) -> None:
+        try:
+            # errstate is per thread.  Overflow turns into inf or NaN
+            # moments, which mc_claim_values refuses as one error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                while reduce_next(buffers):
+                    pass
+        except BaseException as exc:  # raised again by the caller
+            errors.append(exc)
+
+    # The caller allocates the helper's buffers too: allocated in the helper,
+    # they would come from a second malloc arena and add to the peak RSS.
+    buffers = np.empty((min(len(per_chunk), 2), 4, chunk))
+    helper = None
+    if len(buffers) > 1:
+        helper = threading.Thread(target=kernel, args=(buffers[1],))
+        helper.start()
+    try:
+        kernel(buffers[0])
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return per_chunk
+
+
+def _claim_moments(
+    cs: CapitalStructure,
+    discount: float,
+    up: np.ndarray,
+    down: np.ndarray,
+    scratch: np.ndarray,
+) -> list[tuple[float, float]]:
+    """Per claim, (mean, M2) of a chunk's discounted payoffs averaged over each pair.
+
+    The payoffs take the operations of ``claim_payoffs`` in their order,
+    so each unit has the bits of one formed from new arrays.  Overwrites
+    ``up``, ``down`` and both rows of ``scratch``.
+    """
+    import numpy as np
+
+    a, b = scratch
+    np.minimum(up, cs.senior_face, out=a)
+    np.minimum(down, cs.senior_face, out=b)
+    moments = [_unit_moments(a, b, discount)]
+    up -= cs.senior_face
+    down -= cs.senior_face
+    np.clip(up, 0.0, cs.junior_face, out=a)
+    np.clip(down, 0.0, cs.junior_face, out=b)
+    moments.append(_unit_moments(a, b, discount))
+    for excess in (up, down):
+        excess -= cs.junior_face
+        np.maximum(excess, 0.0, out=excess)
+    moments.append(_unit_moments(up, down, discount))
+    return moments
+
+
+def _unit_moments(up: np.ndarray, down: np.ndarray, discount: float) -> tuple[float, float]:
+    """(mean, M2) of the units 0.5 * (discount * up + discount * down).
+
+    M2 is the sum of squared deviations from the mean.  Both sums are
+    numpy's pairwise sum: a BLAS dot would follow the thread count.
+    The units are formed in ``up``, and ``down`` is scaled in place.
+    """
+    import numpy as np
+
+    up *= discount
+    down *= discount
+    up += down
+    up *= 0.5
+    mean = float(np.add.reduce(up)) / up.size
+    up -= mean
+    up *= up
+    return mean, float(np.add.reduce(up))
 
 
 def _merge_moments(
-    moments: tuple[int, float, float], units: np.ndarray
+    moments: tuple[int, float, float], size: int, chunk_mean: float, chunk_m2: float
 ) -> tuple[int, float, float]:
-    """Merge a chunk of sampling units into (count, mean, M2).
+    """Merge a chunk's (size, mean, M2) into the running (count, mean, M2).
 
-    M2 is the sum of squared deviations from the mean.  The chunk's own
-    mean and M2 are combined by Chan, Golub and LeVeque's pairwise update.
-    Both sums are numpy's pairwise sum: a BLAS dot would follow the thread count.
+    Chan, Golub and LeVeque's pairwise update.
     """
     count, mean, m2 = moments
-    size = units.size
-    chunk_mean = float(units.mean())
-    squares = units - chunk_mean
-    squares *= squares
-    chunk_m2 = float(squares.sum())
     total = count + size
     delta = chunk_mean - mean
     return (

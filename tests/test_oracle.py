@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -167,9 +168,9 @@ class TestSimulation:
         ndtri = oracle._ndtri()
         uniforms = []
 
-        def recording_ndtri(u):
+        def recording_ndtri(u, out=None):
             uniforms.extend(u.tolist())
-            return ndtri(u)
+            return ndtri(u, out=out)
 
         monkeypatch.setattr(np.random, "Philox", TopRaw)
         monkeypatch.setattr(oracle, "_ndtri", lambda: recording_ndtri)
@@ -344,6 +345,189 @@ class TestStreaming:
         large = traced_peak(2_000_000)
         assert large <= 1.5 * small
         assert large <= 16 * 2**20
+        assert large <= 6 * 2**20
+
+
+def _estimate_bits(estimates):
+    return tuple((e.mean.hex(), e.std_error.hex()) for e in estimates)
+
+
+def _exp_loop():
+    """The CPU target of numpy's float64 ``exp`` loop, or None before numpy 2."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]
+
+
+# (senior, junior, equity) mean and standard error as float.hex, seed 7, from
+# the single-threaded chunk loop that preceded the two-thread kernel, with
+# numpy's AVX-512 (X86_V4) exp loop.
+PINNED_STRUCTURES = {
+    "zero-sigma": (62.0, 60.0, 10.0, 0.0, 1.0, 0.01, 0.0),
+    "distressed": (62.0, 60.0, 10.0, 0.262, 1.0, 0.01, 0.0),
+    "negative-rate": (70.0, 60.0, 10.0, 0.3, 2.0, -0.02, 0.0),
+    "dividend": (100.0, 60.0, 10.0, 0.25, 1.0, 0.01, 0.02),
+}
+PINNED_BITS = {
+    ("zero-sigma", 2): (
+        ("0x1.db3952d58e32ep+5", "0x0.0p+0"),
+        ("0x1.4c6ad2a71cd1cp+1", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ),
+    ("zero-sigma", 131_074): (
+        ("0x1.db3952d58e32fp+5", "0x1.ffffffff00020p-56"),
+        ("0x1.4c6ad2a71cd1ep+1", "0x1.ffffffff00020p-59"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ),
+    ("zero-sigma", 1_000_000): (
+        ("0x1.db3952d58e32fp+5", "0x1.a724c6b5ab6d8p-57"),
+        ("0x1.4c6ad2a71cd1ep+1", "0x1.7176dcbfd4743p-60"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ),
+    ("distressed", 2): (
+        ("0x1.9f8ba4267acecp+5", "0x0.0p+0"),
+        ("0x1.3cd0e1e3b421fp+2", "0x0.0p+0"),
+        ("0x1.6c1895358b438p+2", "0x0.0p+0"),
+    ),
+    ("distressed", 131_074): (
+        ("0x1.b2496957a2f94p+5", "0x1.ccc2bd6e93709p-7"),
+        ("0x1.f5ba95ad4a288p+1", "0x1.7c7c64a75f9a3p-8"),
+        ("0x1.e5b2586afb10dp+1", "0x1.6636b16bad475p-6"),
+    ),
+    ("distressed", 1_000_000): (
+        ("0x1.b253335035213p+5", "0x1.4e464f9309dc2p-8"),
+        ("0x1.f515722c3f93bp+1", "0x1.1468b07c989d5p-9"),
+        ("0x1.e5c84dd5d9f5cp+1", "0x1.03581ab6ab854p-7"),
+    ),
+    ("negative-rate", 2): (
+        ("0x1.97d07f6acad34p+5", "0x0.0p+0"),
+        ("0x1.4d0f37f799d6ep+2", "0x0.0p+0"),
+        ("0x1.ebefb58aabefbp+3", "0x0.0p+0"),
+    ),
+    ("negative-rate", 131_074): (
+        ("0x1.b591acbdc7f00p+5", "0x1.553bb51e7f28bp-6"),
+        ("0x1.2b575f94ab166p+2", "0x1.1a7164d39bebcp-8"),
+        ("0x1.5415c967931b0p+3", "0x1.aa41ff983f1bap-5"),
+    ),
+    ("negative-rate", 1_000_000): (
+        ("0x1.b5a238a2f31d9p+5", "0x1.ef20e31954f8fp-8"),
+        ("0x1.2afe747751be6p+2", "0x1.9b620e9afaac4p-10"),
+        ("0x1.540579ff026e6p+3", "0x1.34386f0a97d12p-6"),
+    ),
+    ("dividend", 2): (
+        ("0x1.db3952d58e32ep+5", "0x0.0p+0"),
+        ("0x1.3cd0e1e3b421fp+3", "0x0.0p+0"),
+        ("0x1.d8f38e976796fp+4", "0x0.0p+0"),
+    ),
+    ("dividend", 131_074): (
+        ("0x1.d9f7a2e8ec879p+5", "0x1.ac993086ffecep-9"),
+        ("0x1.2922bf16b192bp+3", "0x1.6f5462337eedbp-8"),
+        ("0x1.d7d14b453f91ap+4", "0x1.934ccec181690p-6"),
+    ),
+    ("dividend", 1_000_000): (
+        ("0x1.d9f2da8841d89p+5", "0x1.34d12efd99bb3p-10"),
+        ("0x1.291e377a27655p+3", "0x1.0ab739da95051p-9"),
+        ("0x1.d7df99364ebfep+4", "0x1.23d57f38ef6cfp-7"),
+    ),
+}
+# The AVX2 (X86_V3) and baseline exp loops differ in these last bits, keyed by
+# (claim, 0 for the mean or 1 for the standard error).
+PINNED_AVX2_BITS = {
+    ("distressed", 1_000_000): {(0, 1): "0x1.4e464f9309dc1p-8", (1, 1): "0x1.1468b07c989d4p-9"},
+    ("negative-rate", 1_000_000): {(1, 1): "0x1.9b620e9afaac3p-10"},
+    ("dividend", 131_074): {
+        (0, 1): "0x1.ac993086ffecdp-9",
+        (2, 0): "0x1.d7d14b453f91bp+4",
+        (2, 1): "0x1.934ccec18168fp-6",
+    },
+    ("dividend", 1_000_000): {(2, 0): "0x1.d7df99364ebffp+4"},
+}
+
+
+class TestPinnedBits:
+    """Estimates keep their bits whichever thread reduces which chunk."""
+
+    @pytest.mark.parametrize("name, paths", list(PINNED_BITS))
+    def test_estimates_have_the_pinned_bits(self, name, paths):
+        loop = _exp_loop()
+        if loop not in ("X86_V4", "X86_V3", "baseline(X86_V2)"):
+            pytest.skip(f"bits pinned for x86 exp loops only, not {loop}")
+        expected = [list(pair) for pair in PINNED_BITS[name, paths]]
+        if loop != "X86_V4":
+            for (claim, field), bits in PINNED_AVX2_BITS.get((name, paths), {}).items():
+                expected[claim][field] = bits
+        cs = CapitalStructure(*PINNED_STRUCTURES[name])
+        estimates = mc_claim_values(cs, MCConfig(paths, seed=7))
+        assert _estimate_bits(estimates) == tuple(map(tuple, expected))
+
+    def test_many_small_chunks_give_the_same_bits_every_run(self, monkeypatch):
+        # 72 chunks of 7 draws; a short switch interval interleaves the threads.
+        monkeypatch.setattr(oracle, "_CHUNK_DRAWS", 7)
+        cs = _cs(62.0, sigma=0.3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = {_estimate_bits(mc_claim_values(cs, MCConfig(1002, seed=3))) for _ in range(20)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 1
+
+
+class _TwoThreadNdtri:
+    """Stand-in ``ndtri`` whose first call in each thread waits for the other
+    thread's first call, so that both threads reduce a chunk.  Records the
+    thread of each call and raises on call number ``fail_at``."""
+
+    def __init__(self, fail_at=None):
+        self._ndtri = oracle._ndtri()
+        self._both = threading.Barrier(2, timeout=10)
+        self._lock = threading.Lock()
+        self._fail_at = fail_at
+        self.threads = []
+
+    def __call__(self, u, out=None):
+        thread = threading.get_ident()
+        with self._lock:
+            first = thread not in self.threads
+            self.threads.append(thread)
+            call = len(self.threads)
+        if first:
+            self._both.wait()
+        if call == self._fail_at:
+            raise RuntimeError(f"stand-in ndtri fails on call {call}")
+        return self._ndtri(u, out=out)
+
+
+class TestTwoThreads:
+    @pytest.mark.parametrize(
+        "rate, threads", [(800.0, 2), (-800.0, 0)], ids=["values-overflow", "discount-overflows"]
+    )
+    def test_out_of_float_range_in_either_thread_is_validation_error(
+        self, monkeypatch, rate, threads
+    ):
+        # numpy's errstate is per thread: a helper without its own would warn.
+        ndtri = _TwoThreadNdtri()
+        monkeypatch.setattr(oracle, "_ndtri", lambda: ndtri)
+        monkeypatch.setattr(oracle, "_CHUNK_DRAWS", 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                mc_claim_values(_cs(62.0, r=rate), MCConfig(1000, seed=1))
+        assert len(set(ndtri.threads)) == threads
+
+    def test_error_in_a_thread_is_raised_and_the_helper_ends(self, monkeypatch):
+        ndtri = _TwoThreadNdtri(fail_at=3)
+        monkeypatch.setattr(oracle, "_ndtri", lambda: ndtri)
+        monkeypatch.setattr(oracle, "_CHUNK_DRAWS", 7)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="fails on call 3"):
+            mc_claim_values(_cs(62.0), MCConfig(20_002, seed=1))
+        assert threading.active_count() == before
+        assert len(set(ndtri.threads)) == 2
+        # Both threads stop at their next chunk, far short of all 1429.
+        assert len(ndtri.threads) < 1429 // 2
 
 
 class TestArgmaxSearch:
