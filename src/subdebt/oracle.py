@@ -22,18 +22,20 @@ ndtri gives inf and ``mc_claim_values`` refuses the run with
 sampling unit; numpy's ``exp`` loop, chosen per CPU, can change the last
 bits.
 
-Draws are streamed in chunks of ``_CHUNK_DRAWS`` normals taken in order
-from one Philox stream, so the terminal values do not depend on the
-chunk size.  ``mc_claim_values`` reduces each chunk to per-claim (count,
-mean, M2) in buffers allocated once per call.  With two or more chunks
-two threads do this, the caller and one helper, each taking the next
-chunk and its index from the stream under a lock, so memory is O(2
-chunks) whatever the path count.  The per-chunk moments are merged in
-chunk order once both threads are done, so an estimate does not depend
-on which thread reduced which chunk.  The merged sums depend on where
-the chunks end, so the fixed chunk size is part of the estimate's
-contract: an estimate is a pure function of (seed, path_count) and this
-constant.
+One function, ``_draw``, maps raw outputs to terminal values elementwise,
+so a value's bits do not depend on how the stream is cut.
+``simulate_terminal_values`` draws the whole stream in one call, so its
+memory grows with path_count.  ``mc_claim_values`` takes the stream in
+chunks of ``_CHUNK_DRAWS`` normals, in order, and reduces each chunk to
+per-claim (count, mean, M2) in buffers allocated once per call.  With
+two or more chunks two threads do this, the caller and one helper, each
+taking the next chunk and its index from the stream under a lock, so
+memory is O(2 chunks) whatever the path count.  The per-chunk moments
+are merged in chunk order once both threads are done, so an estimate
+does not depend on which thread reduced which chunk.  The merged sums
+depend on where the chunks end, so the fixed chunk size is part of the
+estimate's contract: an estimate is a pure function of (seed,
+path_count) and this constant.
 
 numpy and scipy are imported inside the functions that build arrays, so
 that importing the package, and the closed-form CLI commands, do not
@@ -56,7 +58,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .claims import CapitalStructure, junior_debt_value
 from .errors import ValidationError, check, check_range, checked_exp
@@ -108,22 +110,15 @@ def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
 
     V_T = V exp((r - q - sigma^2/2) tau + sigma sqrt(tau) Z).  The output
     interleaves antithetic pairs (Z_i, -Z_i): element 2i uses Z_i and
-    element 2i+1 uses -Z_i.  Each chunk comes from the draw stage that
-    ``mc_claim_values`` runs and is copied out of its buffers.
+    element 2i+1 uses -Z_i.  The whole stream goes through ``_draw``, the
+    draw function that ``mc_claim_values`` runs on each chunk.
     """
     import numpy as np
 
-    draw = _draw_stage(cs)
-    chunk = min(_CHUNK_DRAWS, mc.path_count // 2)
-    buffers = np.empty((2, chunk))
-    pairs = np.empty((mc.path_count // 2, 2))
-    start = 0
-    for raw in _raw_chunks(mc, chunk):
-        up, down = draw(raw, buffers)
-        pairs[start : start + raw.size, 0] = up
-        pairs[start : start + raw.size, 1] = down
-        start += raw.size
-    return pairs.ravel()
+    values = np.empty((2, mc.path_count // 2))
+    # The raw draws are freed once drawn, so the peak is values and output.
+    _draw(cs, np.random.Philox(key=mc.seed).random_raw(values.shape[1]), values)
+    return values.T.ravel()
 
 
 def mc_claim_values(
@@ -180,57 +175,38 @@ def claim_payoffs(
     return senior, junior, equity
 
 
-def _raw_chunks(mc: MCConfig, chunk: int) -> Iterator[np.ndarray]:
-    """The seed's path_count / 2 raw Philox outputs, up to ``chunk`` at a time.
+def _draw(
+    cs: CapitalStructure, raw: np.ndarray, buffers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Terminal values at Z and -Z from the raw Philox outputs ``raw``.
 
-    Successive ``random_raw`` calls continue one stream, so draw i is the
-    same whatever the chunk size.
+    Shifts ``raw`` in place, writes the values at Z and -Z into rows 0 and
+    1 of ``buffers`` and returns those rows cut to ``raw.size``.  Each value
+    takes the operations of V exp(drift +- shock z) in their order, so it
+    has the bits of the same expression over new arrays.
     """
     import numpy as np
 
-    bit_generator = np.random.Philox(key=mc.seed)
-    n_draws = mc.path_count // 2
-    for start in range(0, n_draws, chunk):
-        yield bit_generator.random_raw(min(chunk, n_draws - start))
-
-
-def _draw_stage(
-    cs: CapitalStructure,
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``draw(raw, buffers)``: a raw chunk's terminal values at Z and -Z.
-
-    ``draw`` shifts ``raw`` in place, writes the values at Z and -Z into
-    rows 0 and 1 of ``buffers`` and returns those rows cut to the chunk.
-    Each value takes the operations of V exp(drift +- shock z) in their
-    order, so it has the bits of the same expression over new arrays.
-    """
-    import numpy as np
-
-    ndtri = _ndtri()
     drift = (
         cs.rate - cs.dividend_yield - 0.5 * cs.volatility * cs.volatility
     ) * cs.maturity
     shock = cs.volatility * math.sqrt(cs.maturity)
-
-    def draw(raw: np.ndarray, buffers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        up, down = buffers[0, : raw.size], buffers[1, : raw.size]
-        np.right_shift(raw, 11, out=raw)
-        # raw >> 11 < 2**53 converts to float64 exactly from either integer
-        # type, and numpy's cast from int64 is about ten times faster.
-        down[...] = raw.view(np.int64)
-        down += 0.5
-        down *= 2.0**-53
-        ndtri(down, out=down)
-        down *= shock
-        np.add(drift, down, out=up)
-        # drift + shock * (-z) == drift - shock * z exactly in IEEE arithmetic.
-        np.subtract(drift, down, out=down)
-        for values in (up, down):
-            np.exp(values, out=values)
-            values *= cs.asset_value
-        return up, down
-
-    return draw
+    up, down = buffers[0, : raw.size], buffers[1, : raw.size]
+    np.right_shift(raw, 11, out=raw)
+    # raw >> 11 < 2**53 converts to float64 exactly from either integer
+    # type, and numpy's cast from int64 is about ten times faster.
+    down[...] = raw.view(np.int64)
+    down += 0.5
+    down *= 2.0**-53
+    _ndtri()(down, out=down)
+    down *= shock
+    np.add(drift, down, out=up)
+    # drift + shock * (-z) == drift - shock * z exactly in IEEE arithmetic.
+    np.subtract(drift, down, out=down)
+    for values in (up, down):
+        np.exp(values, out=values)
+        values *= cs.asset_value
+    return up, down
 
 
 @functools.cache
@@ -285,10 +261,14 @@ def _chunk_moments(
 
     import numpy as np
 
-    draw = _draw_stage(cs)
     n_draws = mc.path_count // 2
     chunk = min(_CHUNK_DRAWS, n_draws)
-    stream = enumerate(_raw_chunks(mc, chunk))
+    # Successive random_raw calls continue one stream, so draw i is the same
+    # whatever the chunk size.
+    philox = np.random.Philox(key=mc.seed)
+    stream = enumerate(
+        philox.random_raw(min(chunk, n_draws - start)) for start in range(0, n_draws, chunk)
+    )
     per_chunk = [None] * -(-n_draws // chunk)
     errors = []
     lock = threading.Lock()
@@ -301,7 +281,7 @@ def _chunk_moments(
         if taken is None:
             return False
         index, raw = taken
-        up, down = draw(raw, buffers)
+        up, down = _draw(cs, raw, buffers)
         scratch = buffers[2:, : raw.size]
         per_chunk[index] = raw.size, _claim_moments(cs, discount, up, down, scratch)
         return True

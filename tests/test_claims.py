@@ -133,8 +133,9 @@ class TestOutOfFloatRange:
             _cs(1e-200, fs=1e200),  # V / F_S underflows to 0
             _cs(62.0, fs=1e300, r=-100.0),  # F_S e^{-r tau} overflows
             _cs(62.0, fs=1.0, fj=1e300, r=-100.0),  # only F_T e^{-r tau} does
+            _cs(62.0, sigma=1e200),  # sigma^2 tau / 2 overflows
         ],
-        ids=["tiny-ratio", "huge-senior-face", "huge-total-face"],
+        ids=["tiny-ratio", "huge-senior-face", "huge-total-face", "huge-half-variance"],
     )
     def test_undefined_claims_raise_validation_error(self, cs):
         with pytest.raises(ValidationError):

@@ -266,6 +266,15 @@ class TestSweepSigma:
             == EXIT_VALIDATION_ERROR
         )
 
+    def test_overflowing_half_variance_is_validation_error(self, distressed, capsys):
+        # sigma^2 tau / 2 = inf at the top of the grid would price the sigma = 0 limit.
+        args = ["sweep-sigma", "--scenario", distressed, "--sigma-max", "1e200"]
+        assert main(args) == EXIT_VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sigma^2 tau / 2 ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_underflowing_sigma_sqrt_tau_leaves_vega_empty(self, tmp_path, capsys):
         path = tmp_path / "short.ini"
         path.write_text(DISTRESSED.replace("maturity = 1.0", "maturity = 0.25"))

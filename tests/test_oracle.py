@@ -289,13 +289,37 @@ def _chunk_cases(*path_counts):
 class TestStreaming:
     """Chunk boundaries change neither the draws nor, beyond rounding, the estimates."""
 
-    @pytest.mark.parametrize("chunk, paths", _chunk_cases(2, 34, 1002))
+    @pytest.mark.parametrize(
+        "chunk, paths", _chunk_cases(2, 34, 1002) + [pytest.param(None, 131_074, id="default")]
+    )
     def test_terminal_values_do_not_depend_on_chunk_size(self, monkeypatch, chunk, paths):
+        # Each chunk the kernel draws, placed by its raw draws in the one-call
+        # stream, holds the values simulate_terminal_values gives there.
         cs = _cs(62.0, sigma=0.3)
         mc = MCConfig(paths, seed=5)
         expected = simulate_terminal_values(cs, mc)
-        monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
-        assert simulate_terminal_values(cs, mc).tobytes() == expected.tobytes()
+        stream = np.random.Philox(key=mc.seed).random_raw(paths // 2)
+        start_of = {raw: i for i, raw in enumerate(stream.tolist())}
+        assert len(start_of) == stream.size
+        draw = oracle._draw
+        chunks = []
+
+        def recording_draw(cs, raw, buffers):
+            drawn = raw.copy()  # before _draw shifts it
+            up, down = draw(cs, raw, buffers)
+            chunks.append((drawn, up.copy(), down.copy()))  # before the reduce overwrites them
+            return up, down
+
+        if chunk is not None:
+            monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
+        monkeypatch.setattr(oracle, "_draw", recording_draw)
+        mc_claim_values(cs, mc)
+        assembled = np.full((paths // 2, 2), np.nan)
+        for drawn, up, down in chunks:
+            start = start_of[int(drawn[0])]
+            assert drawn.tobytes() == stream[start : start + drawn.size].tobytes()
+            assembled[start : start + drawn.size] = np.column_stack((up, down))
+        assert assembled.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("chunk, paths", _chunk_cases(34, 1002))
     def test_estimates_match_numpy_over_the_joined_units(self, monkeypatch, chunk, paths):
