@@ -149,9 +149,9 @@ def _claims(
 
     Raises:
         ValidationError: If the discount factor e^{-r tau} overflows, if
-            sigma^2 tau / 2 does, if a claim is undefined because the
-            discounted total face overflows, or if V / (F_S + F_J)
-            underflows to 0.
+            sigma^2 / 2 * tau does in float arithmetic, if a claim is
+            undefined because the discounted total face overflows, or if
+            V / (F_S + F_J) underflows to 0.
     """
     tau, rate, dividend_yield = cs.maturity, cs.rate, cs.dividend_yield
     forward = cs.asset_value * math.exp(-dividend_yield * tau)
@@ -166,12 +166,14 @@ def _claims(
         call_t = max(forward - pv_t, 0.0)
         vega = None
     else:
-        if 0.5 * sigma * sigma * tau == math.inf:
+        half_variance = 0.5 * sigma * sigma
+        if half_variance * tau == math.inf:
             # d1 and d2 would both be +inf, which prices the sigma = 0 limit.
             raise ValidationError(
-                f"sigma^2 tau / 2 with volatility {sigma} and maturity {tau} overflows"
+                f"sigma^2 / 2 * tau overflows in float arithmetic at volatility {sigma} "
+                f"and maturity {tau}"
             )
-        drift = (rate - dividend_yield + 0.5 * sigma * sigma) * tau
+        drift = (rate - dividend_yield + half_variance) * tau
         try:
             d1_s = (math.log(cs.asset_value / cs.senior_face) + drift) / sigma_sqrt_t
             d1_t = (math.log(cs.asset_value / cs.total_face) + drift) / sigma_sqrt_t

@@ -41,7 +41,8 @@ numpy and scipy are imported inside the functions that build arrays, so
 that importing the package, and the closed-form CLI commands, do not
 load them.
 
-``ndtri`` is resolved once per process.  If ``scipy.special`` is already
+``ndtri`` is resolved once per process, by the calling thread before any
+helper starts, and handed to ``_draw``.  If ``scipy.special`` is already
 loaded, its ``ndtri`` is used.  Otherwise it is taken from the compiled
 ``scipy.special._ufuncs`` module, imported under a bare package module
 that stands in for ``scipy.special`` only while that import runs.  The
@@ -115,10 +116,11 @@ def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
     """
     import numpy as np
 
-    values = np.empty((2, mc.path_count // 2))
-    # The raw draws are freed once drawn, so the peak is values and output.
-    _draw(cs, np.random.Philox(key=mc.seed).random_raw(values.shape[1]), values)
-    return values.T.ravel()
+    values = np.empty((mc.path_count // 2, 2))
+    # Rows 0 and 1 of values.T are the up and down columns, so values is
+    # already interleaved and the peak is the output and the raw draws.
+    _draw(cs, np.random.Philox(key=mc.seed).random_raw(len(values)), values.T, _ndtri())
+    return values.ravel()
 
 
 def mc_claim_values(
@@ -176,20 +178,19 @@ def claim_payoffs(
 
 
 def _draw(
-    cs: CapitalStructure, raw: np.ndarray, buffers: np.ndarray
+    cs: CapitalStructure, raw: np.ndarray, buffers: np.ndarray, ndtri: np.ufunc
 ) -> tuple[np.ndarray, np.ndarray]:
     """Terminal values at Z and -Z from the raw Philox outputs ``raw``.
 
-    Shifts ``raw`` in place, writes the values at Z and -Z into rows 0 and
-    1 of ``buffers`` and returns those rows cut to ``raw.size``.  Each value
-    takes the operations of V exp(drift +- shock z) in their order, so it
-    has the bits of the same expression over new arrays.
+    Shifts ``raw`` in place, maps it to normals with ``ndtri``, writes the
+    values at Z and -Z into rows 0 and 1 of ``buffers`` and returns those
+    rows cut to ``raw.size``.  Each value takes the operations of
+    V exp(drift +- shock z) in their order, so it has the bits of the same
+    expression over new arrays, whatever the strides of ``buffers``.
     """
     import numpy as np
 
-    drift = (
-        cs.rate - cs.dividend_yield - 0.5 * cs.volatility * cs.volatility
-    ) * cs.maturity
+    drift = (cs.rate - cs.dividend_yield - 0.5 * cs.volatility * cs.volatility) * cs.maturity
     shock = cs.volatility * math.sqrt(cs.maturity)
     up, down = buffers[0, : raw.size], buffers[1, : raw.size]
     np.right_shift(raw, 11, out=raw)
@@ -198,7 +199,7 @@ def _draw(
     down[...] = raw.view(np.int64)
     down += 0.5
     down *= 2.0**-53
-    _ndtri()(down, out=down)
+    ndtri(down, out=down)
     down *= shock
     np.add(drift, down, out=up)
     # drift + shock * (-z) == drift - shock * z exactly in IEEE arithmetic.
@@ -269,6 +270,10 @@ def _chunk_moments(
     stream = enumerate(
         philox.random_raw(min(chunk, n_draws - start)) for start in range(0, n_draws, chunk)
     )
+    # Resolved before the helper starts: _ndtri's cache takes no lock, and a
+    # thread that resolved it while the other imports _ufuncs would get the
+    # stub scipy.special.
+    ndtri = _ndtri()
     per_chunk = [None] * -(-n_draws // chunk)
     errors = []
     lock = threading.Lock()
@@ -281,7 +286,7 @@ def _chunk_moments(
         if taken is None:
             return False
         index, raw = taken
-        up, down = _draw(cs, raw, buffers)
+        up, down = _draw(cs, raw, buffers, ndtri)
         scratch = buffers[2:, : raw.size]
         per_chunk[index] = raw.size, _claim_moments(cs, discount, up, down, scratch)
         return True

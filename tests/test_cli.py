@@ -272,7 +272,7 @@ class TestSweepSigma:
         assert main(args) == EXIT_VALIDATION_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: sigma^2 tau / 2 ")
+        assert captured.err.startswith("error: sigma^2 / 2 * tau overflows ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_underflowing_sigma_sqrt_tau_leaves_vega_empty(self, tmp_path, capsys):

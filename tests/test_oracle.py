@@ -71,6 +71,27 @@ print(json.dumps({
 }))
 """
 
+# Runs a cold two-chunk mc_claim_values and prints each resolution of ndtri,
+# with whether the main thread made it.
+_NDTRI_THREAD_PROBE = """\
+import json, threading
+import subdebt.oracle as oracle
+from subdebt import CapitalStructure, MCConfig
+resolved = []
+
+def recording(resolve):
+    def wrapper():
+        resolved.append([resolve.__name__, threading.current_thread() is threading.main_thread()])
+        return resolve()
+    return wrapper
+
+oracle._ndtri = recording(oracle._ndtri)
+oracle._compiled_ndtri = recording(oracle._compiled_ndtri)
+cs = CapitalStructure(62.0, 60.0, 10.0, 0.262, 1.0, 0.01, 0.0)
+oracle.mc_claim_values(cs, MCConfig(131_074, seed=42))
+print(json.dumps(resolved))
+"""
+
 
 def _bounded(f, limit=1000):
     """f, raising once it has been called more than ``limit`` times."""
@@ -191,6 +212,14 @@ class TestSimulation:
         assert default["head"] == self.FROZEN
         assert fallback == default
 
+    def test_only_the_calling_thread_resolves_ndtri(self):
+        # The helper thread must not resolve it: the cache takes no lock, and
+        # while _compiled_ndtri imports, scipy.special is a bare stub.
+        assert json.loads(_run_probe(_NDTRI_THREAD_PROBE)) == [
+            ["_ndtri", True],
+            ["_compiled_ndtri", True],
+        ]
+
 
 class TestMCClaimValues:
     def test_zero_volatility_reproduces_deterministic_limits(self):
@@ -304,9 +333,9 @@ class TestStreaming:
         draw = oracle._draw
         chunks = []
 
-        def recording_draw(cs, raw, buffers):
+        def recording_draw(cs, raw, buffers, ndtri):
             drawn = raw.copy()  # before _draw shifts it
-            up, down = draw(cs, raw, buffers)
+            up, down = draw(cs, raw, buffers, ndtri)
             chunks.append((drawn, up.copy(), down.copy()))  # before the reduce overwrites them
             return up, down
 
