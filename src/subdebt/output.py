@@ -1,9 +1,12 @@
 """Output conventions that every command shares.
 
-Every CSV and JSON output, the sweep tables of ``subdebt.sweeps`` and the
-``price``, ``thresholds`` and ``verify`` reports of ``subdebt.cli``, is
-written by ``write_csv`` or ``write_json``, and every CSV or text value
-by ``cell``.  Floats are written with ``repr`` (shortest round-trip
+Every CSV or text value, and every value in sweep JSON, is written by
+``cell``.  The ``price``, ``thresholds`` and ``verify`` reports of
+``subdebt.cli`` are written by ``write_csv`` or ``write_json``.  The
+sweep tables of ``subdebt.sweeps`` hold only floats, which never need
+quoting or escaping, so their writers lay out the bytes these two would
+write without the ``csv`` and ``json`` modules, calling ``cell`` once
+per distinct value.  Floats are written with ``repr`` (shortest round-trip
 form), '.' decimal separator, no grouping, header row mandatory, so
 ``float`` on a cell gives back the exact value.  Missing values (no
 interior maximizer, or no vega where sigma sqrt(tau) underflows to 0)
@@ -11,7 +14,7 @@ are NaN in memory, empty cells in CSV, ``n/a`` in text, and null in
 JSON.  JSON is indented by two spaces and ends with a newline.
 
 ``csv`` and ``json`` are imported inside the writers, so that a
-text-format report loads neither.
+text-format report, or a sweep in any format, loads neither.
 """
 
 from __future__ import annotations

@@ -5,12 +5,23 @@ the independent column first and then the outputs, in output order.  The
 tables are written as CSV or JSON with the conventions of
 ``subdebt.output``, which the ``price``, ``thresholds`` and ``verify``
 reports share; the CSV header is the dict's keys, and sweep JSON mirrors
-the CSV columns as arrays.
+the CSV columns as arrays.  The writers lay the text out column by
+column, without the ``csv`` and ``json`` modules, and give the bytes that
+``csv.writer`` and ``json.dump(indent=2)`` would: ``cell`` turns each
+distinct value into text once per write, rows are joined with commas,
+since floats need no quoting, and the JSON is indented by hand.  Column
+names are written as given, so they must be plain identifiers, as the
+sweeps' are; and, as the sweeps guarantee, values are finite or NaN, and
+no column or list of tables is empty.  Each
+line goes to the stream as its own piece: on stdout, one large write to
+a pipe whose reader has closed can drop the rest of the text without
+raising, where line-sized writes raise ``BrokenPipeError``.
 
 Sweeps use only the standard library.  Their grids place each point as
 numpy.linspace does, i * step + start with the last point set to stop,
-so they are bit-identical to it; a range too narrow for its step count
-to give strictly increasing points raises ``ValidationError``.  The
+so they are bit-identical to it; a step count that is not an ``int``
+(or is a ``bool``), or a range too narrow for its step count to give
+strictly increasing points, raises ``ValidationError``.  The
 volatility sweep calls the fused claims kernel once per point; the
 structure sweep computes the two thresholds, which do not depend on the
 asset value, once per debt mix.
@@ -23,7 +34,7 @@ from typing import IO
 
 from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range
-from .output import write_csv, write_json
+from .output import cell
 from .risk import _chosen_risk, _optimal_volatility, _threshold, hump_threshold
 
 # A sweep table: column name -> values, the independent column first.
@@ -108,6 +119,8 @@ def _grid(name: str, start: float, stop: float, steps: int) -> tuple[float, ...]
     stop, both included."""
     check(f"{name} lower bound", start, "finite and > 0")
     check_range(f"{name} range", start, stop)
+    if isinstance(steps, bool) or not isinstance(steps, int):
+        raise ValidationError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
     step = (stop - start) / (steps - 1)
@@ -124,39 +137,80 @@ def _grid(name: str, start: float, stop: float, steps: int) -> tuple[float, ...]
 
 def write_sweep_csv(table: Table, stream: IO[str]) -> None:
     """Write a table as CSV: header row, then one row per grid point."""
-    write_csv(tuple(table), zip(*table.values()), stream)
+    cells = _Cells("")
+    stream.writelines([",".join(table) + "\n", *_csv_rows(table, cells, "")])
 
 
 def write_sweep_json(table: Table, stream: IO[str]) -> None:
     """Write a table as JSON with columns mirrored as arrays."""
-    write_json(_table_payload(table), stream)
+    cells = _Cells("null", " " * 6, ",\n")
+    stream.writelines(["{\n", *_json_members(table, cells, "  "), "}\n"])
 
 
 def write_structure_csv(tables: list[tuple[float, Table]], stream: IO[str]) -> None:
     """Write per-proportion tables as one CSV with a junior_proportion column."""
-    header = ("junior_proportion", *tables[0][1])
-    rows = (
-        (proportion, *row)
-        for proportion, table in tables
-        for row in zip(*table.values())
-    )
-    write_csv(header, rows, stream)
+    cells = _Cells("")
+    stream.write(",".join(("junior_proportion", *tables[0][1])) + "\n")
+    for proportion, table in tables:
+        stream.writelines(_csv_rows(table, cells, cell(proportion) + ","))
 
 
 def write_structure_json(tables: list[tuple[float, Table]], stream: IO[str]) -> None:
     """Write per-proportion tables as a JSON list of column payloads."""
-    payload = {
-        "tables": [
-            {"junior_proportion": proportion, **_table_payload(table)}
-            for proportion, table in tables
-        ]
-    }
-    write_json(payload, stream)
+    cells = _Cells("null", " " * 10, ",\n")
+    stream.writelines(["{\n", '  "tables": [\n'])
+    for index, (proportion, table) in enumerate(tables):
+        stream.writelines(
+            [
+                "    {\n",
+                f'      "junior_proportion": {cell(proportion, "null")},\n',
+                *_json_members(table, cells, " " * 6),
+                "    },\n" if index < len(tables) - 1 else "    }\n",
+            ]
+        )
+    stream.writelines(["  ]\n", "}\n"])
 
 
-def _table_payload(table: Table) -> dict:
-    columns = {
-        name: [None if math.isnan(value) else value for value in column]
-        for name, column in table.items()
-    }
-    return {"independent": next(iter(table)), "columns": columns}
+class _Cells:
+    """The texts of one write, ``prefix + cell(value, missing) + suffix``,
+    memoized by value so that each distinct value is formatted once.
+
+    Zeros are not memoized, because 0.0 and -0.0 are one dict key but two
+    texts; nor is an empty text, CSV's NaN.  Neither costs a ``repr``.
+    """
+
+    def __init__(self, missing: str, prefix: str = "", suffix: str = ""):
+        self.missing, self.prefix, self.suffix = missing, prefix, suffix
+        self.memo: dict[float, str] = {}
+
+    def column(self, values: tuple[float, ...]) -> list[str]:
+        """The text of each value, in order."""
+        get, put = self.memo.get, self._put
+        return [get(value) or put(value) for value in values]
+
+    def _put(self, value: float) -> str:
+        text = f"{self.prefix}{cell(value, self.missing)}{self.suffix}"
+        if value:  # NaN is true
+            self.memo[value] = text
+        return text
+
+
+def _csv_rows(table: Table, cells: _Cells, prefix: str) -> list[str]:
+    """One line per grid point: ``prefix``, then the row's cells joined by
+    commas.  Floats never need CSV quoting."""
+    columns = map(cells.column, table.values())
+    return [f"{prefix}{','.join(row)}\n" for row in zip(*columns)]
+
+
+def _json_members(table: Table, cells: _Cells, indent: str) -> list[str]:
+    """The "independent" and "columns" members of a table's JSON object at
+    ``indent``, a line each, as ``json.dump(indent=2)`` lays them out;
+    ``cells`` gives each value as a line two levels deeper."""
+    lines = [f'{indent}"independent": "{next(iter(table))}",\n', f'{indent}"columns": {{\n']
+    for name, column in table.items():
+        values = cells.column(column)
+        values[-1] = values[-1][:-2] + "\n"  # no comma after the last value
+        lines += [f'{indent}  "{name}": [\n', *values, f"{indent}  ],\n"]
+    lines[-1] = f"{indent}  ]\n"  # nor after the last column
+    lines.append(f"{indent}}}\n")
+    return lines

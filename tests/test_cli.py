@@ -602,9 +602,31 @@ class TestExitCodes:
         assert result.returncode == EXIT_PARSE_ERROR
         assert result.stderr == "error: cannot write stdout: No space left on device\n"
 
-    def test_closed_stdout_pipe_is_usage_error(self, distressed):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command,first_csv_cell",
+        [
+            (["sweep-sigma"], "sigma,"),
+            (
+                [
+                    "sweep-structure",
+                    "--total-face",
+                    "100",
+                    "--proportions",
+                    "0.1,0.2",
+                    "--v-min",
+                    "50",
+                    "--v-max",
+                    "70",
+                ],
+                "junior_proportion,",
+            ),
+        ],
+        ids=["sweep-sigma", "sweep-structure"],
+    )
+    def test_closed_stdout_pipe_is_usage_error(self, distressed, command, first_csv_cell, fmt):
         # Far more output than a pipe holds, so the writes outrun the reader.
-        args = ["sweep-sigma", "--scenario", distressed, "--steps", "20000"]
+        args = [*command, "--scenario", distressed, "--steps", "20000", "--format", fmt]
         with subprocess.Popen(
             [sys.executable, "-m", "subdebt", *args],
             env=_env(),
@@ -612,7 +634,8 @@ class TestExitCodes:
             stderr=subprocess.PIPE,
             text=True,
         ) as process:
-            assert process.stdout.readline().startswith("sigma,")
+            first_line = first_csv_cell if fmt == "csv" else "{"
+            assert process.stdout.readline().startswith(first_line)
             process.stdout.close()
             _, stderr = process.communicate(timeout=60)
         assert process.returncode == EXIT_PARSE_ERROR

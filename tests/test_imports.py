@@ -4,7 +4,7 @@
 sweeps load neither numpy, scipy, ``dataclasses`` nor ``inspect``;
 ``price`` and ``thresholds`` load neither the sweeps, the oracles nor the
 option functions of ``black_scholes``, and as text neither ``json`` nor
-``csv``.  ``verify`` loads numpy and only scipy's compiled ``_ufuncs``,
+``csv``.  The sweeps load neither ``json`` nor ``csv`` in any format.  ``verify`` loads numpy and only scipy's compiled ``_ufuncs``,
 not the ``scipy.special`` package, and not ``dataclasses`` (numpy loads
 ``inspect`` itself).
 
@@ -47,17 +47,34 @@ print(json.dumps({"code": code, "numpy": "numpy" in modules,
                   "same_ndtri": same_ndtri}))
 """
 
-# Modules that the sweeps do not load; those that ``price`` and
-# ``thresholds`` do not load either; and those that text output does not.
-_NOT_IN_SWEEPS = {
+# Modules that no closed-form command loads; those that ``price`` and
+# ``thresholds`` do not load either; those that text output does not; and
+# those that the sweeps do not, in any format.
+_NOT_IN_COMMANDS = {
     "subdebt.oracle",
     "subdebt.verify",
     "subdebt.black_scholes",
     "dataclasses",
     "inspect",
 }
-_NOT_IN_CLOSED_FORM = _NOT_IN_SWEEPS | {"subdebt.sweeps"}
+_NOT_IN_CLOSED_FORM = _NOT_IN_COMMANDS | {"subdebt.sweeps"}
 _NOT_IN_TEXT = {"json", "csv"}
+_NOT_IN_SWEEPS = _NOT_IN_COMMANDS | _NOT_IN_TEXT
+_STRUCTURE = [
+    "sweep-structure",
+    "--scenario",
+    str(SCENARIO),
+    "--total-face",
+    "100",
+    "--proportions",
+    "0.1,0.2",
+    "--v-min",
+    "50",
+    "--v-max",
+    "70",
+    "--steps",
+    "5",
+]
 
 
 # Imports each module named in its arguments, then reports what is loaded.
@@ -96,24 +113,12 @@ def _loaded_after(argv, probe=_PROBE):
         (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "1"], 3, _NOT_IN_SWEEPS),
         (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5"], 0, _NOT_IN_SWEEPS),
         (
-            [
-                "sweep-structure",
-                "--scenario",
-                str(SCENARIO),
-                "--total-face",
-                "100",
-                "--proportions",
-                "0.1,0.2",
-                "--v-min",
-                "50",
-                "--v-max",
-                "70",
-                "--steps",
-                "5",
-            ],
+            ["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5", "--format", "json"],
             0,
             _NOT_IN_SWEEPS,
         ),
+        (_STRUCTURE, 0, _NOT_IN_SWEEPS),
+        ([*_STRUCTURE, "--format", "json"], 0, _NOT_IN_SWEEPS),
     ],
     ids=[
         "import",
@@ -124,7 +129,9 @@ def _loaded_after(argv, probe=_PROBE):
         "parse-error",
         "sweep-error",
         "sweep-sigma",
+        "sweep-sigma-json",
         "sweep-structure",
+        "sweep-structure-json",
     ],
 )
 def test_commands_load_only_what_they_use(argv, code, absent):

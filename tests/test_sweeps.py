@@ -1,5 +1,6 @@
 """Tests for sweep tables and their CSV/JSON round trips."""
 
+import csv
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from subdebt import (
     write_sweep_csv,
     write_sweep_json,
 )
+from subdebt.output import cell
 
 DISTRESSED = CapitalStructure(62.0, 60.0, 10.0, 0.10, 1.0, 0.01)
 SOLVENT = CapitalStructure(100.0, 60.0, 10.0, 0.10, 1.0, 0.01)
@@ -111,6 +113,14 @@ class TestSigmaSweep:
     def test_rejects_bad_ranges(self, lower, upper, steps):
         with pytest.raises(ValidationError):
             sweep_sigma(DISTRESSED, lower, upper, steps)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, math.nan, math.inf, True, "3"])
+    def test_rejects_steps_that_are_not_integers(self, steps):
+        message = f"steps must be an integer, got {steps!r}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sweep_sigma(DISTRESSED, 0.01, 0.8, steps)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sweep_structure(100.0, [0.1], 50.0, 70.0, steps, 0.10, 1.0, 0.01)
 
 
 class TestStructureSweep:
@@ -260,3 +270,132 @@ class TestEmission:
         write_sweep_csv(table, first)
         write_sweep_csv(sweep_sigma(DISTRESSED, 0.01, 0.8, 30), second)
         assert first.getvalue() == second.getvalue()
+
+
+# The stdlib route the sweep writers replace: csv.writer over ``cell`` rows,
+# and json.dump of the payload with NaN as None.
+def _stdlib_csv(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(cell, row) for row in rows)
+    return buffer.getvalue()
+
+
+def _stdlib_json(payload):
+    buffer = io.StringIO()
+    json.dump(payload, buffer, indent=2)
+    return buffer.getvalue() + "\n"
+
+
+def _payload(table):
+    columns = {
+        name: [None if math.isnan(value) else value for value in column]
+        for name, column in table.items()
+    }
+    return {"independent": next(iter(table)), "columns": columns}
+
+
+def _written(writer, tables):
+    buffer = io.StringIO()
+    writer(tables, buffer)
+    return buffer.getvalue()
+
+
+def _hand_made(a, b):
+    # 0.0 and -0.0 in both orders, NaN both as one object and as distinct
+    # objects, and values repeated within and across columns.
+    other_nan = float("nan")
+    return {
+        "x": (a, 0.0, -0.0, 0.0, -0.0, 1.5, 1.5, 2.0, 3.0, b),
+        "zeros": (-0.0, 0.0, -0.0, 1.5, 0.0, 0.0, -0.0, 2.0, 0.1, 0.1),
+        "missing": (math.nan, math.nan, other_nan, 1.5, math.nan, other_nan, 0.0, -0.0, 2.0, 1.5),
+        "same": (0.1,) * 10,
+    }
+
+
+class TestStdlibIdentity:
+    """The sweep writers write exactly what the stdlib writers would."""
+
+    SIGMA_TABLES = {
+        "distressed": sweep_sigma(DISTRESSED, 0.01, 0.8, 200),
+        "solvent": sweep_sigma(SOLVENT, 0.01, 0.8, 200),
+        # sigma sqrt(tau) underflows at the first point: a NaN vega.
+        "nan-vega": sweep_sigma(
+            CapitalStructure(62.0, 60.0, 10.0, 0.10, 0.25, 0.01), 5e-324, 0.1, 3
+        ),
+        "hand-made": _hand_made(-1.25, 1e-300),
+        "hand-made-subnormal": _hand_made(5e-324, -2.5),
+    }
+    STRUCTURE_TABLES = {
+        "figure": sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 100.0, 251, 0.10, 1.0, 0.01),
+        "absent-maximizers": sweep_structure(100.0, [0.1, 0.3], 75.0, 90.0, 16, 0.10, 1.0, 0.01),
+        "payout": sweep_structure(
+            110.0, [0.05, 0.25, 0.45, 0.5], 40.0, 95.0, 7, 0.2, 2.0, 0.03, 0.01
+        ),
+        "hand-made": [(0.1, _hand_made(-1.25, 1e-300)), (0.5, _hand_made(1.5, -0.0))],
+    }
+
+    def test_tables_hold_the_cases_they_are_here_for(self):
+        assert math.isnan(self.SIGMA_TABLES["nan-vega"]["junior_vega"][0])
+        for tables in self.STRUCTURE_TABLES.values():
+            assert len(tables) >= 2
+        assert any(
+            math.isnan(value)
+            for _, table in self.STRUCTURE_TABLES["absent-maximizers"]
+            for value in table["optimal_volatility"]
+        )
+
+    @pytest.mark.parametrize("name", SIGMA_TABLES)
+    def test_sweep_csv(self, name):
+        table = self.SIGMA_TABLES[name]
+        expected = _stdlib_csv(tuple(table), zip(*table.values()))
+        assert _written(write_sweep_csv, table) == expected
+
+    @pytest.mark.parametrize("name", SIGMA_TABLES)
+    def test_sweep_json(self, name):
+        table = self.SIGMA_TABLES[name]
+        assert _written(write_sweep_json, table) == _stdlib_json(_payload(table))
+
+    @pytest.mark.parametrize("name", STRUCTURE_TABLES)
+    def test_structure_csv(self, name):
+        tables = self.STRUCTURE_TABLES[name]
+        header = ("junior_proportion", *tables[0][1])
+        rows = (
+            (proportion, *row)
+            for proportion, table in tables
+            for row in zip(*table.values())
+        )
+        assert _written(write_structure_csv, tables) == _stdlib_csv(header, rows)
+
+    @pytest.mark.parametrize("name", STRUCTURE_TABLES)
+    def test_structure_json(self, name):
+        tables = self.STRUCTURE_TABLES[name]
+        payload = {
+            "tables": [
+                {"junior_proportion": proportion, **_payload(table)}
+                for proportion, table in tables
+            ]
+        }
+        assert _written(write_structure_json, tables) == _stdlib_json(payload)
+
+    def test_writes_line_sized_pieces(self):
+        class Pieces(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.pieces = []
+
+            def write(self, text):
+                self.pieces.append(text)
+                return super().write(text)
+
+        for writer, tables in [
+            (write_sweep_csv, self.SIGMA_TABLES["distressed"]),
+            (write_sweep_json, self.SIGMA_TABLES["distressed"]),
+            (write_structure_csv, self.STRUCTURE_TABLES["figure"]),
+            (write_structure_json, self.STRUCTURE_TABLES["figure"]),
+        ]:
+            stream = Pieces()
+            writer(tables, stream)
+            assert "".join(stream.pieces) == stream.getvalue()
+            assert all(piece.count("\n") == 1 for piece in stream.pieces), writer
