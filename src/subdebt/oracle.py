@@ -25,12 +25,13 @@ bits.
 One function, ``_draw``, maps raw outputs to terminal values elementwise,
 so a value's bits do not depend on how the stream is cut.
 ``simulate_terminal_values`` draws the whole stream in one call, so its
-memory grows with path_count.  ``mc_claim_values`` takes the stream in
-chunks of ``_CHUNK_DRAWS`` normals, in order, and reduces each chunk to
-per-claim (count, mean, M2) in buffers allocated once per call.  With
-two or more chunks two threads do this, the caller and one helper, each
-taking the next chunk and its index from the stream under a lock, so
-memory is O(2 chunks) whatever the path count.  The per-chunk moments
+memory grows with path_count.  ``mc_claim_values`` cuts the stream into
+chunks of ``_CHUNK_DRAWS`` normals.  Chunk i is drawn from a Philox of its
+own, keyed by the seed and set to the chunk's start, and reduced to
+per-claim (count, mean, M2) in buffers allocated once per call.  With two
+or more chunks two threads do this, the caller and one helper, each
+claiming the next chunk, so memory is two chunks plus one small result
+per chunk.  The per-chunk moments
 are merged in chunk order once both threads are done, so an estimate
 does not depend on which thread reduced which chunk.  The merged sums
 depend on where the chunks end, so the fixed chunk size is part of the
@@ -75,7 +76,7 @@ _COARSE_POINTS = 64
 _PEAK_ULPS = 8
 # Normals drawn per chunk of the Monte-Carlo stream.  Each of the two threads
 # holds four float64 buffers of a chunk and its raw draws, 2.5 MiB; the traced
-# peak of a 2M-path call is 5.5 MiB.  Estimates depend on it through the order
+# peak of a 2M-path call is 5.0 MiB.  Estimates depend on it through the order
 # of the final sums.
 _CHUNK_DRAWS = 1 << 16
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -253,10 +254,10 @@ def _chunk_moments(
     """Per chunk, in stream order, its size and each claim's (mean, M2).
 
     With two or more chunks, two threads run the chunk kernel: the caller
-    and one helper.  Each takes the next raw chunk and its index under a
-    lock, draws and reduces it in its own buffers, and stores the result
-    at that index.  The first error stops both at their next chunk and is
-    raised here.
+    and one helper.  Each claims the next chunk's index and start, draws
+    it from a Philox of its own set to that start, reduces it in its own
+    buffers and stores the result at that index.  The first error stops
+    both at their next chunk and is raised here.
     """
     import threading
 
@@ -264,40 +265,36 @@ def _chunk_moments(
 
     n_draws = mc.path_count // 2
     chunk = min(_CHUNK_DRAWS, n_draws)
-    # Successive random_raw calls continue one stream, so draw i is the same
-    # whatever the chunk size.
-    philox = np.random.Philox(key=mc.seed)
-    stream = enumerate(
-        philox.random_raw(min(chunk, n_draws - start)) for start in range(0, n_draws, chunk)
-    )
+    # next() on this C iterator does not release the GIL, so each chunk goes
+    # to exactly one thread.
+    chunks = enumerate(range(0, n_draws, chunk))
     # Resolved before the helper starts: _ndtri's cache takes no lock, and a
     # thread that resolved it while the other imports _ufuncs would get the
     # stub scipy.special.
     ndtri = _ndtri()
     per_chunk = [None] * -(-n_draws // chunk)
     errors = []
-    lock = threading.Lock()
 
-    def reduce_next(buffers: np.ndarray) -> bool:
-        """Draw and reduce the next chunk; False once none is left or after an error."""
-        # The chunk's raw array is freed on return, before the next is drawn.
-        with lock:
-            taken = None if errors else next(stream, None)
-        if taken is None:
-            return False
-        index, raw = taken
+    def reduce(index: int, start: int, buffers: np.ndarray) -> None:
+        """Draw and reduce the chunk at ``start``; its raw array is freed on return."""
+        # Philox gives four raw outputs per counter step, so draw ``start``
+        # is output start % 4 of counter step start // 4.
+        philox = np.random.Philox(key=mc.seed, counter=start // 4)
+        philox.random_raw(start % 4)
+        raw = philox.random_raw(min(chunk, n_draws - start))
         up, down = _draw(cs, raw, buffers, ndtri)
         scratch = buffers[2:, : raw.size]
         per_chunk[index] = raw.size, _claim_moments(cs, discount, up, down, scratch)
-        return True
 
     def kernel(buffers: np.ndarray) -> None:
         try:
             # errstate is per thread.  Overflow turns into inf or NaN
             # moments, which mc_claim_values refuses as one error.
             with np.errstate(over="ignore", invalid="ignore"):
-                while reduce_next(buffers):
-                    pass
+                for index, start in chunks:
+                    if errors:
+                        break
+                    reduce(index, start, buffers)
         except BaseException as exc:  # raised again by the caller
             errors.append(exc)
 

@@ -35,8 +35,11 @@ class MCConfig(Record):
     """Monte-Carlo run configuration.
 
     path_count counts both halves of each antithetic pair, so it must be
-    an even int of at least 2; the seed is an int in [0, 2**64).  Neither
-    may be a float or a bool: Philox would silently truncate a float key.
+    an even int of at least 2 and at most 2**32; the seed is an int in
+    [0, 2**64).  Neither may be a float or a bool: Philox would silently
+    truncate a float key.  The upper bound keeps Monte-Carlo memory
+    bounded: ``mc_claim_values`` keeps each chunk's moments until the
+    merge, and 2**32 paths (about a minute of draws) are 32,768 chunks.
     """
 
     __slots__ = ("path_count", "seed")
@@ -47,6 +50,8 @@ class MCConfig(Record):
                 raise ValidationError(f"{name} must be an int, got {value!r}")
         if path_count < 2 or path_count % 2:
             raise ValidationError(f"path_count must be even and >= 2, got {path_count}")
+        if path_count > 2**32:
+            raise ValidationError(f"path_count must be <= 2**32, got {path_count}")
         if not 0 <= seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
         set_field(self, "path_count", path_count)

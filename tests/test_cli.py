@@ -500,6 +500,20 @@ class TestExitCodes:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
+    def test_verify_path_count_above_the_maximum_is_validation_error(self, distressed):
+        # A fresh process, so that a traceback would reach stderr; the
+        # per-chunk table for 10**18 paths would not fit in memory.
+        args = ["verify", "--scenario", distressed, "--paths", str(10**18)]
+        result = subprocess.run(
+            [sys.executable, "-m", "subdebt", *args],
+            env=_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_VALIDATION_ERROR
+        assert result.stdout == ""
+        assert result.stderr == f"error: path_count must be <= 2**32, got {10**18}\n"
+
     def test_missing_scenario_file_is_parse_error(self, capsys):
         assert main(["price", "--scenario", "/no/such/file.ini"]) == EXIT_PARSE_ERROR
 

@@ -180,7 +180,7 @@ class TestSimulation:
         # raw >> 11 = 2**53 - 1: k + 0.5 rounds half to even up to 2**53, so
         # u = 1.0 and ndtri(u) = inf, the one value outside the open interval.
         class TopRaw:
-            def __init__(self, key):
+            def __init__(self, key, counter=None):
                 pass
 
             def random_raw(self, size):
@@ -581,6 +581,29 @@ class TestTwoThreads:
         assert len(set(ndtri.threads)) == 2
         # Both threads stop at their next chunk, far short of all 1429.
         assert len(ndtri.threads) < 1429 // 2
+
+    def test_threads_draw_at_the_same_time(self, monkeypatch):
+        # Each thread's first draw waits for the other's: no lock may be held
+        # around the draws, or the barrier breaks after its timeout.
+        both = threading.Barrier(2, timeout=5)
+        drawn = set()
+        real = np.random.Philox
+
+        class WaitingPhilox:
+            def __init__(self, *args, **kwargs):
+                self._philox = real(*args, **kwargs)
+
+            def random_raw(self, size):
+                thread = threading.get_ident()
+                if size and thread not in drawn:
+                    drawn.add(thread)
+                    both.wait()
+                return self._philox.random_raw(size)
+
+        monkeypatch.setattr(np.random, "Philox", WaitingPhilox)
+        monkeypatch.setattr(oracle, "_CHUNK_DRAWS", 7)
+        mc_claim_values(_cs(62.0), MCConfig(20_002, seed=1))
+        assert len(drawn) == 2
 
 
 class TestArgmaxSearch:
