@@ -193,13 +193,13 @@ _INVALID = [
     ("MCConfig", {"seed": True}, "seed must be an int"),
     ("MCConfig", {"path_count": 0}, "path_count must be even and >= 2"),
     ("MCConfig", {"path_count": 2001}, "path_count must be even and >= 2"),
-    ("MCConfig", {"path_count": 2**32 + 2}, "path_count must be <= 2**32"),
     ("MCConfig", {"seed": -1}, "seed must be a 64-bit unsigned integer"),
     ("MCConfig", {"seed": 2**64}, "seed must be a 64-bit unsigned integer"),
     ("Scenario", {"initial_sigma": 0.0}, "initial_sigma must be finite and > 0"),
     ("GridSpec", {"lower": 0.0}, "grid.lower must be finite and > 0"),
     ("GridSpec", {"upper": 0.01}, "search interval must be finite with lower < upper"),
     ("GridSpec", {"tolerance": math.nan}, "tolerance must be finite and > 0"),
+    ("MCConfig", {"path_count": 2**32 + 2}, "path_count must be <= 2**32"),
 ]
 _ROUTES = {
     "keyword": lambda cls, fields, changes: cls(**{**fields, **changes}),
