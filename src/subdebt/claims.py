@@ -23,18 +23,22 @@ The standard normal CDF and density live here, next to the kernel, and
 ``black_scholes`` imports them.  The CDF is computed as
 N(x) = erfc(-x / sqrt(2)) / 2 with the C library's double-precision
 complementary error function (``math.erfc``), which keeps the absolute
-error below 1e-15 over the whole real line.
+error below 1e-15 over the whole real line.  The kernel evaluates N and
+phi inline, with the expressions of ``norm_cdf`` and ``norm_pdf``, to
+save a Python call per evaluation; the two functions stay public as the
+reference.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import ValidationError, check, checked_exp
+from .errors import ValidationError, _domain_error, checked_exp
 from .record import Record, set_field
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_INF = math.inf
 
 
 def norm_cdf(x: float) -> float:
@@ -82,14 +86,23 @@ class CapitalStructure(Record):
         rate: float,
         dividend_yield: float = 0.0,
     ) -> None:
-        check("asset_value", asset_value, "finite and > 0")
-        check("senior_face", senior_face, "finite and > 0")
-        check("junior_face", junior_face, "finite and > 0")
-        check("volatility", volatility, "finite and >= 0")
-        check("maturity", maturity, "finite and > 0")
-        check("rate", rate, "finite")
-        check("dividend_yield", dividend_yield, "finite and >= 0")
-        check("total_face", senior_face + junior_face, "finite")
+        # The domains of errors.check, compared inline; NaN fails each one.
+        if not 0.0 < asset_value < _INF:
+            raise _domain_error("asset_value", asset_value, "finite and > 0")
+        if not 0.0 < senior_face < _INF:
+            raise _domain_error("senior_face", senior_face, "finite and > 0")
+        if not 0.0 < junior_face < _INF:
+            raise _domain_error("junior_face", junior_face, "finite and > 0")
+        if not 0.0 <= volatility < _INF:
+            raise _domain_error("volatility", volatility, "finite and >= 0")
+        if not 0.0 < maturity < _INF:
+            raise _domain_error("maturity", maturity, "finite and > 0")
+        if not math.isfinite(rate):
+            raise _domain_error("rate", rate, "finite")
+        if not 0.0 <= dividend_yield < _INF:
+            raise _domain_error("dividend_yield", dividend_yield, "finite and >= 0")
+        if not math.isfinite(senior_face + junior_face):
+            raise _domain_error("total_face", senior_face + junior_face, "finite")
         set_field(self, "asset_value", asset_value)
         set_field(self, "senior_face", senior_face)
         set_field(self, "junior_face", junior_face)
@@ -153,21 +166,28 @@ def _claims(
             undefined because the discounted total face overflows, or if
             V / (F_S + F_J) underflows to 0.
     """
+    erfc, exp = math.erfc, math.exp
     tau, rate, dividend_yield = cs.maturity, cs.rate, cs.dividend_yield
-    forward = cs.asset_value * math.exp(-dividend_yield * tau)
+    forward = cs.asset_value * exp(-dividend_yield * tau)
     discount = checked_exp(-rate * tau, "discount factor")
     pv_s = cs.senior_face * discount
-    pv_t = cs.total_face * discount
+    total_face = cs.senior_face + cs.junior_face  # cs.total_face, without the property call
+    pv_t = total_face * discount
     sqrt_t = math.sqrt(tau)
     sigma_sqrt_t = sigma * sqrt_t
+    # ``0.0 if x < 0.0 else x`` is max(x, 0.0) without the call: it keeps
+    # NaN and -0.0 as max does.
     if sigma_sqrt_t == 0.0:
-        put_s = max(pv_s - forward, 0.0)
-        call_s = max(forward - pv_s, 0.0)
-        call_t = max(forward - pv_t, 0.0)
+        put_s = pv_s - forward
+        put_s = 0.0 if put_s < 0.0 else put_s
+        call_s = forward - pv_s
+        call_s = 0.0 if call_s < 0.0 else call_s
+        call_t = forward - pv_t
+        call_t = 0.0 if call_t < 0.0 else call_t
         vega = None
     else:
         half_variance = 0.5 * sigma * sigma
-        if half_variance * tau == math.inf:
+        if half_variance * tau == _INF:
             # d1 and d2 would both be +inf, which prices the sigma = 0 limit.
             raise ValidationError(
                 f"sigma^2 / 2 * tau overflows in float arithmetic at volatility {sigma} "
@@ -176,24 +196,31 @@ def _claims(
         drift = (rate - dividend_yield + half_variance) * tau
         try:
             d1_s = (math.log(cs.asset_value / cs.senior_face) + drift) / sigma_sqrt_t
-            d1_t = (math.log(cs.asset_value / cs.total_face) + drift) / sigma_sqrt_t
+            d1_t = (math.log(cs.asset_value / total_face) + drift) / sigma_sqrt_t
         except ValueError:  # log(0); V / (F_S + F_J) <= V / F_S underflowed
             raise ValidationError(
-                f"asset_value / total_face = {cs.asset_value} / {cs.total_face} "
+                f"asset_value / total_face = {cs.asset_value} / {total_face} "
                 "underflows to 0"
             ) from None
         d2_s = d1_s - sigma_sqrt_t
         d2_t = d1_t - sigma_sqrt_t
-        put_s = max(pv_s * norm_cdf(-d2_s) - forward * norm_cdf(-d1_s), 0.0)
-        call_s = max(forward * norm_cdf(d1_s) - pv_s * norm_cdf(d2_s), 0.0)
-        call_t = max(forward * norm_cdf(d1_t) - pv_t * norm_cdf(d2_t), 0.0)
+        # N(x) and phi(x) with the expressions of norm_cdf and norm_pdf;
+        # N(-x) = erfc(x / sqrt(2)) / 2, since -(-x) / c == x / c exactly.
+        put_s = pv_s * (0.5 * erfc(d2_s / _SQRT2)) - forward * (0.5 * erfc(d1_s / _SQRT2))
+        put_s = 0.0 if put_s < 0.0 else put_s
+        call_s = forward * (0.5 * erfc(-d1_s / _SQRT2)) - pv_s * (0.5 * erfc(-d2_s / _SQRT2))
+        call_s = 0.0 if call_s < 0.0 else call_s
+        call_t = forward * (0.5 * erfc(-d1_t / _SQRT2)) - pv_t * (0.5 * erfc(-d2_t / _SQRT2))
+        call_t = 0.0 if call_t < 0.0 else call_t
         # Two call vegas, V e^{-q tau} sqrt(tau) phi(d1) each, subtracted
         # unfactored: factoring out V e^{-q tau} sqrt(tau) rounds differently.
-        vega = forward * sqrt_t * norm_pdf(d1_s) - forward * sqrt_t * norm_pdf(d1_t)
+        phi_s = _INV_SQRT_2PI * exp(-0.5 * d1_s * d1_s)
+        phi_t = _INV_SQRT_2PI * exp(-0.5 * d1_t * d1_t)
+        vega = forward * sqrt_t * phi_s - forward * sqrt_t * phi_t
     senior = pv_s - put_s
     # A claim is NaN only where the discounted total face overflowed.
     if senior != senior or call_t != call_t:
         raise ValidationError(
-            f"discounted total face {cs.total_face} * {discount} overflows"
+            f"discounted total face {total_face} * {discount} overflows"
         )
     return senior, call_s - call_t, call_t, vega

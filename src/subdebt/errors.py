@@ -31,7 +31,12 @@ _DOMAINS = {
 def check(name: str, value: float, domain: str) -> None:
     """Raise ValidationError unless ``value`` lies in ``domain``."""
     if not _DOMAINS[domain](value):
-        raise ValidationError(f"{name} must be {domain}, got {value}")
+        raise _domain_error(name, value, domain)
+
+
+def _domain_error(name: str, value: float, domain: str) -> ValidationError:
+    """The error ``check`` raises; hot paths compare inline and raise this."""
+    return ValidationError(f"{name} must be {domain}, got {value}")
 
 
 def check_range(name: str, lower: float, upper: float) -> None:

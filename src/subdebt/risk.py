@@ -21,7 +21,13 @@ import enum
 import math
 
 from .claims import CapitalStructure, _claims
-from .errors import DegenerateVolatilityError, ValidationError, check, checked_exp
+from .errors import (
+    DegenerateVolatilityError,
+    ValidationError,
+    _domain_error,
+    check,
+    checked_exp,
+)
 from .record import Record, set_field
 
 # Radicands this close to zero are treated as the boundary case where the
@@ -34,6 +40,10 @@ class Regime(enum.Enum):
 
     DECREASING_IN_RISK = "decreasing-in-risk"
     HUMP_SHAPED = "hump-shaped"
+
+
+# Members bound once: attribute access on an Enum class is a descriptor call.
+_DECREASING, _HUMP = Regime.DECREASING_IN_RISK, Regime.HUMP_SHAPED
 
 
 class RiskProfile(Record):
@@ -131,9 +141,11 @@ def optimal_volatility(cs: CapitalStructure) -> float | None:
     sqrt( ln(F_S (F_S + F_J) / V^2) / tau - 2 r + 2 q ) for asset values
     below ``hump_threshold``; None above it, where the junior value is
     decreasing in volatility.  Radicands within 1e-12 of zero map to the
-    boundary value 0.0 rather than to a rounding-noise root.  The
-    structure's own volatility field is ignored.  Raises ValidationError
-    where the radicand leaves the float range.
+    boundary value 0.0 rather than to a rounding-noise root.  Where
+    F_S (F_S + F_J), V^2 or their ratio leaves the float range, the log
+    is taken as ln F_S + ln(F_S + F_J) - 2 ln V.  The structure's own
+    volatility field is ignored.  Raises ValidationError where the
+    radicand itself leaves the float range.
     """
     return _optimal_volatility(cs, cs.asset_value)
 
@@ -141,24 +153,25 @@ def optimal_volatility(cs: CapitalStructure) -> float | None:
 def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float | None:
     """``optimal_volatility`` of ``cs`` with its asset value replaced."""
     try:
-        radicand = (
-            math.log(cs.senior_face * cs.total_face / (asset_value * asset_value))
-            / cs.maturity
-            - 2.0 * cs.rate
-            + 2.0 * cs.dividend_yield
-        )
+        log_ratio = math.log(cs.senior_face * cs.total_face / (asset_value * asset_value))
     except (ValueError, ZeroDivisionError):  # V^2 or the ratio underflowed to 0
-        radicand = math.inf
-    if radicand > _RADICAND_TOL:
-        if radicand == math.inf:
-            raise ValidationError(
-                f"sigma*^2 = ln(F_S (F_S + F_J) / V^2) / tau - 2 r + 2 q at "
-                f"V = {asset_value} leaves the float range"
-            )
-        return math.sqrt(radicand)
-    if radicand >= -_RADICAND_TOL:
+        log_ratio = math.nan
+    if not log_ratio < math.inf:  # +inf: the ratio overflowed; NaN: set above, or inf / inf
+        log_ratio = (
+            math.log(cs.senior_face) + math.log(cs.total_face) - 2.0 * math.log(asset_value)
+        )
+    radicand = log_ratio / cs.maturity - 2.0 * cs.rate + 2.0 * cs.dividend_yield
+    if radicand < -_RADICAND_TOL:
+        return None
+    if radicand <= _RADICAND_TOL:
         return 0.0
-    return None
+    if radicand < math.inf:
+        return math.sqrt(radicand)
+    # +inf, or NaN from inf - inf: no float holds sigma*^2.
+    raise ValidationError(
+        f"sigma*^2 = ln(F_S (F_S + F_J) / V^2) / tau - 2 r + 2 q at "
+        f"V = {asset_value} leaves the float range"
+    )
 
 
 def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
@@ -170,19 +183,19 @@ def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
     and only if the asset value is below ``risk_shift_threshold``
     evaluated at ``initial_sigma``.
     """
-    check("initial_sigma", initial_sigma, "finite and > 0")
-    best = optimal_volatility(cs)
+    if not 0.0 < initial_sigma < math.inf:
+        raise _domain_error("initial_sigma", initial_sigma, "finite and > 0")
+    best = _optimal_volatility(cs, cs.asset_value)
     shift_at_initial = _threshold(cs, initial_sigma)
-    regime = Regime.DECREASING_IN_RISK if best is None else Regime.HUMP_SHAPED
     shifts_up = cs.asset_value < shift_at_initial
     return RiskProfile(
-        optimal_volatility=best,
-        shift_threshold=shift_at_initial,
-        hump_threshold=hump_threshold(cs),
-        regime=regime,
-        shifts_above_initial=shifts_up,
-        initial_sigma=initial_sigma,
-        chosen_risk=_chosen_risk(best, shifts_up, initial_sigma),
+        best,
+        shift_at_initial,
+        _threshold(cs, 0.0),
+        _DECREASING if best is None else _HUMP,
+        shifts_up,
+        initial_sigma,
+        _chosen_risk(best, shifts_up, initial_sigma),
     )
 
 
@@ -192,10 +205,20 @@ def chosen_risk(cs: CapitalStructure, initial_sigma: float) -> float:
     The junior-value maximizer when shifting upward pays (asset value
     below the shift threshold), otherwise the initial volatility: risk
     shifting is limited to the level that maximizes the junior bond.
+
+    Equal to ``classify_regime(cs, initial_sigma).chosen_risk``, with the
+    same checks in the same order, but it does not build a profile: it
+    forms sigma* and the shift threshold only, so it also returns where
+    just the hump threshold overflows.
     """
-    return classify_regime(cs, initial_sigma).chosen_risk
+    if not 0.0 < initial_sigma < math.inf:
+        raise _domain_error("initial_sigma", initial_sigma, "finite and > 0")
+    return _chosen_risk(
+        _optimal_volatility(cs, cs.asset_value),
+        cs.asset_value < _threshold(cs, initial_sigma),
+        initial_sigma,
+    )
 
 
 def _chosen_risk(best: float | None, shifts_up: bool, initial_sigma: float) -> float:
     return best if shifts_up and best is not None else initial_sigma
-

@@ -201,6 +201,22 @@ _INVALID = [
     ("GridSpec", {"tolerance": math.nan}, "tolerance must be finite and > 0"),
     ("MCConfig", {"path_count": 2**32 + 2}, "path_count must be <= 2**32"),
 ]
+# NaN, +inf and -inf in every CapitalStructure field, appended so that the
+# ids of the cases above keep their indices.
+_CS_DOMAINS = {
+    "asset_value": "finite and > 0",
+    "senior_face": "finite and > 0",
+    "junior_face": "finite and > 0",
+    "volatility": "finite and >= 0",
+    "maturity": "finite and > 0",
+    "rate": "finite",
+    "dividend_yield": "finite and >= 0",
+}
+_INVALID += [
+    ("CapitalStructure", {key: value}, f"{key} must be {domain}, got {value}")
+    for key, domain in _CS_DOMAINS.items()
+    for value in (math.nan, math.inf, -math.inf)
+]
 _ROUTES = {
     "keyword": lambda cls, fields, changes: cls(**{**fields, **changes}),
     "positional": lambda cls, fields, changes: cls(*{**fields, **changes}.values()),
@@ -222,11 +238,16 @@ def test_every_route_runs_the_checks(route, name, changes, message):
 
 @pytest.mark.parametrize("first", list(_CS_FIELDS))
 def test_capital_structure_checks_run_in_field_order(first):
-    bad = dict.fromkeys(_CS_FIELDS, -math.inf)
     fields = list(_CS_FIELDS)
-    kwargs = {**_CS_FIELDS, **{key: bad[key] for key in fields[fields.index(first) :]}}
-    with pytest.raises(ValidationError, match=f"^{first} must"):
-        CapitalStructure(**kwargs)
+    later = fields[fields.index(first) + 1 :]
+    for bad in (-math.inf, math.nan, math.inf):
+        kwargs = {**_CS_FIELDS, first: bad, **dict.fromkeys(later, -math.inf)}
+        with pytest.raises(ValidationError, match=f"^{first} must"):
+            CapitalStructure(**kwargs)
+    # A str fails its own field's comparison with TypeError, before any
+    # later field is checked.
+    with pytest.raises(TypeError):
+        CapitalStructure(**{**_CS_FIELDS, first: "1.0", **dict.fromkeys(later, -math.inf)})
 
 
 @pytest.mark.parametrize(

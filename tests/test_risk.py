@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import distressed_structures, finite_floats, rebuilt
+from conftest import capital_structures, distressed_structures, finite_floats, rebuilt
 from subdebt import (
     CapitalStructure,
     DegenerateVolatilityError,
@@ -29,6 +30,25 @@ SEARCH_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
 
 def _cs(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
     return CapitalStructure(v, fs, fj, sigma, tau, r, q)
+
+
+@st.composite
+def _regime_cases(draw):
+    """Distressed and solvent structures, some at sigma = 0 and some within
+    1e-6 (relative) of the hump threshold."""
+    cs = draw(
+        st.one_of(
+            distressed_structures(with_yield=True),
+            capital_structures(min_sigma=0.0, with_yield=True),
+        )
+    )
+    kind = draw(st.sampled_from(["as-drawn", "zero-sigma", "near-hump"]))
+    if kind == "zero-sigma":
+        return rebuilt(cs, volatility=0.0)
+    if kind == "near-hump":
+        gap = draw(finite_floats(-1e-6, 1e-6))
+        return rebuilt(cs, asset_value=hump_threshold(cs) * (1.0 + gap))
+    return cs
 
 
 class TestJuniorDebtVega:
@@ -209,23 +229,57 @@ class TestOptimalVolatility:
         assert numeric is not None
         assert abs(numeric - closed) < 1e-5
 
+    # Where F_S (F_S + F_J), V^2 or their ratio leaves the float range, the
+    # log is ln F_S + ln(F_S + F_J) - 2 ln V.  Expected radicands are
+    # summed here from ln 10 and the logs of the mantissas.
     @pytest.mark.parametrize(
-        "cs",
+        "cs,radicand",
         [
-            _cs(1e-308),
-            _cs(1e-160),
-            _cs(62.0, fs=1e200),
-            _cs(62.0, fs=1e-200, fj=1e-200),
+            (_cs(1e-308), math.log(4200.0) + 616.0 * math.log(10.0) - 0.02),
+            (_cs(1e-160), math.log(4200.0) + 320.0 * math.log(10.0) - 0.02),
+            (_cs(62.0, fs=1e200), 400.0 * math.log(10.0) - 2.0 * math.log(62.0) - 0.02),
+            (_cs(62.0, fs=1e-200, fj=1e-200), None),
+            (_cs(1e155), None),
+            (_cs(1e200), None),
+            (_cs(1e300), None),
+            (_cs(1.0, fs=1e-200, fj=1e-200), None),
+            (_cs(1e200, fs=1e200, fj=1e200), math.log(2.0) - 0.02),
         ],
         ids=[
             "v-squared-underflows",
             "ratio-overflows",
             "face-product-overflows",
             "ratio-underflows",
+            "v-squared-overflows-1e155",
+            "v-squared-overflows-1e200",
+            "v-squared-overflows-1e300",
+            "face-product-underflows",
+            "inf-over-inf",
+        ],
+    )
+    def test_log_form_out_of_float_range(self, cs, radicand):
+        if radicand is None:
+            assert optimal_volatility(cs) is None
+        else:
+            assert optimal_volatility(cs) == pytest.approx(math.sqrt(radicand), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            _cs(62.0, tau=1e-310),
+            _cs(1e-308, tau=1e-310),
+            _cs(1.0, r=-1e308),
+            _cs(62.0, tau=1e-310, r=1e308),
+        ],
+        ids=[
+            "log-over-maturity-overflows",
+            "log-form-over-maturity-overflows",
+            "rate-term-overflows",
+            "inf-minus-inf",
         ],
     )
     def test_radicand_out_of_float_range_is_validation_error(self, cs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="leaves the float range"):
             optimal_volatility(cs)
 
     def test_structure_volatility_field_is_ignored(self):
@@ -352,6 +406,28 @@ class TestChosenRisk:
     @given(distressed_structures(), finite_floats(0.01, 0.5))
     def test_never_below_initial_risk(self, cs, initial_sigma):
         assert chosen_risk(cs, initial_sigma) >= initial_sigma
+
+    @given(_regime_cases(), finite_floats(0.01, 1.0))
+    def test_equals_the_classified_profile_bit_for_bit(self, cs, initial_sigma):
+        assert repr(chosen_risk(cs, initial_sigma)) == repr(
+            classify_regime(cs, initial_sigma).chosen_risk
+        )
+
+    @pytest.mark.parametrize("initial_sigma", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_initial_sigma_as_classify_regime_does(self, initial_sigma):
+        with pytest.raises(ValidationError) as chosen:
+            chosen_risk(_cs(62.0), initial_sigma)
+        with pytest.raises(ValidationError) as classified:
+            classify_regime(_cs(62.0), initial_sigma)
+        assert str(chosen.value) == str(classified.value)
+        assert str(chosen.value).startswith("initial_sigma must be finite and > 0")
+
+    def test_returns_where_only_the_hump_threshold_overflows(self):
+        # e^{707} sqrt(4200) overflows; e^{707 - 4.5} sqrt(4200) does not.
+        cs = _cs(62.0, r=-707.0)
+        with pytest.raises(ValidationError, match="threshold .* overflows"):
+            classify_regime(cs, 3.0)
+        assert chosen_risk(cs, 3.0) == optimal_volatility(cs)
 
 
 class TestDividendReduction:
