@@ -19,6 +19,14 @@ and d2 once per strike.  Its arithmetic is that of the single-option
 functions in ``black_scholes``, operation for operation, so the results
 are bit-identical to composing them.
 
+A structure is priced at most once at its own volatility.  The first of
+``value_all_claims``, ``junior_debt_value`` and ``risk.junior_debt_vega``
+on a structure stores the kernel's tuple in the structure's one private
+slot, and later calls read it back.  The structure is immutable, so the
+stored tuple is what the kernel would compute again.  A kernel call that
+raises stores nothing, so it raises again on the next call.  The slot is
+not a field: equality, hash, repr, pickling and copying never see it.
+
 The standard normal CDF and density live here, next to the kernel, and
 ``black_scholes`` imports them.  The CDF is computed as
 N(x) = erfc(-x / sqrt(2)) / 2 with the C library's double-precision
@@ -51,7 +59,18 @@ def norm_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
-class CapitalStructure(Record):
+class _Priced(Record):
+    """A record with one slot that is not a field.
+
+    ``_priced`` holds ``_claims`` of the structure at its own volatility,
+    or None until ``_own_claims`` first fills it.  A subclass names its
+    fields in its own ``__slots__``, which ``Record`` reads.
+    """
+
+    __slots__ = ("_priced",)
+
+
+class CapitalStructure(_Priced):
     """Firm state: asset value, the two debt faces, and market parameters.
 
     Attributes:
@@ -110,6 +129,7 @@ class CapitalStructure(Record):
         set_field(self, "maturity", maturity)
         set_field(self, "rate", rate)
         set_field(self, "dividend_yield", dividend_yield)
+        set_field(self, "_priced", None)
 
     @property
     def total_face(self) -> float:
@@ -136,7 +156,7 @@ def junior_debt_value(cs: CapitalStructure) -> float:
     A bull call spread, bounded in [0, F_J e^{-r tau}]; equals the
     discounted expected junior payoff under the risk-neutral measure.
     """
-    return _claims(cs, cs.volatility)[1]
+    return _own_claims(cs)[1]
 
 
 def value_all_claims(cs: CapitalStructure) -> ClaimValues:
@@ -145,8 +165,20 @@ def value_all_claims(cs: CapitalStructure) -> ClaimValues:
     Senior debt is F_S e^{-r tau} minus a put struck at F_S, bounded in
     [0, F_S e^{-r tau}]; equity is a call struck at F_S + F_J.
     """
-    senior, junior, equity, _ = _claims(cs, cs.volatility)
+    senior, junior, equity, _ = _own_claims(cs)
     return ClaimValues(senior, junior, equity, senior + junior + equity)
+
+
+def _own_claims(cs: CapitalStructure) -> tuple[float, float, float, float | None]:
+    """``_claims(cs, cs.volatility)``, run on the first call for ``cs`` only.
+
+    Threads that race on one structure each store an equal tuple.
+    """
+    priced = cs._priced
+    if priced is None:
+        priced = _claims(cs, cs.volatility)
+        set_field(cs, "_priced", priced)
+    return priced
 
 
 def _claims(

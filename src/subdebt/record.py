@@ -1,11 +1,17 @@
 """``Record``, the base of the package's immutable value classes.
 
-A record names its fields, in order, in ``__slots__`` and defines its own
-``__init__``, which runs the checks and then sets each field with
-``set_field``.  The base gives what a frozen dataclass gives: equality
-and hash by field, the repr ``Name(field=value, ...)``, and
+A record names its fields, in order, in its own class's ``__slots__`` and
+defines its own ``__init__``, which runs the checks and then sets each
+field with ``set_field``.  The base gives what a frozen dataclass gives:
+equality and hash by field, the repr ``Name(field=value, ...)``, and
 ``AttributeError`` on assigning or deleting an attribute.  Pickling and
 ``copy`` go through the constructor, so its checks run again.
+
+The fields are exactly the names in the ``__slots__`` of the record's own
+class, since ``self.__slots__`` finds that tuple first.  A slot that is
+not a field is declared on a private base class between ``Record`` and
+the record, as ``claims._Priced`` does for the stored kernel result of a
+``CapitalStructure``; equality, hash, repr and pickling skip it.
 
 ``dataclasses`` is not used because importing it loads ``inspect``, with
 ``ast``, ``dis`` and ``tokenize``.  Under ``-X importtime`` on a 2-vCPU

@@ -20,14 +20,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .claims import CapitalStructure, _claims
-from .errors import (
-    DegenerateVolatilityError,
-    ValidationError,
-    _domain_error,
-    check,
-    checked_exp,
-)
+from .claims import CapitalStructure, _own_claims
+from .errors import DegenerateVolatilityError, ValidationError, _domain_error, check
 from .record import Record, set_field
 
 # Radicands this close to zero are treated as the boundary case where the
@@ -92,7 +86,7 @@ def junior_debt_vega(cs: CapitalStructure) -> float:
     Raises:
         DegenerateVolatilityError: If sigma sqrt(tau) is 0 (sigma = 0 or underflow).
     """
-    vega = _claims(cs, cs.volatility)[3]
+    vega = _own_claims(cs)[3]
     if vega is None:
         raise DegenerateVolatilityError("vega is undefined where sigma sqrt(tau) is 0")
     return vega
@@ -126,11 +120,17 @@ def hump_threshold(cs: CapitalStructure) -> float:
 def _threshold(cs: CapitalStructure, sigma: float) -> float:
     """``risk_shift_threshold`` for a validated ``sigma``."""
     exponent = (cs.rate - cs.dividend_yield + 0.5 * sigma * sigma) * cs.maturity
-    growth = checked_exp(-exponent, "threshold discount factor")
-    threshold = growth * math.sqrt(cs.senior_face * cs.total_face)
+    # errors.checked_exp, inlined: classify_regime and chosen_risk run this per firm.
+    try:
+        growth = math.exp(-exponent)
+    except OverflowError:
+        raise ValidationError(f"threshold discount factor e^{-exponent} overflows") from None
+    senior_face = cs.senior_face
+    total_face = senior_face + cs.junior_face  # cs.total_face, without the property call
+    threshold = growth * math.sqrt(senior_face * total_face)
     if not threshold < math.inf:  # also 0 * inf = NaN where growth underflows
         raise ValidationError(
-            f"threshold {growth} * sqrt({cs.senior_face} * {cs.total_face}) overflows"
+            f"threshold {growth} * sqrt({senior_face} * {total_face}) overflows"
         )
     return threshold
 

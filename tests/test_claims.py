@@ -6,7 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import capital_structures, distressed_structures, finite_floats, rebuilt
+import subdebt.claims as claims
+from conftest import (
+    capital_structures,
+    count_calls,
+    distressed_structures,
+    finite_floats,
+    rebuilt,
+)
 from subdebt import (
     CapitalStructure,
     ClaimValues,
@@ -134,12 +141,25 @@ class TestOutOfFloatRange:
             _cs(62.0, fs=1e300, r=-100.0),  # F_S e^{-r tau} overflows
             _cs(62.0, fs=1.0, fj=1e300, r=-100.0),  # only F_T e^{-r tau} does
             _cs(62.0, sigma=1e200),  # sigma^2 tau / 2 overflows
+            _cs(62.0, sigma=1e155),  # so does sigma^2 alone
         ],
-        ids=["tiny-ratio", "huge-senior-face", "huge-total-face", "huge-half-variance"],
+        ids=[
+            "tiny-ratio",
+            "huge-senior-face",
+            "huge-total-face",
+            "huge-half-variance",
+            "huge-sigma-squared",
+        ],
     )
-    def test_undefined_claims_raise_validation_error(self, cs):
-        with pytest.raises(ValidationError):
-            value_all_claims(cs)
+    def test_undefined_claims_raise_validation_error(self, cs, monkeypatch):
+        # A kernel call that raises stores nothing, so each call runs it
+        # again and raises again.
+        counts = {"kernel": 0}
+        count_calls(monkeypatch, counts, "kernel", (claims,), "_claims")
+        for function in (value_all_claims, junior_debt_value, junior_debt_vega) * 2:
+            with pytest.raises(ValidationError):
+                function(cs)
+        assert counts["kernel"] == 6
 
 
 class TestClaimBoundsAndIdentities:
@@ -203,6 +223,55 @@ class TestKernelMatchesSingleOptionFunctions:
                 junior_debt_vega(cs)
         else:
             assert repr(junior_debt_vega(cs)) == repr(junior_vega)
+
+
+_PRICED = {
+    "value_all_claims": value_all_claims,
+    "junior_debt_value": junior_debt_value,
+    "junior_debt_vega": junior_debt_vega,
+}
+
+
+def _exact_outcome(name, cs):
+    """``name(cs)`` as float.hex text, or the name of the error it raises."""
+    try:
+        result = _PRICED[name](cs)
+    except DegenerateVolatilityError as error:
+        return type(error).__name__
+    if isinstance(result, ClaimValues):
+        return tuple(
+            value.hex()
+            for value in (
+                result.senior_value,
+                result.junior_value,
+                result.equity_value,
+                result.total,
+            )
+        )
+    return result.hex()
+
+
+class TestPricedOnce:
+    @given(
+        capital_structures(min_sigma=0.0, with_yield=True),
+        _KERNEL_SIGMAS,
+        st.lists(st.sampled_from(list(_PRICED)), min_size=1, max_size=8),
+    )
+    # At sigma = 0, and where sigma sqrt(tau) underflows, the vega is
+    # refused before and after the claims are priced.
+    @example(_cs(62.0), 0.0, ["junior_debt_vega", "value_all_claims", "junior_debt_vega"])
+    @example(_cs(62.0, tau=0.25), 5e-324, ["value_all_claims", "junior_debt_vega"] * 2)
+    @example(_cs(62.0, q=0.02), 0.262, ["junior_debt_vega", "junior_debt_value"])
+    def test_any_calls_run_the_kernel_once_with_fresh_bits(self, cs, sigma, calls):
+        cs = rebuilt(cs, volatility=sigma)
+        # Each function on its own fresh, equal structure.
+        fresh = {name: _exact_outcome(name, rebuilt(cs)) for name in calls}
+        counts = {"kernel": 0}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            count_calls(monkeypatch, counts, "kernel", (claims,), "_claims")
+            outcomes = [_exact_outcome(name, cs) for name in calls]
+        assert counts["kernel"] == 1
+        assert outcomes == [fresh[name] for name in calls]
 
 
 def _weakly_above(a, b):

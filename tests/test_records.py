@@ -24,6 +24,7 @@ from subdebt import (
     RiskProfile,
     Scenario,
     ValidationError,
+    value_all_claims,
 )
 
 _CS_FIELDS = {
@@ -173,6 +174,30 @@ def test_pickle_and_copy_give_an_equal_record(name):
         assert type(twin) is type(record)
         assert twin == record
         assert repr(twin) == repr(record)
+
+
+def test_a_priced_structure_is_indistinguishable_from_an_unpriced_twin():
+    priced, twin = CapitalStructure(**_CS_FIELDS), CapitalStructure(**_CS_FIELDS)
+    value_all_claims(priced)  # stores the kernel's result on priced only
+    assert priced == twin and hash(priced) == hash(twin)
+    assert repr(priced) == repr(twin) == _CS_REPR
+    assert pickle.dumps(priced) == pickle.dumps(twin)
+    assert list(inspect.signature(type(priced)).parameters) == list(_CS_FIELDS)
+    for clone in (copy.copy, copy.deepcopy, rebuilt):
+        assert clone(priced) == clone(twin) == twin
+        assert repr(clone(priced)) == _CS_REPR
+        assert pickle.dumps(clone(priced)) == pickle.dumps(twin)
+
+
+def test_the_stored_result_cannot_be_set_or_deleted():
+    cs = CapitalStructure(**_CS_FIELDS)
+    for _ in ("unpriced", "priced"):
+        with pytest.raises(AttributeError):
+            cs._priced = (0.0, 0.0, 0.0, None)
+        with pytest.raises(AttributeError):
+            del cs._priced
+        values = value_all_claims(cs)
+    assert values == value_all_claims(CapitalStructure(**_CS_FIELDS))
 
 
 # Per checked class: changes to its valid instance and the message they raise.

@@ -1,6 +1,7 @@
 """Tests for the junior-debt vega, thresholds, and regime classification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,23 @@ class TestThresholds:
     def test_rejects_inputs_outside_the_domain(self, evaluate):
         with pytest.raises(ValidationError):
             evaluate()
+
+    @pytest.mark.parametrize(
+        "cs,sigma,message",
+        [
+            (_cs(62.0, r=-800.0), 0.0, "threshold discount factor e^800.0 overflows"),
+            (_cs(62.0, r=0.0, q=800.0), 0.1, "threshold discount factor e^799.995 overflows"),
+            (
+                _cs(62.0, r=-707.0),
+                0.0,
+                "threshold 1.1122405015634333e+307 * sqrt(60.0 * 70.0) overflows",
+            ),
+        ],
+        ids=["growth-overflow", "yield-growth-overflow", "threshold-overflow"],
+    )
+    def test_overflow_messages(self, cs, sigma, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            risk_shift_threshold(cs, sigma)
 
     @given(
         finite_floats(0.5, 300.0),
