@@ -26,6 +26,8 @@ slot, and later calls read it back.  The structure is immutable, so the
 stored tuple is what the kernel would compute again.  A kernel call that
 raises stores nothing, so it raises again on the next call.  The slot is
 not a field: equality, hash, repr, pickling and copying never see it.
+Prices at a sigma other than the structure's own come from ``_claims``
+directly, as the sweeps and the sigma-search oracles take them.
 
 The standard normal CDF and density live here, next to the kernel, and
 ``black_scholes`` imports them.  The CDF is computed as

@@ -3,7 +3,12 @@
 Three routes that do not share code with the formulas they check:
 Monte-Carlo pricing from simulated terminal asset values, a numeric
 one-dimensional argmax (coarse grid plus golden-section refinement), and
-central finite differences for the junior-debt vega.
+central finite differences for the junior-debt vega.  The argmax and the
+finite difference maximize and differentiate the kernel's junior value,
+``claims._claims(cs, sigma)[1]``, on the caller's validated structure;
+they never read the kernel's vega or the closed-form sigma*, the results
+they check.  numpy builds only the coarse grid, so the kernel and
+``golden_section_max`` see Python floats.
 
 Randomness contract
 -------------------
@@ -62,7 +67,7 @@ import math
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .claims import CapitalStructure, junior_debt_value
+from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range, checked_exp
 from .record import Record, set_field
 from .scenario import MCConfig
@@ -391,8 +396,10 @@ def golden_section_max(
     no longer narrows it (a tolerance below the float spacing there).
 
     Raises:
-        ValidationError: If tolerance is not finite and > 0.
+        ValidationError: If lower < upper fails or either is not finite,
+            or if tolerance is not finite and > 0.
     """
+    check_range("search interval", lower, upper)
     check("tolerance", tolerance, "finite and > 0")
     a, b = lower, upper
     c = b - _INV_PHI * (b - a)
@@ -424,9 +431,9 @@ def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
     """
     import numpy as np
 
-    sigmas = np.geomspace(grid.lower, grid.upper, _COARSE_POINTS)
-    values = [_junior_value_at(cs, s) for s in sigmas]
-    peak = int(np.argmax(values))
+    sigmas = np.geomspace(grid.lower, grid.upper, _COARSE_POINTS).tolist()
+    values = [_claims(cs, s)[1] for s in sigmas]
+    peak = values.index(max(values))  # the first maximum; no junior value is NaN
     if peak == 0:
         return None
     forward = cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity)
@@ -435,35 +442,20 @@ def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
         return None
     lo = sigmas[peak - 1]
     hi = sigmas[peak + 1] if peak + 1 < len(sigmas) else sigmas[-1]
-    return golden_section_max(lambda s: _junior_value_at(cs, s), lo, hi, grid.tolerance)
+    return golden_section_max(lambda s: _claims(cs, s)[1], lo, hi, grid.tolerance)
 
 
 def finite_diff_vega(cs: CapitalStructure, bump: float) -> float:
     """Central-difference junior-debt vega, [B_J(sigma+h) - B_J(sigma-h)] / 2h.
 
     Raises:
-        ValidationError: If bump <= 0 or sigma - bump <= 0.
+        ValidationError: If bump <= 0, sigma - bump <= 0, or
+            sigma + bump == sigma - bump in float arithmetic.
     """
     check("bump", bump, "finite and > 0")
-    if not cs.volatility - bump > 0.0:
-        raise ValidationError(
-            f"bump {bump} too large for volatility {cs.volatility}"
-        )
-    up = _junior_value_at(cs, cs.volatility + bump)
-    down = _junior_value_at(cs, cs.volatility - bump)
-    return (up - down) / (2.0 * bump)
-
-
-def _junior_value_at(cs: CapitalStructure, sigma: float) -> float:
-    """``junior_debt_value`` of ``cs`` rebuilt, and so checked, at ``sigma``."""
-    return junior_debt_value(
-        CapitalStructure(
-            cs.asset_value,
-            cs.senior_face,
-            cs.junior_face,
-            sigma,
-            cs.maturity,
-            cs.rate,
-            cs.dividend_yield,
-        )
-    )
+    sigma = cs.volatility
+    if not sigma - bump > 0.0:
+        raise ValidationError(f"bump {bump} too large for volatility {sigma}")
+    if sigma + bump == sigma - bump:
+        raise ValidationError(f"bump {bump} vanishes against volatility {sigma}")
+    return (_claims(cs, sigma + bump)[1] - _claims(cs, sigma - bump)[1]) / (2.0 * bump)

@@ -97,12 +97,12 @@ def _bounded(f, limit=1000):
     """f, raising once it has been called more than ``limit`` times."""
     calls = 0
 
-    def counted(x):
+    def counted(*args):
         nonlocal calls
         calls += 1
         if calls > limit:
             raise RuntimeError(f"more than {limit} evaluations: the search does not end")
-        return f(x)
+        return f(*args)
 
     return counted
 
@@ -644,7 +644,7 @@ class TestArgmaxSearch:
 
     def test_tolerance_below_float_spacing_ends(self, monkeypatch):
         # A search that stops narrowing must stop; the bound turns a hang into a failure.
-        monkeypatch.setattr(oracle, "junior_debt_value", _bounded(junior_debt_value))
+        monkeypatch.setattr(oracle, "_claims", _bounded(oracle._claims))
         numeric = argmax_sigma_numeric(_cs(62.0), GridSpec(0.01, 1.5, 1e-300))
         assert abs(numeric - optimal_volatility(_cs(62.0))) < 1e-4
 
@@ -652,6 +652,63 @@ class TestArgmaxSearch:
     def test_golden_section_rejects_bad_tolerance(self, tolerance):
         with pytest.raises(ValidationError):
             golden_section_max(_bounded(lambda s: -((s - 1.7) ** 2)), 0.0, 2.0, tolerance)
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            (math.nan, 2.0),
+            (0.0, math.nan),
+            (0.0, math.inf),
+            (-math.inf, 2.0),
+            (2.0, 0.0),
+            (1.0, 1.0),
+        ],
+    )
+    def test_golden_section_rejects_bad_interval(self, lower, upper):
+        with pytest.raises(ValidationError):
+            golden_section_max(_bounded(lambda s: -((s - 1.7) ** 2)), lower, upper, 1e-6)
+
+
+class TestSearchKernelCalls:
+    """The argmax and the finite difference price the caller's structure."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        built, calls = [], []
+        init, claims = CapitalStructure.__init__, oracle._claims
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def recording_claims(cs, sigma):
+            calls.append((cs, sigma))
+            return claims(cs, sigma)
+
+        monkeypatch.setattr(CapitalStructure, "__init__", counting_init)
+        monkeypatch.setattr(oracle, "_claims", recording_claims)
+        return built, calls
+
+    @pytest.mark.parametrize("v", [62.0, 100.0])
+    def test_argmax_builds_no_structure(self, kernel_calls, v):
+        cs = _cs(v)
+        built, calls = kernel_calls
+        built.clear()
+        argmax_sigma_numeric(cs, SEARCH_GRID)
+        assert built == []
+        assert len(calls) >= oracle._COARSE_POINTS
+        assert all(structure is cs and type(sigma) is float for structure, sigma in calls)
+
+    def test_finite_diff_builds_no_structure(self, kernel_calls):
+        cs = _cs(62.0, sigma=0.10)
+        built, calls = kernel_calls
+        built.clear()
+        finite_diff_vega(cs, 1e-5)
+        assert built == []
+        assert [(structure is cs, sigma) for structure, sigma in calls] == [
+            (True, 0.10 + 1e-5),
+            (True, 0.10 - 1e-5),
+        ]
 
 
 class TestFiniteDifference:
@@ -683,6 +740,20 @@ class TestFiniteDifference:
             finite_diff_vega(_cs(62.0), math.nan)
         with pytest.raises(ValidationError):
             finite_diff_vega(_cs(62.0), math.inf)
+        # sigma + h == sigma - h: the difference would read 0.0 for any vega.
+        with pytest.raises(ValidationError):
+            finite_diff_vega(_cs(62.0, sigma=0.10), 1e-18)
+        with pytest.raises(ValidationError):
+            finite_diff_vega(_cs(62.0, sigma=1.0), 1e-17)
+
+    @given(distressed_structures(min_sigma=0.01, with_yield=True))
+    @settings(max_examples=100)
+    def test_equals_difference_of_rebuilt_structures(self, cs):
+        sigma = cs.volatility
+        for bump in (1e-5, 1e-3, 0.5 * sigma):
+            up = junior_debt_value(rebuilt(cs, volatility=sigma + bump))
+            down = junior_debt_value(rebuilt(cs, volatility=sigma - bump))
+            assert finite_diff_vega(cs, bump).hex() == ((up - down) / (2.0 * bump)).hex()
 
 
 class TestConfigValidation:
