@@ -99,8 +99,9 @@ def risk_shift_threshold(cs: CapitalStructure, sigma: float) -> float:
     geometric mean of the senior and total face values.  The junior vega
     at volatility ``sigma`` changes sign from positive to negative as the
     asset value crosses this threshold.  The structure's asset value and
-    volatility are ignored.  Raises ValidationError where the threshold
-    overflows.
+    volatility are ignored.  Where F_S (F_S + F_J) falls below the normal
+    float range, the root is taken as sqrt(F_S) sqrt(F_S + F_J).  Raises
+    ValidationError where the threshold overflows.
     """
     check("sigma", sigma, "finite and >= 0")
     return _threshold(cs, sigma)
@@ -127,7 +128,11 @@ def _threshold(cs: CapitalStructure, sigma: float) -> float:
         raise ValidationError(f"threshold discount factor e^{-exponent} overflows") from None
     senior_face = cs.senior_face
     total_face = senior_face + cs.junior_face  # cs.total_face, without the property call
-    threshold = growth * math.sqrt(senior_face * total_face)
+    face_product = senior_face * total_face
+    if face_product < 2.2250738585072014e-308:  # sys.float_info.min: subnormal or 0
+        threshold = growth * (math.sqrt(senior_face) * math.sqrt(total_face))
+    else:
+        threshold = growth * math.sqrt(face_product)
     if not threshold < math.inf:  # also 0 * inf = NaN where growth underflows
         raise ValidationError(
             f"threshold {growth} * sqrt({senior_face} * {total_face}) overflows"

@@ -1,13 +1,15 @@
-"""Shared hypothesis strategies for model inputs, a record rebuilder, and a
-sweep CSV reader."""
+"""Shared hypothesis strategies for model inputs, a record rebuilder, a
+sweep CSV reader, and the environment of a child process."""
 
 import csv
 import inspect
 import math
+import os
 
 import hypothesis
 from hypothesis import strategies as st
 
+import subdebt
 from subdebt import CapitalStructure, OptionInputs
 
 hypothesis.settings.register_profile("default", deadline=None)
@@ -82,3 +84,17 @@ def read_sweep_csv(stream):
     header, *records = csv.reader(stream)
     columns = zip(*([float(cell) if cell else math.nan for cell in r] for r in records))
     return dict(zip(header, columns))
+
+
+# The directory that holds the imported package: ``src`` in a checkout,
+# ``site-packages`` where the package is installed.
+_PACKAGE_PARENT = os.path.dirname(os.path.dirname(subdebt.__file__))
+
+
+def child_env(**variables):
+    """This environment with ``variables`` set and the directory that holds
+    the imported ``subdebt`` first on the module path, so that a child
+    process runs the package this process runs."""
+    env = dict(os.environ, **variables)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_PARENT, env.get("PYTHONPATH")]))
+    return env

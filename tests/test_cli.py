@@ -6,11 +6,10 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import count_calls, read_sweep_csv
+from conftest import child_env, count_calls, read_sweep_csv
 
 import subdebt.risk as risk
 import subdebt.verify as verify
@@ -37,8 +36,6 @@ rate = 0.01
 paths = 100000
 seed = 1
 """
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 SOLVENT = DISTRESSED.replace("asset_value = 62", "asset_value = 100").replace(
     "name = distressed", "name = solvent"
@@ -69,13 +66,6 @@ def solvent(tmp_path):
     path = tmp_path / "solvent.ini"
     path.write_text(SOLVENT)
     return str(path)
-
-
-def _env():
-    """This environment with the checkout's ``src`` first on the module path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return env
 
 
 class TestPrice:
@@ -475,7 +465,7 @@ class TestExitCodes:
         path.write_text(DISTRESSED + f"antithetic = {value}\n")
         result = subprocess.run(
             [sys.executable, "-m", "subdebt", "verify", "--scenario", str(path)],
-            env=_env(),
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -492,7 +482,7 @@ class TestExitCodes:
         args = ["verify", "--scenario", str(path), "--paths", "2000", "--format", "json"]
         result = subprocess.run(
             [sys.executable, "-W", "error", "-m", "subdebt", *args],
-            env=_env(),
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -506,7 +496,7 @@ class TestExitCodes:
         args = ["verify", "--scenario", distressed, "--paths", str(10**18)]
         result = subprocess.run(
             [sys.executable, "-m", "subdebt", *args],
-            env=_env(),
+            env=child_env(),
             capture_output=True,
             text=True,
         )
@@ -564,7 +554,7 @@ class TestExitCodes:
         with open("/dev/full", "w") as full:
             result = subprocess.run(
                 [sys.executable, "-m", "subdebt", *args],
-                env=_env(),
+                env=child_env(),
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,
@@ -601,7 +591,7 @@ class TestExitCodes:
     def test_help_that_cannot_be_written_is_usage_error(self, args, unbuffered):
         # Unbuffered, the failed write happens inside argparse; buffered, at
         # the flush after it.
-        env = _env()
+        env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
@@ -643,7 +633,7 @@ class TestExitCodes:
         args = [*command, "--scenario", distressed, "--steps", "20000", "--format", fmt]
         with subprocess.Popen(
             [sys.executable, "-m", "subdebt", *args],
-            env=_env(),
+            env=child_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

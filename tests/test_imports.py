@@ -13,12 +13,14 @@ already imported all of these.
 """
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import subdebt
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "scenarios" / "distressed.ini"
@@ -87,13 +89,9 @@ print(json.dumps({"modules": sorted(sys.modules)}))
 
 
 def _loaded_after(argv, probe=_PROBE):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv],
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
         check=True,
@@ -162,7 +160,7 @@ def test_verify_loads_only_the_compiled_ufuncs():
 def test_only_black_scholes_loads_dataclasses():
     names = [
         f"subdebt.{path.stem}"
-        for path in sorted((ROOT / "src" / "subdebt").glob("*.py"))
+        for path in sorted(Path(subdebt.__file__).parent.glob("*.py"))
         if path.stem not in {"__init__", "__main__", "black_scholes"}
     ]
     modules = set(_loaded_after(names, _IMPORT_PROBE)["modules"])

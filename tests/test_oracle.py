@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import threading
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import distressed_structures, rebuilt
+from conftest import child_env, distressed_structures, rebuilt
 import subdebt.oracle as oracle
 from subdebt import (
     CapitalStructure,
@@ -33,22 +32,33 @@ from subdebt import (
 )
 
 SEARCH_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
-SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints the std-error reprs of 200k-path estimates for three structures.
+# The bundled scenario whose ``verify`` JSON the probes below print.
+SCENARIO = str(Path(__file__).resolve().parents[1] / "scenarios" / "distressed.ini")
+VERIFY = ["verify", "--scenario", SCENARIO, "--paths", "200000", "--format", "json"]
+
+# Prints the std-error reprs of 200k-path estimates for three structures,
+# then the ``verify`` report its arguments ask for.
 _STD_ERROR_PROBE = """\
+import sys
 from subdebt import CapitalStructure, MCConfig, mc_claim_values
+from subdebt.cli import main
 for v, q in ((62.0, 0.0), (100.0, 0.02), (64.0, 0.0)):
     cs = CapitalStructure(v, 60.0, 10.0, 0.2, 1.0, 0.01, q)
     for estimate in mc_claim_values(cs, MCConfig(200_000, 5)):
         print(repr(estimate.std_error))
+sys.exit(main(sys.argv[1:]))
 """
 
-# Runs the frozen-sequence structure at 200k paths by the default ndtri
-# route, or with the compiled-ufuncs route broken as a changed scipy layout
-# would break it, and prints the results and the scipy.special left loaded.
+# Runs the frozen-sequence structure at 200k paths, then the ``verify``
+# command its remaining arguments name, by one ndtri route: the default,
+# scipy.special imported first, or the compiled-ufuncs route broken as a
+# changed scipy layout would break it.  Prints the results and the
+# scipy.special left loaded.
 _NDTRI_ROUTE_PROBE = """\
-import hashlib, importlib, json, sys
+import contextlib, hashlib, importlib, io, json, sys
+if sys.argv[1] == "scipy-special":
+    import scipy.special
 if sys.argv[1] == "fallback":
     import_module = importlib.import_module
 
@@ -59,14 +69,19 @@ if sys.argv[1] == "fallback":
 
     importlib.import_module = broken
 from subdebt import CapitalStructure, MCConfig, mc_claim_values, simulate_terminal_values
+from subdebt.cli import main
 cs = CapitalStructure(62.0, 60.0, 10.0, 0.262, 1.0, 0.01, 0.0)
 mc = MCConfig(200_000, seed=42)
 terminal = simulate_terminal_values(cs, mc)
+estimates = [[e.mean.hex(), e.std_error.hex()] for e in mc_claim_values(cs, mc)]
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    code = main(sys.argv[2:])
 special = sys.modules.get("scipy.special")
 print(json.dumps({
     "head": terminal[:8].tolist(),
     "terminal": hashlib.sha256(terminal.tobytes()).hexdigest(),
-    "estimates": [[e.mean.hex(), e.std_error.hex()] for e in mc_claim_values(cs, mc)],
+    "estimates": estimates,
+    "verify": [code, report.getvalue()],
     "special": None if special is None else getattr(special, "__file__", "stub"),
 }))
 """
@@ -113,11 +128,9 @@ def _cs(v, fs=60.0, fj=10.0, sigma=0.262, tau=1.0, r=0.01, q=0.0):
 
 def _run_probe(probe, *args, **env_vars):
     """stdout of ``probe`` run with ``args`` in a fresh interpreter."""
-    env = dict(os.environ, **env_vars)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", probe, *args],
-        env=env,
+        env=child_env(**env_vars),
         capture_output=True,
         text=True,
         check=True,
@@ -201,15 +214,20 @@ class TestSimulation:
         with pytest.raises(ValidationError, match="leave the float range"):
             mc_claim_values(cs, MCConfig(2, seed=1))
 
-    def test_ndtri_fallback_route_gives_the_same_bits(self):
-        default, fallback = (
-            json.loads(_run_probe(_NDTRI_ROUTE_PROBE, route)) for route in ("default", "fallback")
+    def test_every_ndtri_route_gives_the_same_bits(self):
+        default, preloaded, fallback = (
+            json.loads(_run_probe(_NDTRI_ROUTE_PROBE, route, *VERIFY))
+            for route in ("default", "scipy-special", "fallback")
         )
         # The compiled-ufuncs route leaves no scipy.special, stub or real,
-        # behind; the fallback leaves the real package.
+        # behind; the other two leave the real package.
         assert default.pop("special") is None
+        assert preloaded.pop("special").endswith("__init__.py")
         assert fallback.pop("special").endswith("__init__.py")
         assert default["head"] == self.FROZEN
+        assert default["verify"][0] == 0
+        assert json.loads(default["verify"][1])["paths"] == 200_000
+        assert preloaded == default
         assert fallback == default
 
     def test_only_the_calling_thread_resolves_ndtri(self):
@@ -372,10 +390,15 @@ class TestStreaming:
     def test_standard_errors_do_not_depend_on_blas_threads(self):
         # A threaded BLAS dot product splits its sum, so its last bits would
         # follow OPENBLAS_NUM_THREADS.  Each run needs a fresh process.
+        # The probe also prints the ``verify`` JSON, whose every number must
+        # keep its bits too.
         outputs = [
-            _run_probe(_STD_ERROR_PROBE, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")
+            _run_probe(_STD_ERROR_PROBE, *VERIFY, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")
         ]
-        assert len(outputs[0].split()) == 9
+        *std_errors, report = outputs[0].split("\n", 9)
+        assert all(float(line) > 0 for line in std_errors)
+        assert json.loads(report)["paths"] == 200_000
         assert outputs[0] == outputs[1]
 
     def test_single_pair_has_zero_standard_error(self):

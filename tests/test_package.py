@@ -2,10 +2,13 @@
 and is then a plain attribute of the package."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
 import subdebt
+from conftest import child_env
 
 
 @pytest.mark.parametrize("name", subdebt.__all__)
@@ -43,3 +46,15 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         subdebt.no_such_name
     assert not hasattr(subdebt, "no_such_name")
+
+
+def test_child_process_imports_the_package_this_process_runs(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", "import subdebt; print(subdebt.__file__)"],
+        env=child_env(),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == f"{subdebt.__file__}\n"

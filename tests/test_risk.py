@@ -125,6 +125,20 @@ class TestThresholds:
             math.exp(-0.06) * face * math.sqrt(2.0), rel=1e-12
         )
 
+    # F_S (F_S + F_J) is subnormal at faces of 1e-160 and underflows to 0 at
+    # 1e-200; the thresholds still scale with the faces.
+    @pytest.mark.parametrize("k", [1e-160, 1e-200], ids=["subnormal-product", "zero-product"])
+    def test_tiny_faces_scale_the_thresholds(self, k):
+        unit = CapitalStructure(1.0, 1.0, 1.0, 0.2, 1.0, 0.01)
+        tiny = CapitalStructure(k, k, k, 0.2, 1.0, 0.01)
+        for threshold in (hump_threshold, lambda cs: risk_shift_threshold(cs, 0.2)):
+            assert threshold(tiny) == pytest.approx(k * threshold(unit), rel=4 * 2**-52, abs=0)
+        expected, profile = classify_regime(unit, 0.2), classify_regime(tiny, 0.2)
+        assert profile.regime is expected.regime is Regime.HUMP_SHAPED
+        assert profile.shifts_above_initial is expected.shifts_above_initial is True
+        assert profile.chosen_risk == pytest.approx(expected.chosen_risk, rel=1e-12)
+        assert chosen_risk(tiny, 0.2) == profile.chosen_risk
+
     def test_shift_threshold_at_zero_sigma_equals_hump_threshold(self):
         assert risk_shift_threshold(_cs(62.0), 0.0) == hump_threshold(_cs(62.0))
 
