@@ -27,6 +27,10 @@ from .record import Record, set_field
 # Radicands this close to zero are treated as the boundary case where the
 # interior maximizer degenerates to sigma = 0.
 _RADICAND_TOL = 1e-12
+# sys.float_info.min, the least normal float: below it a product or ratio
+# is subnormal or 0 and has lost digits.
+_NORMAL_MIN = 2.2250738585072014e-308
+_INF = math.inf
 
 
 class Regime(enum.Enum):
@@ -99,9 +103,11 @@ def risk_shift_threshold(cs: CapitalStructure, sigma: float) -> float:
     geometric mean of the senior and total face values.  The junior vega
     at volatility ``sigma`` changes sign from positive to negative as the
     asset value crosses this threshold.  The structure's asset value and
-    volatility are ignored.  Where F_S (F_S + F_J) falls below the normal
-    float range, the root is taken as sqrt(F_S) sqrt(F_S + F_J).  Raises
-    ValidationError where the threshold overflows.
+    volatility are ignored.  Where F_S (F_S + F_J) is not a normal float,
+    the root is taken as sqrt(F_S) sqrt(F_S + F_J); where the growth
+    factor e^{-(r - q + sigma^2/2) tau} is not, the threshold is taken as
+    exp(ln F_S / 2 + ln(F_S + F_J) / 2 - (r - q + sigma^2/2) tau).  Raises
+    ValidationError only where the threshold itself overflows.
     """
     check("sigma", sigma, "finite and >= 0")
     return _threshold(cs, sigma)
@@ -121,23 +127,31 @@ def hump_threshold(cs: CapitalStructure) -> float:
 def _threshold(cs: CapitalStructure, sigma: float) -> float:
     """``risk_shift_threshold`` for a validated ``sigma``."""
     exponent = (cs.rate - cs.dividend_yield + 0.5 * sigma * sigma) * cs.maturity
-    # errors.checked_exp, inlined: classify_regime and chosen_risk run this per firm.
+    senior_face = cs.senior_face
+    total_face = senior_face + cs.junior_face  # cs.total_face, without the property call
     try:
         growth = math.exp(-exponent)
     except OverflowError:
-        raise ValidationError(f"threshold discount factor e^{-exponent} overflows") from None
-    senior_face = cs.senior_face
-    total_face = senior_face + cs.junior_face  # cs.total_face, without the property call
-    face_product = senior_face * total_face
-    if face_product < 2.2250738585072014e-308:  # sys.float_info.min: subnormal or 0
-        threshold = growth * (math.sqrt(senior_face) * math.sqrt(total_face))
-    else:
-        threshold = growth * math.sqrt(face_product)
-    if not threshold < math.inf:  # also 0 * inf = NaN where growth underflows
+        growth = _INF
+    if _NORMAL_MIN <= growth < _INF:
+        face_product = senior_face * total_face
+        if _NORMAL_MIN <= face_product < _INF:
+            threshold = growth * math.sqrt(face_product)
+        else:
+            threshold = growth * (math.sqrt(senior_face) * math.sqrt(total_face))
+        if threshold < _INF:
+            return threshold
         raise ValidationError(
             f"threshold {growth} * sqrt({senior_face} * {total_face}) overflows"
         )
-    return threshold
+    # The growth factor over- or underflows, or is subnormal: add the logs.
+    try:
+        threshold = math.exp(0.5 * math.log(senior_face) + 0.5 * math.log(total_face) - exponent)
+    except OverflowError:
+        threshold = _INF
+    if threshold < _INF:  # also NaN where the exponent is
+        return threshold
+    raise ValidationError(f"threshold discount factor e^{-exponent} overflows")
 
 
 def optimal_volatility(cs: CapitalStructure) -> float | None:
@@ -147,30 +161,39 @@ def optimal_volatility(cs: CapitalStructure) -> float | None:
     below ``hump_threshold``; None above it, where the junior value is
     decreasing in volatility.  Radicands within 1e-12 of zero map to the
     boundary value 0.0 rather than to a rounding-noise root.  Where
-    F_S (F_S + F_J), V^2 or their ratio leaves the float range, the log
-    is taken as ln F_S + ln(F_S + F_J) - 2 ln V.  The structure's own
-    volatility field is ignored.  Raises ValidationError where the
-    radicand itself leaves the float range.
+    F_S (F_S + F_J), V^2 or their ratio is not a normal float, the log is
+    taken as ln(F_S / V) + ln((F_S + F_J) / V), and where those ratios are
+    not normal either, as ln F_S + ln(F_S + F_J) - 2 ln V.  The
+    structure's own volatility field is ignored.  Raises ValidationError
+    where the radicand itself leaves the float range.
     """
     return _optimal_volatility(cs, cs.asset_value)
 
 
 def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float | None:
     """``optimal_volatility`` of ``cs`` with its asset value replaced."""
-    try:
-        log_ratio = math.log(cs.senior_face * cs.total_face / (asset_value * asset_value))
-    except (ValueError, ZeroDivisionError):  # V^2 or the ratio underflowed to 0
-        log_ratio = math.nan
-    if not log_ratio < math.inf:  # +inf: the ratio overflowed; NaN: set above, or inf / inf
-        log_ratio = (
-            math.log(cs.senior_face) + math.log(cs.total_face) - 2.0 * math.log(asset_value)
-        )
+    senior_face, total_face = cs.senior_face, cs.total_face
+    face_product = senior_face * total_face
+    v_squared = asset_value * asset_value
+    # An infinite product or V^2 makes the ratio inf, 0 or NaN.
+    if (
+        face_product >= _NORMAL_MIN
+        and v_squared >= _NORMAL_MIN
+        and _NORMAL_MIN <= (ratio := face_product / v_squared) < _INF
+    ):
+        log_ratio = math.log(ratio)
+    else:
+        senior_ratio, total_ratio = senior_face / asset_value, total_face / asset_value
+        if _NORMAL_MIN <= senior_ratio < _INF and _NORMAL_MIN <= total_ratio < _INF:
+            log_ratio = math.log(senior_ratio) + math.log(total_ratio)
+        else:
+            log_ratio = math.log(senior_face) + math.log(total_face) - 2.0 * math.log(asset_value)
     radicand = log_ratio / cs.maturity - 2.0 * cs.rate + 2.0 * cs.dividend_yield
     if radicand < -_RADICAND_TOL:
         return None
     if radicand <= _RADICAND_TOL:
         return 0.0
-    if radicand < math.inf:
+    if radicand < _INF:
         return math.sqrt(radicand)
     # +inf, or NaN from inf - inf: no float holds sigma*^2.
     raise ValidationError(
@@ -188,7 +211,7 @@ def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
     and only if the asset value is below ``risk_shift_threshold``
     evaluated at ``initial_sigma``.
     """
-    if not 0.0 < initial_sigma < math.inf:
+    if not 0.0 < initial_sigma < _INF:
         raise _domain_error("initial_sigma", initial_sigma, "finite and > 0")
     best = _optimal_volatility(cs, cs.asset_value)
     shift_at_initial = _threshold(cs, initial_sigma)
@@ -216,7 +239,7 @@ def chosen_risk(cs: CapitalStructure, initial_sigma: float) -> float:
     forms sigma* and the shift threshold only, so it also returns where
     just the hump threshold overflows.
     """
-    if not 0.0 < initial_sigma < math.inf:
+    if not 0.0 < initial_sigma < _INF:
         raise _domain_error("initial_sigma", initial_sigma, "finite and > 0")
     return _chosen_risk(
         _optimal_volatility(cs, cs.asset_value),

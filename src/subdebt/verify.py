@@ -1,20 +1,19 @@
 """Checks of the closed forms against the independent oracles in ``oracle``.
 
-The tolerances, and the rules that decide whether a check passes, live here.
+The tolerances live here.  Each check is one function that returns its
+report entries and decides with one comparison against one tolerance:
+``_claim_checks``, ``_argmax_check`` and ``_vega_check``.  A new check is
+one function plus one entry in ``run_verification``'s list.
 """
 
 import math
+from collections.abc import Iterator
 
 from .claims import CapitalStructure, value_all_claims
 from .oracle import GridSpec, MCConfig, argmax_sigma_numeric, finite_diff_vega, mc_claim_values
 from .risk import junior_debt_vega, optimal_volatility
 
-# Verification tolerances: claim prices must sit within this many standard
-# errors of their Monte-Carlo estimates (plus a tiny absolute slack for
-# exactly degenerate runs); the numeric and closed-form maximizers must
-# agree to ARGMAX_TOL; the analytic vega must match a central finite
-# difference to VEGA_RELTOL, except at a stationary point, where the
-# finite difference itself must vanish at scale STATIONARY_SCALE * V.
+# Verification tolerances; the docstring of each check states its rule.
 SE_MULTIPLE = 3.0
 SE_SLACK = 1e-9
 ARGMAX_TOL = 1e-4
@@ -27,7 +26,7 @@ ARGMAX_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
 # When a claim's payoff sample is (almost) constant -- e.g. a senior bond
 # whose default probability is far below 1/paths -- the sample standard
 # error says nothing about the unsampled tail, so the 3-SE test is
-# vacuous.  In that regime the check instead allows the rule-of-three
+# vacuous.  In that regime the tolerance is raised to the rule-of-three
 # bound on an unobserved event: probability <= RULE_OF_THREE / paths at
 # ~99.9% confidence, times an upper bound on the claim's value.
 DEGENERATE_SE_SCALE = 1e-12
@@ -36,87 +35,7 @@ RULE_OF_THREE = 7.0
 
 def run_verification(cs: CapitalStructure, mc: MCConfig) -> dict:
     """Run all verification checks and collect a structured report."""
-    checks = []
-
-    closed = value_all_claims(cs)
-    estimates = mc_claim_values(cs, mc)
-    discount = math.exp(-cs.rate * cs.maturity)
-    value_bounds = (
-        cs.senior_face * discount,
-        cs.junior_face * discount,
-        cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity),
-    )
-    for name, closed_value, estimate, bound in zip(
-        ("senior_value", "junior_value", "equity_value"),
-        (closed.senior_value, closed.junior_value, closed.equity_value),
-        estimates,
-        value_bounds,
-    ):
-        diff = abs(closed_value - estimate.mean)
-        passed = diff <= SE_MULTIPLE * estimate.std_error + SE_SLACK
-        degenerate = estimate.std_error < DEGENERATE_SE_SCALE * bound
-        # A (near-)constant sample's standard error is rounding noise, so no
-        # multiple of it means anything.
-        if degenerate or estimate.std_error == 0.0:
-            multiples = None
-        else:
-            multiples = diff / estimate.std_error
-        if not passed and degenerate:
-            passed = diff <= RULE_OF_THREE * bound / mc.path_count
-        checks.append(
-            {
-                "name": f"mc_{name}",
-                "closed_form": closed_value,
-                "estimate": estimate.mean,
-                "std_error": estimate.std_error,
-                "se_multiples": multiples,
-                "degenerate_sample": degenerate,
-                "passed": passed,
-            }
-        )
-
-    best_closed = optimal_volatility(cs)
-    best_numeric = argmax_sigma_numeric(cs, ARGMAX_GRID)
-    if best_closed is None or best_numeric is None:
-        argmax_passed = best_closed is None and best_numeric is None
-        argmax_error = None
-    else:
-        argmax_error = abs(best_closed - best_numeric)
-        argmax_passed = argmax_error < ARGMAX_TOL
-    checks.append(
-        {
-            "name": "optimal_volatility",
-            "closed_form": best_closed,
-            "estimate": best_numeric,
-            "error": argmax_error,
-            "passed": argmax_passed,
-        }
-    )
-
-    if cs.volatility > VEGA_BUMP:
-        analytic = junior_debt_vega(cs)
-        numeric = finite_diff_vega(cs, VEGA_BUMP)
-        if abs(analytic) < VEGA_NEAR_ZERO_SCALE * cs.asset_value:
-            # At a stationary point the relative error is meaningless; the
-            # finite difference itself must vanish at the asset scale.
-            vega_passed = abs(numeric) < STATIONARY_SCALE * cs.asset_value
-            rel_error = None
-        else:
-            rel_error = abs(numeric - analytic) / abs(analytic)
-            vega_passed = rel_error < VEGA_RELTOL
-        vega_check = {
-            "closed_form": analytic,
-            "estimate": numeric,
-            "relative_error": rel_error,
-            "passed": vega_passed,
-        }
-    else:
-        vega_check = {
-            "skipped": f"sigma = {cs.volatility} is too small to difference",
-            "passed": True,
-        }
-    checks.append({"name": "junior_vega", **vega_check})
-
+    checks = [*_claim_checks(cs, mc), _argmax_check(cs), _vega_check(cs)]
     return {
         "paths": mc.path_count,
         "seed": mc.seed,
@@ -124,3 +43,73 @@ def run_verification(cs: CapitalStructure, mc: MCConfig) -> dict:
         "checks": checks,
         "passed": all(check["passed"] for check in checks),
     }
+
+
+def _entry(name: str, closed_form, estimate, passed: bool, **detail) -> dict:
+    """One check's report entry, with the keys every check shares in their order."""
+    return {
+        "name": name, "closed_form": closed_form, "estimate": estimate, **detail, "passed": passed
+    }
+
+
+def _claim_checks(cs: CapitalStructure, mc: MCConfig) -> Iterator[dict]:
+    """Each claim's closed form within SE_MULTIPLE standard errors of its
+    Monte-Carlo estimate, plus SE_SLACK, or within the rule-of-three bound
+    where the sample is degenerate."""
+    closed = value_all_claims(cs)
+    discount = math.exp(-cs.rate * cs.maturity)
+    payout = math.exp(-cs.dividend_yield * cs.maturity)
+    claims = (  # name, closed form, upper bound on the value
+        ("senior_value", closed.senior_value, cs.senior_face * discount),
+        ("junior_value", closed.junior_value, cs.junior_face * discount),
+        ("equity_value", closed.equity_value, cs.asset_value * payout),
+    )
+    for (name, closed_value, bound), estimate in zip(claims, mc_claim_values(cs, mc)):
+        diff = abs(closed_value - estimate.mean)
+        tolerance = SE_MULTIPLE * estimate.std_error + SE_SLACK
+        degenerate = estimate.std_error < DEGENERATE_SE_SCALE * bound
+        if degenerate:
+            tolerance = max(tolerance, RULE_OF_THREE * bound / mc.path_count)
+        # A (near-)constant sample's standard error is rounding noise, so no
+        # multiple of it means anything.
+        no_multiple = degenerate or estimate.std_error == 0.0
+        yield _entry(
+            f"mc_{name}",
+            closed_value,
+            estimate.mean,
+            diff <= tolerance,
+            std_error=estimate.std_error,
+            se_multiples=None if no_multiple else diff / estimate.std_error,
+            degenerate_sample=degenerate,
+        )
+
+
+def _argmax_check(cs: CapitalStructure) -> dict:
+    """The closed-form and numeric maximizers within ARGMAX_TOL, or both absent."""
+    best_closed = optimal_volatility(cs)
+    best_numeric = argmax_sigma_numeric(cs, ARGMAX_GRID)
+    if best_closed is None or best_numeric is None:
+        error = None
+        passed = best_closed is None and best_numeric is None
+    else:
+        error = abs(best_closed - best_numeric)
+        passed = error < ARGMAX_TOL
+    return _entry("optimal_volatility", best_closed, best_numeric, passed, error=error)
+
+
+def _vega_check(cs: CapitalStructure) -> dict:
+    """The analytic junior vega within VEGA_RELTOL of a central finite
+    difference.  At a stationary point, where the relative error means
+    nothing, the difference itself must vanish at scale STATIONARY_SCALE * V."""
+    if cs.volatility <= VEGA_BUMP:
+        reason = f"sigma = {cs.volatility} is too small to difference"
+        return {"name": "junior_vega", "skipped": reason, "passed": True}
+    analytic = junior_debt_vega(cs)
+    numeric = finite_diff_vega(cs, VEGA_BUMP)
+    if abs(analytic) < VEGA_NEAR_ZERO_SCALE * cs.asset_value:
+        relative_error = None
+        passed = abs(numeric) < STATIONARY_SCALE * cs.asset_value
+    else:
+        relative_error = abs(numeric - analytic) / abs(analytic)
+        passed = relative_error < VEGA_RELTOL
+    return _entry("junior_vega", analytic, numeric, passed, relative_error=relative_error)

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies for model inputs, a record rebuilder, a
-sweep CSV reader, and the environment of a child process."""
+sweep CSV reader, the environment of a child process, and the CPU target
+of numpy's ``exp`` loop."""
 
 import csv
 import inspect
@@ -98,3 +99,14 @@ def child_env(**variables):
     env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_PARENT, env.get("PYTHONPATH")]))
     return env
+
+
+def exp_loop():
+    """The CPU target of numpy's float64 ``exp`` loop, or None before numpy 2.
+
+    The Monte-Carlo estimates differ in their last bits between loops."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    return opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import child_env, distressed_structures, rebuilt
+from conftest import child_env, distressed_structures, exp_loop, rebuilt
 import subdebt.oracle as oracle
 from subdebt import (
     CapitalStructure,
@@ -428,15 +428,6 @@ def _estimate_bits(estimates):
     return tuple((e.mean.hex(), e.std_error.hex()) for e in estimates)
 
 
-def _exp_loop():
-    """The CPU target of numpy's float64 ``exp`` loop, or None before numpy 2."""
-    try:
-        from numpy.lib.introspect import opt_func_info
-    except ImportError:
-        return None
-    return opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]
-
-
 # (senior, junior, equity) mean and standard error as float.hex, seed 7, from
 # the single-threaded chunk loop that preceded the two-thread kernel, with
 # numpy's AVX-512 (X86_V4) exp loop.
@@ -527,7 +518,7 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("name, paths", list(PINNED_BITS))
     def test_estimates_have_the_pinned_bits(self, name, paths):
-        loop = _exp_loop()
+        loop = exp_loop()
         if loop not in ("X86_V4", "X86_V3", "baseline(X86_V2)"):
             pytest.skip(f"bits pinned for x86 exp loops only, not {loop}")
         expected = [list(pair) for pair in PINNED_BITS[name, paths]]

@@ -159,8 +159,6 @@ class TestThresholds:
             lambda: risk_shift_threshold(_cs(62.0), math.inf),
             lambda: hump_threshold(_cs(62.0, r=-800.0)),
             lambda: risk_shift_threshold(_cs(62.0, r=0.0, q=800.0), 0.1),
-            lambda: hump_threshold(_cs(62.0, fs=1e200)),
-            lambda: hump_threshold(_cs(62.0, fs=1e300, fj=1e300, r=800.0)),
         ],
         ids=[
             "zero-senior-face",
@@ -170,13 +168,43 @@ class TestThresholds:
             "inf-sigma",
             "growth-overflow",
             "yield-growth-overflow",
-            "face-product-overflow",
-            "face-product-overflow-times-zero-growth",
         ],
     )
     def test_rejects_inputs_outside_the_domain(self, evaluate):
         with pytest.raises(ValidationError):
             evaluate()
+
+    # The threshold is a normal float although F_S (F_S + F_J) or the growth
+    # factor e^{-(r - q + sigma^2/2) tau} is not.  Rounding the exponent
+    # costs up to |exponent| ulps of the threshold.
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            _cs(62.0, fs=1e200),
+            _cs(62.0, fs=1e300, fj=1e300, r=800.0),
+            CapitalStructure(1e200, 1e200, 1e200, 0.2, 1.0, 0.01),
+            _cs(62.0, fs=1e-300, fj=1e-300, r=-800.0),
+            _cs(62.0, fs=1e150, fj=1e150, r=720.0),
+        ],
+        ids=[
+            "face-product-overflow",
+            "product-overflow-zero-growth",
+            "huge-faces",
+            "growth-overflow-tiny-faces",
+            "subnormal-growth",
+        ],
+    )
+    def test_finite_at_extreme_faces_and_rates(self, cs):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        senior_face = mp.mpf(cs.senior_face)
+        root = mp.sqrt(senior_face * (senior_face + cs.junior_face))
+        for sigma in (0.0, 0.2):
+            threshold = risk_shift_threshold(cs, sigma) if sigma else hump_threshold(cs)
+            exponent = (mp.mpf(cs.rate) - cs.dividend_yield + mp.mpf(sigma) ** 2 / 2) * cs.maturity
+            exact = float(mp.exp(-exponent) * root)
+            ulps = 4 + abs(float(exponent))
+            assert threshold == pytest.approx(exact, rel=ulps * 2**-52, abs=0)
 
     @pytest.mark.parametrize(
         "cs,sigma,message",
@@ -313,6 +341,16 @@ class TestOptimalVolatility:
     def test_radicand_out_of_float_range_is_validation_error(self, cs):
         with pytest.raises(ValidationError, match="leaves the float range"):
             optimal_volatility(cs)
+
+    # V = k, F_S = 1.1 k and F_J = 0.7 k have the same F_S / V and
+    # (F_S + F_J) / V at every power of two k, while F_S (F_S + F_J) and V^2
+    # leave the normal range for |j| > 511.
+    def test_scaling_the_structure_by_a_power_of_two_keeps_sigma_star(self):
+        unit = optimal_volatility(CapitalStructure(1.0, 1.1, 0.7, 0.2, 1.0, 0.01))
+        for j in range(-1000, 1001):
+            k = 2.0**j
+            cs = CapitalStructure(k, 1.1 * k, 0.7 * k, 0.2, 1.0, 0.01)
+            assert optimal_volatility(cs) == pytest.approx(unit, rel=1e-14, abs=0), j
 
     def test_structure_volatility_field_is_ignored(self):
         assert optimal_volatility(_cs(62.0, sigma=0.9)) == optimal_volatility(

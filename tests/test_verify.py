@@ -5,7 +5,14 @@ import math
 import pytest
 
 import subdebt.verify as verify
-from subdebt import CapitalStructure, ClaimValues, MCConfig, optimal_volatility
+from subdebt import (
+    CapitalStructure,
+    ClaimValues,
+    MCConfig,
+    MCEstimate,
+    optimal_volatility,
+    value_all_claims,
+)
 from subdebt.verify import RULE_OF_THREE, SE_MULTIPLE, SE_SLACK, run_verification
 
 CHECK_NAMES = [
@@ -103,3 +110,44 @@ def test_closed_form_off_by_many_standard_errors_fails(monkeypatch):
     assert checks["mc_senior_value"]["passed"] is True
     assert checks["mc_equity_value"]["passed"] is True
     assert report["passed"] is False
+
+
+# A junior face of 1e-6 bounds the junior claim by 1e-6 e^{-0.01}, so over
+# 2000 paths its rule-of-three bound (3.5e-9) exceeds the SE tolerance of a
+# constant sample (SE_SLACK, 1e-9); over 2**32 paths it falls below it.
+@pytest.mark.parametrize(
+    "std_error, offset, paths, degenerate, above_se, above_rule, passed",
+    [
+        (1e-10, 2e-9, 2000, False, True, False, False),
+        (0.0, 2e-9, 2000, True, True, False, True),
+        (0.0, 1e-8, 2000, True, True, True, False),
+        (0.0, 5e-10, 2**32, True, False, True, True),
+    ],
+    ids=[
+        "sampled-between-the-tolerances",
+        "degenerate-within-the-rule-of-three",
+        "degenerate-above-both",
+        "degenerate-within-the-se-tolerance-only",
+    ],
+)
+def test_claim_check_holds_each_sample_to_its_one_tolerance(
+    monkeypatch, std_error, offset, paths, degenerate, above_se, above_rule, passed
+):
+    cs = CapitalStructure(62.0, 60.0, 1e-6, 0.10, 1.0, 0.01)
+    closed = value_all_claims(cs)
+
+    def estimates(cs, mc):
+        return (
+            MCEstimate(closed.senior_value, 1.0, paths),
+            MCEstimate(closed.junior_value + offset, std_error, paths),
+            MCEstimate(closed.equity_value, 1.0, paths),
+        )
+
+    monkeypatch.setattr(verify, "mc_claim_values", estimates)
+    junior = _checks(run_verification(cs, MCConfig(paths, 1)))["mc_junior_value"]
+    diff = abs(junior["closed_form"] - junior["estimate"])
+    se_tolerance = SE_MULTIPLE * std_error + SE_SLACK
+    rule_of_three = RULE_OF_THREE * 1e-6 * math.exp(-0.01) / paths
+    assert junior["degenerate_sample"] is degenerate
+    assert (diff > se_tolerance, diff > rule_of_three) == (above_se, above_rule)
+    assert junior["passed"] is passed
