@@ -1,5 +1,6 @@
 """Write the golden outputs: the stdout of each of the five commands on each
-bundled scenario, in each format the command has (39 outputs).
+bundled scenario, in each format the command has (39 outputs), and the
+pinned library bits.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -19,12 +20,22 @@ CPU-specific loops differ in the last bits, so its files sit in one
 directory per loop.  Run on an AVX-512 host, this script writes the
 ``verify-X86_V4`` set itself and the ``verify-X86_V3`` set from a child
 process with the AVX-512 loop disabled (``NPY_DISABLE_CPU_FEATURES``).
+
+The pinned library bits, ``library.txt``, hold ``float.hex`` of each
+closed form, the regime fields and the two oracles that need no
+Monte-Carlo, on ``LIBRARY_SIZE`` seeded structures, one line each.
+``argmax_sigma_numeric`` lays out its coarse grid with numpy's ``power``,
+whose loops also differ in the last bits, so the X86_V3 child checks
+that it renders the same table, rather than the table being kept per
+loop.
 """
 
 import contextlib
 import hashlib
 import io
+import math
 import platform
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +45,18 @@ SCENARIOS = GOLDEN.parents[1] / "scenarios"
 sys.path.insert(0, str(GOLDEN.parent))
 
 from conftest import child_env, exp_loop  # noqa: E402
+from subdebt import (  # noqa: E402
+    CapitalStructure,
+    DegenerateVolatilityError,
+    ValidationError,
+    argmax_sigma_numeric,
+    classify_regime,
+    finite_diff_vega,
+    junior_debt_vega,
+    value_all_claims,
+)
 from subdebt.cli import main  # noqa: E402
+from subdebt.verify import ARGMAX_GRID, VEGA_BUMP  # noqa: E402
 
 REPORT_FORMATS = {"txt": [], "csv": ["--format", "csv"], "json": ["--format", "json"]}
 SWEEP_FORMATS = {"csv": ["--format", "csv"], "json": ["--format", "json"]}
@@ -50,6 +72,9 @@ COMMANDS = {
 SWEEPS = ("sweep-sigma", "sweep-structure")
 LOOPS = ("X86_V4", "X86_V3")
 MANIFEST = GOLDEN / "sweeps.sha256"
+LIBRARY = GOLDEN / "library.txt"
+LIBRARY_SIZE = 200
+LIBRARY_SEED = 13
 
 
 def pinned_platform():
@@ -88,6 +113,79 @@ def read_manifest():
     return {name: record for name, record in (line.split(" ", 1) for line in lines)}
 
 
+def library_structures():
+    """(structure, initial sigma) of each line of the library table.
+
+    The kinds take turns: any structure; a hump whose sigma* is drawn
+    first, small enough for the argmax's plateau, inside its grid or past
+    its right edge; sigma = 0, where the vega is undefined; faces and
+    asset value scaled by 1e+-150, where the thresholds and sigma* take
+    their logs.  Every other structure has a payout yield.
+    """
+    rng = random.Random(LIBRARY_SEED)
+
+    def draw(lower, upper):
+        return float(f"{rng.uniform(lower, upper):.6g}")
+
+    for index in range(LIBRARY_SIZE):
+        senior, junior = draw(0.5, 300.0), draw(0.5, 300.0)
+        sigma, tau, rate = draw(0.01, 1.5), draw(0.05, 5.0), draw(-0.02, 0.1)
+        q = draw(0.0, 0.05) if index % 2 else 0.0
+        asset, kind = draw(1.0, 500.0), index // 2 % 4
+        if kind == 1:
+            best = draw(*((0.005, 0.03), (0.03, 1.4), (1.5, 3.0))[index // 8 % 3])
+            growth = math.exp(-(rate - q + 0.5 * best * best) * tau)
+            asset = float(f"{growth * math.sqrt(senior * (senior + junior)):.6g}")
+        elif kind == 2:
+            sigma = 0.0
+        elif kind == 3:
+            scale = 10.0 ** rng.choice((-150, 150))
+            asset, senior, junior = asset * scale, senior * scale, junior * scale
+        yield CapitalStructure(asset, senior, junior, sigma, tau, rate, q), draw(0.01, 1.5)
+
+
+def _bits(function, *args):
+    """``float.hex`` of the result, ``none``, or the name of the error raised."""
+    try:
+        value = function(*args)
+    except (ValidationError, DegenerateVolatilityError) as exc:
+        return type(exc).__name__
+    return "none" if value is None else float.hex(value)
+
+
+def library_table():
+    """One line per structure: its inputs, then the bits of each result."""
+    lines = []
+    for index, (cs, initial_sigma) in enumerate(library_structures()):
+        claims = value_all_claims(cs)
+        profile = classify_regime(cs, initial_sigma)
+        fields = {
+            "senior": claims.senior_value,
+            "junior": claims.junior_value,
+            "equity": claims.equity_value,
+            "total": claims.total,
+            "shift": profile.shift_threshold,
+            "hump": profile.hump_threshold,
+            "sigma*": profile.optimal_volatility,
+            "chosen": profile.chosen_risk,
+        }
+        results = [f"{key}={_bits(lambda value: value, value)}" for key, value in fields.items()]
+        results += [
+            f"regime={profile.regime.value}",
+            f"up={profile.shifts_above_initial}",
+            f"vega={_bits(junior_debt_vega, cs)}",
+            f"argmax={_bits(argmax_sigma_numeric, cs, ARGMAX_GRID)}",
+            f"fd_vega={_bits(finite_diff_vega, cs, VEGA_BUMP)}",
+        ]
+        inputs = (
+            f"V={cs.asset_value!r} F_S={cs.senior_face!r} F_J={cs.junior_face!r} "
+            f"sigma={cs.volatility!r} tau={cs.maturity!r} r={cs.rate!r} "
+            f"q={cs.dividend_yield!r} sigma0={initial_sigma!r}"
+        )
+        lines.append(f"{index:03d} {inputs}: {' '.join(results)}\n")
+    return "".join(lines)
+
+
 def write(loop, commands):
     """Write the golden files of ``commands``, with ``loop``'s ``verify`` files."""
     sweeps = {}
@@ -114,8 +212,11 @@ if __name__ == "__main__":
         if loop != "X86_V3":
             sys.exit(f"the child runs the {loop} exp loop, not X86_V3")
         write(loop, ["verify"])
+        if library_table() != LIBRARY.read_text():
+            sys.exit("the library bits differ between the X86_V4 and X86_V3 loops")
     else:
         write(loop, COMMANDS)
+        LIBRARY.write_text(library_table())
         if loop == "X86_V4":
             subprocess.run(
                 [sys.executable, __file__, "verify"],

@@ -1,6 +1,7 @@
-"""Every command's stdout on the bundled scenarios is byte for byte the
-golden output that ``tests/golden/regenerate.py`` wrote (see its docstring
-for what is kept, and when a golden file may change)."""
+"""Every command's stdout on the bundled scenarios, and the library's
+results on the seeded structures, are byte for byte the golden outputs
+that ``tests/golden/regenerate.py`` wrote (see its docstring for what is
+kept, and when a golden file may change)."""
 
 import itertools
 import platform
@@ -10,10 +11,12 @@ import pytest
 from conftest import exp_loop
 from golden.regenerate import (
     GOLDEN,
+    LIBRARY,
     LOOPS,
     SWEEPS,
     cases,
     digest,
+    library_table,
     pinned_platform,
     read_manifest,
     render,
@@ -46,6 +49,16 @@ def test_output_is_the_golden_output(name, command, argv):
     else:
         expected = (GOLDEN / name).read_bytes().decode()
         assert actual == expected, f"{name} differs at {_first_difference(expected, actual)}"
+
+
+def test_library_bits_are_the_golden_bits():
+    if not pinned_platform():
+        pytest.skip(f"library bits are pinned for x86-64 glibc, not {platform.platform()}")
+    if LOOP not in LOOPS:
+        pytest.skip(f"the argmax bits are shown to agree on the loops {LOOPS}, not {LOOP}")
+    expected = LIBRARY.read_text()
+    actual = library_table()
+    assert actual == expected, f"library.txt differs at {_first_difference(expected, actual)}"
 
 
 def test_every_golden_file_has_a_case():
