@@ -29,6 +29,7 @@ _NAMES = {
         "CapitalStructure",
         "ClaimValues",
         "junior_debt_value",
+        "junior_debt_vega",
         "norm_cdf",
         "norm_pdf",
         "value_all_claims",
@@ -49,7 +50,6 @@ _NAMES = {
         "chosen_risk",
         "classify_regime",
         "hump_threshold",
-        "junior_debt_vega",
         "optimal_volatility",
         "risk_shift_threshold",
     ),

@@ -20,8 +20,8 @@ functions in ``black_scholes``, operation for operation, so the results
 are bit-identical to composing them.
 
 A structure is priced at most once at its own volatility.  The first of
-``value_all_claims``, ``junior_debt_value`` and ``risk.junior_debt_vega``
-on a structure stores the kernel's tuple in the structure's one private
+``value_all_claims``, ``junior_debt_value`` and ``junior_debt_vega`` on
+a structure stores the kernel's tuple in the structure's one private
 slot, and later calls read it back.  The structure is immutable, so the
 stored tuple is what the kernel would compute again.  A kernel call that
 raises stores nothing, so it raises again on the next call.  The slot is
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError, _domain_error, checked_exp
+from .errors import DegenerateVolatilityError, ValidationError, _domain_error, checked_exp
 from .record import Record, set_field
 
 _SQRT2 = math.sqrt(2.0)
@@ -169,6 +169,21 @@ def value_all_claims(cs: CapitalStructure) -> ClaimValues:
     """
     senior, junior, equity, _ = _own_claims(cs)
     return ClaimValues(senior, junior, equity, senior + junior + equity)
+
+
+def junior_debt_vega(cs: CapitalStructure) -> float:
+    """d(junior value)/d(sigma): call vega at F_S minus call vega at F_S + F_J.
+
+    Positive below ``risk.risk_shift_threshold`` at the structure's volatility,
+    negative above it, and zero at the interior maximizer.
+
+    Raises:
+        DegenerateVolatilityError: If sigma sqrt(tau) is 0 (sigma = 0 or underflow).
+    """
+    vega = _own_claims(cs)[3]
+    if vega is None:
+        raise DegenerateVolatilityError("vega is undefined where sigma sqrt(tau) is 0")
+    return vega
 
 
 def _own_claims(cs: CapitalStructure) -> tuple[float, float, float, float | None]:

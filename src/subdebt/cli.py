@@ -1,15 +1,14 @@
 """Command-line interface: pricing, thresholds, sweeps, and verification.
 
-It parses arguments, loads scenarios and lays out each report's text and
-rows; the cell, CSV and JSON conventions they are written with live in
-``subdebt.output``, and the checks that ``verify`` runs, with their
-tolerances, in ``subdebt.verify``.  Each command imports the modules it
-runs inside its handler, so ``price`` and ``thresholds`` load neither
-the sweeps nor the Monte-Carlo engine.  Exit codes: 0 success; 2 usage
-error, malformed or unreadable scenario file, or output that cannot be
-written (an ``--out`` path that cannot be opened, or a failed write or
-close of the output stream, stdout and the help text included); 3
-parameter validation error; 4 verification check failure.
+It parses arguments, loads the scenario, runs the library and opens the
+output stream; the module that computes each report writes it.  Each
+command imports the modules it runs inside its handler, so ``price`` and
+``thresholds`` load neither the sweeps nor the Monte-Carlo engine.  Exit
+codes: 0 success; 2 usage error, malformed or unreadable scenario file,
+or output that cannot be written (an ``--out`` path that cannot be
+opened, or a failed write or close of the output stream, stdout and the
+help text included); 3 parameter validation error; 4 verification check
+failure.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class _OutputError(Exception):
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        return args.handler(args, load_scenario(args.scenario))
     except (ScenarioParseError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -129,11 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_price(args: argparse.Namespace) -> int:
-    from .claims import value_all_claims
-    from .risk import junior_debt_vega
+def _cmd_price(args: argparse.Namespace, scenario: Scenario) -> int:
+    from .claims import junior_debt_vega, value_all_claims
+    from .output import write_report
 
-    scenario = load_scenario(args.scenario)
     cs = scenario.structure
     values = value_all_claims(cs)
     vega = None
@@ -147,14 +145,15 @@ def _cmd_price(args: argparse.Namespace) -> int:
         total=values.total,
         junior_vega=vega,
     )
-    _emit_report(report, args.format, args.out)
+    with _open_out(args.out) as stream:
+        write_report(report, args.format, stream)
     return EXIT_OK
 
 
-def _cmd_thresholds(args: argparse.Namespace) -> int:
+def _cmd_thresholds(args: argparse.Namespace, scenario: Scenario) -> int:
+    from .output import write_report
     from .risk import classify_regime
 
-    scenario = load_scenario(args.scenario)
     profile = classify_regime(scenario.structure, scenario.initial_sigma)
     report = _input_echo(scenario)
     report.update(
@@ -166,14 +165,14 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
         shifts_above_initial=profile.shifts_above_initial,
         chosen_risk=profile.chosen_risk,
     )
-    _emit_report(report, args.format, args.out)
+    with _open_out(args.out) as stream:
+        write_report(report, args.format, stream)
     return EXIT_OK
 
 
-def _cmd_sweep_sigma(args: argparse.Namespace) -> int:
+def _cmd_sweep_sigma(args: argparse.Namespace, scenario: Scenario) -> int:
     from .sweeps import sweep_sigma, write_sweep_csv, write_sweep_json
 
-    scenario = load_scenario(args.scenario)
     table = sweep_sigma(scenario.structure, args.sigma_min, args.sigma_max, args.steps)
     write = write_sweep_json if args.format == "json" else write_sweep_csv
     with _open_out(args.out) as stream:
@@ -181,10 +180,9 @@ def _cmd_sweep_sigma(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_structure(args: argparse.Namespace) -> int:
+def _cmd_sweep_structure(args: argparse.Namespace, scenario: Scenario) -> int:
     from .sweeps import sweep_structure, write_structure_csv, write_structure_json
 
-    scenario = load_scenario(args.scenario)
     try:
         proportions = [float(part) for part in args.proportions.split(",") if part]
     except ValueError:
@@ -207,16 +205,16 @@ def _cmd_sweep_structure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import run_verification
+def _cmd_verify(args: argparse.Namespace, scenario: Scenario) -> int:
+    from .verify import run_verification, write_report
 
-    scenario = load_scenario(args.scenario)
     mc = MCConfig(
         path_count=args.paths if args.paths is not None else scenario.mc.path_count,
         seed=args.seed if args.seed is not None else scenario.mc.seed,
     )
     report = {"scenario": scenario.name, **run_verification(scenario.structure, mc)}
-    _emit_verification(report, args.format, args.out)
+    with _open_out(args.out) as stream:
+        write_report(report, args.format, stream)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILURE
 
 
@@ -260,62 +258,6 @@ def _discard_stdout() -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, fd)
         os.close(devnull)
-
-
-def _emit_report(report: dict, fmt: str | None, out: str | None) -> None:
-    from .output import cell, write_csv, write_json
-
-    with _open_out(out) as stream:
-        if fmt == "json":
-            write_json(report, stream)
-        elif fmt == "csv":
-            write_csv(("key", "value"), report.items(), stream)
-        else:
-            width = max(len(key) for key in report)
-            for key, value in report.items():
-                stream.write(f"{key:<{width}}  {cell(value, 'n/a')}\n")
-
-
-def _emit_verification(report: dict, fmt: str | None, out: str | None) -> None:
-    from .output import cell, write_csv, write_json
-
-    with _open_out(out) as stream:
-        if fmt == "json":
-            write_json(report, stream)
-        elif fmt == "csv":
-            rows = []
-            for check in report["checks"]:
-                # The skip reason, else the first detail the check has.
-                detail = check.get("skipped")
-                for key in ("se_multiples", "error", "relative_error"):
-                    if detail is None:
-                        detail = check.get(key)
-                closed, estimate = check.get("closed_form"), check.get("estimate")
-                rows.append((check["name"], closed, estimate, detail, check["passed"]))
-            header = ("check", "closed_form", "estimate", "detail", "passed")
-            write_csv(header, rows, stream)
-        else:
-            antithetic = cell(report["antithetic"], "n/a")
-            stream.write(
-                f"scenario {report['scenario']}: {report['paths']} paths, "
-                f"seed {report['seed']}, antithetic {antithetic}\n"
-            )
-            for check in report["checks"]:
-                status = "PASS" if check["passed"] else "FAIL"
-                if "skipped" in check:
-                    stream.write(f"[{status}] {check['name']}: skipped ({check['skipped']})\n")
-                    continue
-                parts = [
-                    f"closed={cell(check.get('closed_form'), 'n/a')}",
-                    f"estimate={cell(check.get('estimate'), 'n/a')}",
-                ]
-                for key in ("std_error", "se_multiples", "error", "relative_error"):
-                    if key in check:
-                        parts.append(f"{key}={cell(check[key], 'n/a')}")
-                if check.get("degenerate_sample"):
-                    parts.append("degenerate sample (rule-of-three bound)")
-                stream.write(f"[{status}] {check['name']}: {', '.join(parts)}\n")
-            stream.write("result: " + ("PASS" if report["passed"] else "FAIL") + "\n")
 
 
 if __name__ == "__main__":

@@ -1,17 +1,15 @@
 """Output conventions that every command shares.
 
 Every CSV or text value, and every value in sweep JSON, is written by
-``cell``.  The ``price``, ``thresholds`` and ``verify`` reports of
-``subdebt.cli`` are written by ``write_csv`` or ``write_json``.  The
-sweep tables of ``subdebt.sweeps`` hold only floats, which never need
-quoting or escaping, so their writers lay out the bytes these two would
-write without the ``csv`` and ``json`` modules, calling ``cell`` once
-per distinct value.  Floats are written with ``repr`` (shortest round-trip
-form), '.' decimal separator, no grouping, header row mandatory, so
-``float`` on a cell gives back the exact value.  Missing values (no
-interior maximizer, or no vega where sigma sqrt(tau) underflows to 0)
-are NaN in memory, empty cells in CSV, ``n/a`` in text, and null in
-JSON.  JSON is indented by two spaces and ends with a newline.
+``cell``: floats with ``repr`` (shortest round-trip form), '.' decimal
+separator, no grouping, so ``float`` on a cell gives back the exact
+value.  Missing values (no interior maximizer, or no vega where sigma
+sqrt(tau) underflows to 0) are NaN in memory, empty cells in CSV,
+``n/a`` in text, and null in JSON.  CSV has a header row; JSON is
+indented by two spaces and ends with a newline.  ``write_report`` writes
+the flat ``price`` and ``thresholds`` reports, and ``verify.write_report``
+the ``verify`` report, through ``write_csv`` and ``write_json``; the
+sweep writers give the bytes these two would, without them (``sweeps``).
 
 ``csv`` and ``json`` are imported inside the writers, so that a
 text-format report, or a sweep in any format, loads neither.
@@ -51,3 +49,16 @@ def write_json(payload, stream: IO[str]) -> None:
 
     json.dump(payload, stream, indent=2)
     stream.write("\n")
+
+
+def write_report(report: dict, fmt: str | None, stream: IO[str]) -> None:
+    """A flat report as JSON, as CSV ``key,value`` rows, or as text (the
+    default): one ``key  value`` line each, the keys padded to one width."""
+    if fmt == "json":
+        write_json(report, stream)
+    elif fmt == "csv":
+        write_csv(("key", "value"), report.items(), stream)
+    else:
+        width = max(len(key) for key in report)
+        for key, value in report.items():
+            stream.write(f"{key:<{width}}  {cell(value, 'n/a')}\n")

@@ -1,9 +1,9 @@
-"""Junior-debt risk sensitivity, risk-shifting thresholds, and regimes.
+"""Risk-shifting thresholds, the junior-value maximizer, and regimes.
 
-The junior bond is a bull call spread, so its sensitivity to asset
-volatility is the difference of two call vegas.  That derivative is
-positive exactly when the asset value sits below a threshold equal to the
-discounted geometric mean of the senior face and the total face
+The junior bond is a bull call spread, so its vega
+(``claims.junior_debt_vega``) is the difference of two call vegas, and
+is positive exactly when the asset value sits below a threshold equal to
+the discounted geometric mean of the senior face and the total face
 (``risk_shift_threshold``).  Below a second, sigma-free boundary
 (``hump_threshold``) the junior value is hump-shaped in volatility, with
 the interior maximizer available in closed form (``optimal_volatility``):
@@ -20,8 +20,8 @@ from __future__ import annotations
 import enum
 import math
 
-from .claims import CapitalStructure, _own_claims
-from .errors import DegenerateVolatilityError, ValidationError, _domain_error, check
+from .claims import CapitalStructure
+from .errors import ValidationError, _domain_error, check
 from .record import Record, set_field
 
 # Radicands this close to zero are treated as the boundary case where the
@@ -79,21 +79,6 @@ class RiskProfile(Record):
         set_field(self, "shifts_above_initial", shifts_above_initial)
         set_field(self, "initial_sigma", initial_sigma)
         set_field(self, "chosen_risk", chosen_risk)
-
-
-def junior_debt_vega(cs: CapitalStructure) -> float:
-    """d(junior value)/d(sigma): call vega at F_S minus call vega at F_S + F_J.
-
-    Positive below ``risk_shift_threshold`` at the structure's volatility,
-    negative above it, and zero at the interior maximizer.
-
-    Raises:
-        DegenerateVolatilityError: If sigma sqrt(tau) is 0 (sigma = 0 or underflow).
-    """
-    vega = _own_claims(cs)[3]
-    if vega is None:
-        raise DegenerateVolatilityError("vega is undefined where sigma sqrt(tau) is 0")
-    return vega
 
 
 def risk_shift_threshold(cs: CapitalStructure, sigma: float) -> float:

@@ -1,17 +1,22 @@
-"""Checks of the closed forms against the independent oracles in ``oracle``.
+"""Checks of the closed forms against the oracles in ``oracle``, and their report.
 
 The tolerances live here.  Each check is one function that returns its
 report entries and decides with one comparison against one tolerance:
 ``_claim_checks``, ``_argmax_check`` and ``_vega_check``.  A new check is
-one function plus one entry in ``run_verification``'s list.
+one function plus one entry in ``run_verification``'s list, and
+``write_report`` shows it in every format: text shows each detail (a key
+beyond ``_entry``'s own) that is a number or None, in the entry's order,
+and CSV's ``detail`` column is the skip reason, or else the last of them.
 """
 
 import math
 from collections.abc import Iterator
+from typing import IO
 
-from .claims import CapitalStructure, value_all_claims
+from .claims import CapitalStructure, junior_debt_vega, value_all_claims
 from .oracle import GridSpec, MCConfig, argmax_sigma_numeric, finite_diff_vega, mc_claim_values
-from .risk import junior_debt_vega, optimal_volatility
+from .output import cell, write_csv, write_json
+from .risk import optimal_volatility
 
 # Verification tolerances; the docstring of each check states its rule.
 SE_MULTIPLE = 3.0
@@ -45,10 +50,52 @@ def run_verification(cs: CapitalStructure, mc: MCConfig) -> dict:
     }
 
 
+def write_report(report: dict, fmt: str | None, stream: IO[str]) -> None:
+    """The report of ``run_verification``, ``scenario`` first, as JSON, as
+    one CSV row per check, or as text (the default)."""
+    if fmt == "json":
+        write_json(report, stream)
+    elif fmt == "csv":
+        rows = []
+        for check in report["checks"]:
+            detail = check.get("skipped", next(reversed(_details(check).values()), None))
+            closed, estimate = check.get("closed_form"), check.get("estimate")
+            rows.append((check["name"], closed, estimate, detail, check["passed"]))
+        write_csv(("check", "closed_form", "estimate", "detail", "passed"), rows, stream)
+    else:
+        stream.write(
+            f"scenario {report['scenario']}: {report['paths']} paths, "
+            f"seed {report['seed']}, antithetic {cell(report['antithetic'], 'n/a')}\n"
+        )
+        for check in report["checks"]:
+            if "skipped" in check:
+                parts = [f"skipped ({check['skipped']})"]
+            else:
+                shown = {"closed": check.get("closed_form"), "estimate": check.get("estimate")}
+                shown.update(_details(check))
+                parts = [f"{key}={cell(value, 'n/a')}" for key, value in shown.items()]
+                if check.get("degenerate_sample"):
+                    parts.append("degenerate sample (rule-of-three bound)")
+            status = "PASS" if check["passed"] else "FAIL"
+            stream.write(f"[{status}] {check['name']}: {', '.join(parts)}\n")
+        stream.write("result: " + ("PASS" if report["passed"] else "FAIL") + "\n")
+
+
 def _entry(name: str, closed_form, estimate, passed: bool, **detail) -> dict:
     """One check's report entry, with the keys every check shares in their order."""
     return {
         "name": name, "closed_form": closed_form, "estimate": estimate, **detail, "passed": passed
+    }
+
+
+def _details(check: dict) -> dict:
+    """The entry's other keys whose value is a number or None, in its order."""
+    shared = ("name", "closed_form", "estimate", "passed")
+    return {
+        key: value
+        for key, value in check.items()
+        if key not in shared
+        and (value is None or isinstance(value, (int, float)) and not isinstance(value, bool))
     }
 
 

@@ -54,6 +54,19 @@ rate = 0.01
 """
 
 
+# Each command, with the flags that make it quick where it needs any.
+COMMAND_FLAGS = {
+    "price": [],
+    "thresholds": [],
+    "sweep-sigma": [],
+    "sweep-structure": [
+        *("--total-face", "100", "--proportions", "0.1,0.2"),
+        *("--v-min", "50", "--v-max", "70", "--steps", "5"),
+    ],
+    "verify": ["--paths", "2000"],
+}
+
+
 @pytest.fixture
 def distressed(tmp_path):
     path = tmp_path / "distressed.ini"
@@ -442,6 +455,31 @@ class TestVerify:
         monkeypatch.setattr(verify, "run_verification", failing)
         assert main(["verify", "--scenario", distressed]) == EXIT_VERIFY_FAILURE
 
+    def test_a_numeric_detail_a_check_adds_shows_in_every_format(
+        self, distressed, capsys, monkeypatch
+    ):
+        # The report writer has no list of keys: a number appended to an
+        # entry is shown in text and is CSV's detail.
+        argmax_check = verify._argmax_check
+
+        def with_margin(cs):
+            entry = argmax_check(cs)
+            entry["margin"] = 0.25
+            return entry
+
+        monkeypatch.setattr(verify, "_argmax_check", with_margin)
+        base = ["verify", "--scenario", distressed, "--paths", "2000"]
+        assert main([*base, "--format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["checks"][3]["margin"] == 0.25
+        assert main(base) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[4]
+        assert line.startswith("[PASS] optimal_volatility: closed=")
+        assert line.endswith(", margin=0.25")
+        assert main([*base, "--format", "csv"]) == EXIT_OK
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[4][0] == "optimal_volatility"
+        assert rows[4][3] == "0.25"
+
 
 class TestExitCodes:
     def test_malformed_scenario_is_parse_error(self, tmp_path, capsys):
@@ -545,10 +583,13 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
-    def test_output_that_cannot_be_written_is_usage_error(self, distressed, to_stdout):
+    @pytest.mark.parametrize("command, flags", list(COMMAND_FLAGS.items()), ids=list(COMMAND_FLAGS))
+    def test_output_that_cannot_be_written_is_usage_error(
+        self, distressed, command, flags, to_stdout
+    ):
         # A fresh process, so that a traceback, or a failure reported again
         # at interpreter shutdown, would reach stderr.
-        args = ["price", "--scenario", distressed]
+        args = [command, "--scenario", distressed, *flags]
         if not to_stdout:
             args += ["--out", "/dev/full"]
         with open("/dev/full", "w") as full:

@@ -4,7 +4,7 @@
 sweeps load neither numpy, scipy, ``dataclasses`` nor ``inspect``;
 ``price`` and ``thresholds`` load neither the sweeps, the oracles nor the
 option functions of ``black_scholes``, and as text neither ``json`` nor
-``csv``.  The sweeps load neither ``json`` nor ``csv`` in any format.  ``verify`` loads numpy and only scipy's compiled ``_ufuncs``,
+``csv``; ``price`` does not load ``subdebt.risk`` either.  The sweeps load neither ``json`` nor ``csv`` in any format.  ``verify`` loads numpy and only scipy's compiled ``_ufuncs``,
 not the ``scipy.special`` package, and not ``dataclasses`` (numpy loads
 ``inspect`` itself).
 
@@ -50,8 +50,9 @@ print(json.dumps({"code": code, "numpy": "numpy" in modules,
 """
 
 # Modules that no closed-form command loads; those that ``price`` and
-# ``thresholds`` do not load either; those that text output does not; and
-# those that the sweeps do not, in any format.
+# ``thresholds`` do not load either; those that ``price`` does not load
+# either; those that text output does not; and those that the sweeps do
+# not, in any format.
 _NOT_IN_COMMANDS = {
     "subdebt.oracle",
     "subdebt.verify",
@@ -60,6 +61,7 @@ _NOT_IN_COMMANDS = {
     "inspect",
 }
 _NOT_IN_CLOSED_FORM = _NOT_IN_COMMANDS | {"subdebt.sweeps"}
+_NOT_IN_PRICE = _NOT_IN_CLOSED_FORM | {"subdebt.risk"}
 _NOT_IN_TEXT = {"json", "csv"}
 _NOT_IN_SWEEPS = _NOT_IN_COMMANDS | _NOT_IN_TEXT
 _STRUCTURE = [
@@ -103,11 +105,11 @@ def _loaded_after(argv, probe=_PROBE):
     "argv,code,absent",
     [
         ([], 0, set()),
-        (["price", "--scenario", str(SCENARIO)], 0, _NOT_IN_CLOSED_FORM | _NOT_IN_TEXT),
-        (["price", "--scenario", str(SCENARIO), "--format", "json"], 0, _NOT_IN_CLOSED_FORM),
+        (["price", "--scenario", str(SCENARIO)], 0, _NOT_IN_PRICE | _NOT_IN_TEXT),
+        (["price", "--scenario", str(SCENARIO), "--format", "json"], 0, _NOT_IN_PRICE),
         (["thresholds", "--scenario", str(SCENARIO)], 0, _NOT_IN_CLOSED_FORM | _NOT_IN_TEXT),
         (["thresholds", "--scenario", str(SCENARIO), "--format", "json"], 0, _NOT_IN_CLOSED_FORM),
-        (["price", "--scenario", str(ROOT / "no-such-scenario.ini")], 2, _NOT_IN_CLOSED_FORM),
+        (["price", "--scenario", str(ROOT / "no-such-scenario.ini")], 2, _NOT_IN_PRICE),
         (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "1"], 3, _NOT_IN_SWEEPS),
         (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5"], 0, _NOT_IN_SWEEPS),
         (
