@@ -144,13 +144,17 @@ def library_structures():
         yield CapitalStructure(asset, senior, junior, sigma, tau, rate, q), draw(0.01, 1.5)
 
 
-def _bits(function, *args):
-    """``float.hex`` of the result, ``none``, or the name of the error raised."""
+def _bits(value):
+    """``float.hex`` of a result, or ``none``."""
+    return "none" if value is None else float.hex(value)
+
+
+def _outcome(function, *args):
+    """``_bits`` of the result of the call, or the name of the error it raised."""
     try:
-        value = function(*args)
+        return _bits(function(*args))
     except (ValidationError, DegenerateVolatilityError) as exc:
         return type(exc).__name__
-    return "none" if value is None else float.hex(value)
 
 
 def library_table():
@@ -169,13 +173,13 @@ def library_table():
             "sigma*": profile.optimal_volatility,
             "chosen": profile.chosen_risk,
         }
-        results = [f"{key}={_bits(lambda value: value, value)}" for key, value in fields.items()]
+        results = [f"{key}={_bits(value)}" for key, value in fields.items()]
         results += [
             f"regime={profile.regime.value}",
             f"up={profile.shifts_above_initial}",
-            f"vega={_bits(junior_debt_vega, cs)}",
-            f"argmax={_bits(argmax_sigma_numeric, cs, ARGMAX_GRID)}",
-            f"fd_vega={_bits(finite_diff_vega, cs, VEGA_BUMP)}",
+            f"vega={_outcome(junior_debt_vega, cs)}",
+            f"argmax={_outcome(argmax_sigma_numeric, cs, ARGMAX_GRID)}",
+            f"fd_vega={_outcome(finite_diff_vega, cs, VEGA_BUMP)}",
         ]
         inputs = (
             f"V={cs.asset_value!r} F_S={cs.senior_face!r} F_J={cs.junior_face!r} "

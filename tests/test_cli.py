@@ -59,10 +59,8 @@ COMMAND_FLAGS = {
     "price": [],
     "thresholds": [],
     "sweep-sigma": [],
-    "sweep-structure": [
-        *("--total-face", "100", "--proportions", "0.1,0.2"),
-        *("--v-min", "50", "--v-max", "70", "--steps", "5"),
-    ],
+    "sweep-structure": ["--total-face", "100", "--proportions", "0.1,0.2"]
+    + ["--v-min", "50", "--v-max", "70", "--steps", "5"],
     "verify": ["--paths", "2000"],
 }
 
