@@ -1,15 +1,16 @@
 """Output conventions that every command shares.
 
 Every CSV or text value, and every value in sweep JSON, is written by
-``cell``: floats with ``repr`` (shortest round-trip form), '.' decimal
-separator, no grouping, so ``float`` on a cell gives back the exact
-value.  Missing values (no interior maximizer, or no vega where sigma
-sqrt(tau) underflows to 0) are NaN in memory, empty cells in CSV,
-``n/a`` in text, and null in JSON.  CSV has a header row; JSON is
-indented by two spaces and ends with a newline.  ``write_report`` writes
-the flat ``price`` and ``thresholds`` reports, and ``verify.write_report``
-the ``verify`` report, through ``write_csv`` and ``write_json``; the
-sweep writers give the bytes these two would, without them (``sweeps``).
+``cell``, or by ``cells`` for a column: floats with ``repr`` (shortest
+round-trip form), '.' decimal separator, no grouping, so ``float`` on a
+cell gives back the exact value.  Missing values (no interior maximizer,
+or no vega where sigma sqrt(tau) underflows to 0) are NaN in memory,
+empty cells in CSV, ``n/a`` in text, and null in JSON.  CSV has a header
+row; JSON is indented by two spaces and ends with a newline.
+``write_report`` writes the flat ``price`` and ``thresholds`` reports,
+and ``verify.write_report`` the ``verify`` report, through ``write_csv``
+and ``write_json``; the sweep writers give the bytes these two would,
+without them (``sweeps``).
 
 ``csv`` and ``json`` are imported inside the writers, so that a
 text-format report, or a sweep in any format, loads neither.
@@ -32,6 +33,22 @@ def cell(value, missing: str = "") -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def cells(values, missing: str = "") -> list[str]:
+    """``[cell(value, missing) for value in values]``, for a column.
+
+    A column of floats is formatted in one ``float.__repr__`` pass, whose
+    text for every NaN is "nan"; a column holding any other value goes
+    through ``cell`` value by value, so ``values`` must be iterable twice.
+    """
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:
+        return [cell(value, missing) for value in values]
+    if "nan" in texts:
+        texts = [missing if text == "nan" else text for text in texts]
+    return texts
 
 
 def write_csv(header, rows, stream: IO[str]) -> None:

@@ -7,22 +7,24 @@ tables are written as CSV or JSON with the conventions of
 reports share; the CSV header is the dict's keys, and sweep JSON mirrors
 the CSV columns as arrays.  The writers lay the text out column by
 column, without the ``csv`` and ``json`` modules, and give the bytes that
-``csv.writer`` and ``json.dump(indent=2)`` would: ``cell`` turns each
-distinct value into text once per write, rows are joined with commas,
-since floats need no quoting, and the JSON is indented by hand.  Column
-names are written as given, so they must be plain identifiers, as the
-sweeps' are; and, as the sweeps guarantee, values are finite or NaN, and
-no column or list of tables is empty.  Each
-line goes to the stream as its own piece: on stdout, one large write to
-a pipe whose reader has closed can drop the rest of the text without
-raising, where line-sized writes raise ``BrokenPipeError``.
+``csv.writer`` and ``json.dump(indent=2)`` would: ``output.cells`` turns
+each column into text, rows are joined with commas, since floats need no
+quoting, and the JSON is indented by hand.  A volatility table's values
+are nearly all distinct, so each column is formatted in one pass; the
+structure writers format each distinct value once per write, because
+their tables repeat values.  Column names are written as given, so they
+must be plain identifiers, as the sweeps' are; and, as the sweeps
+guarantee, values are finite or NaN, and no column or list of tables is
+empty.  Each line goes to the stream as its own piece: on stdout, one
+large write to a pipe whose reader has closed can drop the rest of the
+text without raising, where line-sized writes raise ``BrokenPipeError``.
 
 Sweeps use only the standard library.  Their grids place each point as
 numpy.linspace does, i * step + start with the last point set to stop,
 so they are bit-identical to it; a step count that is not an ``int``
-(or is a ``bool``), or a range too narrow for its step count to give
-strictly increasing points, raises ``ValidationError``.  The
-volatility sweep calls the fused claims kernel once per point; the
+(or is a ``bool``), is outside [2, ``MAX_STEPS``], or is too large for
+its range to give strictly increasing points raises ``ValidationError``.
+The volatility sweep calls the fused claims kernel once per point; the
 structure sweep computes the two thresholds, which do not depend on the
 asset value, once per debt mix.
 """
@@ -30,15 +32,24 @@ asset value, once per debt mix.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
+from itertools import chain
 from typing import IO
 
 from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range
-from .output import cell
+from .output import cell, cells
 from .risk import _chosen_risk, _optimal_volatility, _threshold, hump_threshold
 
 # A sweep table: column name -> values, the independent column first.
 Table = dict[str, tuple[float, ...]]
+
+# The most points a grid may have, so that a sweep's memory is bounded: an
+# unbounded count would allocate until the process ran out of memory.  At
+# the cap, a volatility sweep and its write peak near 92 MB of resident
+# memory, and a structure sweep over three debt mixes near 104 MB, in a
+# process that holds 15 MB before it starts.
+MAX_STEPS = 100_000
 
 
 def sweep_sigma(
@@ -123,6 +134,8 @@ def _grid(name: str, start: float, stop: float, steps: int) -> tuple[float, ...]
         raise ValidationError(f"steps must be an integer, got {steps!r}")
     if steps < 2:
         raise ValidationError(f"steps must be >= 2, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValidationError(f"steps must be <= {MAX_STEPS}, got {steps}")
     step = (stop - start) / (steps - 1)
     grid = [i * step + start for i in range(steps)]
     grid[-1] = float(stop)
@@ -137,78 +150,90 @@ def _grid(name: str, start: float, stop: float, steps: int) -> tuple[float, ...]
 
 def write_sweep_csv(table: Table, stream: IO[str]) -> None:
     """Write a table as CSV: header row, then one row per grid point."""
-    cells = _Cells("")
-    stream.writelines([",".join(table) + "\n", *_csv_rows(table, cells, "")])
+    rows = _csv_rows(table, _texts(""), "")
+    stream.writelines([",".join(table) + "\n", *rows])
 
 
 def write_sweep_json(table: Table, stream: IO[str]) -> None:
     """Write a table as JSON with columns mirrored as arrays."""
-    cells = _Cells("null", " " * 6, ",\n")
-    stream.writelines(["{\n", *_json_members(table, cells, "  "), "}\n"])
+    members = _json_members(table, _texts("null", " " * 6), "  ")
+    stream.writelines(["{\n", *members, "}\n"])
 
 
 def write_structure_csv(tables: list[tuple[float, Table]], stream: IO[str]) -> None:
     """Write per-proportion tables as one CSV with a junior_proportion column."""
-    cells = _Cells("")
+    texts = _memoized(tables, _texts(""))
     stream.write(",".join(("junior_proportion", *tables[0][1])) + "\n")
     for proportion, table in tables:
-        stream.writelines(_csv_rows(table, cells, cell(proportion) + ","))
+        stream.writelines(_csv_rows(table, texts, cell(proportion) + ","))
 
 
 def write_structure_json(tables: list[tuple[float, Table]], stream: IO[str]) -> None:
     """Write per-proportion tables as a JSON list of column payloads."""
-    cells = _Cells("null", " " * 10, ",\n")
+    texts = _memoized(tables, _texts("null", " " * 10))
     stream.writelines(["{\n", '  "tables": [\n'])
     for index, (proportion, table) in enumerate(tables):
         stream.writelines(
             [
                 "    {\n",
                 f'      "junior_proportion": {cell(proportion, "null")},\n',
-                *_json_members(table, cells, " " * 6),
+                *_json_members(table, texts, " " * 6),
                 "    },\n" if index < len(tables) - 1 else "    }\n",
             ]
         )
     stream.writelines(["  ]\n", "}\n"])
 
 
-class _Cells:
-    """The texts of one write, ``prefix + cell(value, missing) + suffix``,
-    memoized by value so that each distinct value is formatted once.
+# The texts of a column's values, in order.
+Texts = Callable[[Sequence[float]], list[str]]
 
-    Zeros are not memoized, because 0.0 and -0.0 are one dict key but two
-    texts; nor is an empty text, CSV's NaN.  Neither costs a ``repr``.
+
+def _texts(missing: str, indent: str = "") -> Texts:
+    """Each value through ``output.cells``; with an ``indent``, as a line
+    of a JSON array, ``indent + text + ",\n"``."""
+    if not indent:
+        return lambda column: cells(column, missing)
+    return lambda column: [f"{indent}{text},\n" for text in cells(column, missing)]
+
+
+def _memoized(tables: list[tuple[float, Table]], texts: Texts) -> Texts:
+    """``texts`` for the columns of ``tables``, formatting each distinct
+    value once per write.
+
+    Structure tables repeat values: the asset grid, one tuple in every
+    table; one value down each threshold column; and chosen risk, which is
+    sigma* or the initial volatility.  The memo is skipped where one dict
+    key would stand for two texts: 0.0 and -0.0, or an int and its float.
+    Either pair makes a key integral or not a float, so only then are the
+    values' types checked.
     """
-
-    def __init__(self, missing: str, prefix: str = "", suffix: str = ""):
-        self.missing, self.prefix, self.suffix = missing, prefix, suffix
-        self.memo: dict[float, str] = {}
-
-    def column(self, values: tuple[float, ...]) -> list[str]:
-        """The text of each value, in order."""
-        get, put = self.memo.get, self._put
-        return [get(value) or put(value) for value in values]
-
-    def _put(self, value: float) -> str:
-        text = f"{self.prefix}{cell(value, self.missing)}{self.suffix}"
-        if value:  # NaN is true
-            self.memo[value] = text
-        return text
+    columns = {id(column): column for _, table in tables for column in table.values()}
+    distinct = dict.fromkeys(chain.from_iterable(columns.values()))
+    try:
+        if any(map(float.is_integer, distinct)) and (
+            0.0 in distinct or set(map(type, chain.from_iterable(columns.values()))) != {float}
+        ):
+            return texts
+    except TypeError:  # a key that is not a float
+        return texts
+    memo = dict(zip(distinct, texts(tuple(distinct))))
+    return lambda column: list(map(memo.__getitem__, column))
 
 
-def _csv_rows(table: Table, cells: _Cells, prefix: str) -> list[str]:
+def _csv_rows(table: Table, texts: Texts, prefix: str) -> list[str]:
     """One line per grid point: ``prefix``, then the row's cells joined by
     commas.  Floats never need CSV quoting."""
-    columns = map(cells.column, table.values())
+    columns = map(texts, table.values())
     return [f"{prefix}{','.join(row)}\n" for row in zip(*columns)]
 
 
-def _json_members(table: Table, cells: _Cells, indent: str) -> list[str]:
+def _json_members(table: Table, texts: Texts, indent: str) -> list[str]:
     """The "independent" and "columns" members of a table's JSON object at
     ``indent``, a line each, as ``json.dump(indent=2)`` lays them out;
-    ``cells`` gives each value as a line two levels deeper."""
+    ``texts`` gives each value as a line two levels deeper."""
     lines = [f'{indent}"independent": "{next(iter(table))}",\n', f'{indent}"columns": {{\n']
     for name, column in table.items():
-        values = cells.column(column)
+        values = texts(column)
         values[-1] = values[-1][:-2] + "\n"  # no comma after the last value
         lines += [f'{indent}  "{name}": [\n', *values, f"{indent}  ],\n"]
     lines[-1] = f"{indent}  ]\n"  # nor after the last column

@@ -624,6 +624,37 @@ class TestExitCodes:
             "got 0.1 before 0.1\n"
         )
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-sigma"],
+            ["sweep-structure", "--total-face", "100", "--proportions", "0.1"]
+            + ["--v-min", "50", "--v-max", "70"],
+        ],
+        ids=["sigma", "structure"],
+    )
+    def test_step_count_over_the_cap_is_validation_error(self, distressed, args):
+        # Refused before any point is allocated, so the command exits at once.
+        # The child's address space is limited to 1 GiB, so that a build
+        # without the cap fails fast instead of filling the machine's memory.
+        command, *flags = args
+        limited = (
+            "import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "from subdebt.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        args = [command, "--scenario", distressed, *flags, "--steps", "1000000000000"]
+        result = subprocess.run(
+            [sys.executable, "-c", limited, *args],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_VALIDATION_ERROR
+        assert result.stdout == ""
+        assert result.stderr == "error: steps must be <= 100000, got 1000000000000\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("args", [["--help"], ["price", "--help"]], ids=["main", "price"])

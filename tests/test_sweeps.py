@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import subdebt.output as output
 import subdebt.risk as risk
 import subdebt.sweeps as sweeps
 from conftest import count_calls, finite_floats, read_sweep_csv
@@ -25,7 +26,7 @@ from subdebt import (
     write_sweep_csv,
     write_sweep_json,
 )
-from subdebt.output import cell
+from subdebt.output import cell, cells
 
 DISTRESSED = CapitalStructure(62.0, 60.0, 10.0, 0.10, 1.0, 0.01)
 SOLVENT = CapitalStructure(100.0, 60.0, 10.0, 0.10, 1.0, 0.01)
@@ -113,6 +114,14 @@ class TestSigmaSweep:
     def test_rejects_bad_ranges(self, lower, upper, steps):
         with pytest.raises(ValidationError):
             sweep_sigma(DISTRESSED, lower, upper, steps)
+
+    @pytest.mark.parametrize("steps", [sweeps.MAX_STEPS + 1, 10**12])
+    def test_rejects_more_steps_than_the_cap(self, steps):
+        message = f"steps must be <= {sweeps.MAX_STEPS}, got {steps}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sweep_sigma(DISTRESSED, 0.01, 0.8, steps)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sweep_structure(100.0, [0.1], 50.0, 70.0, steps, 0.10, 1.0, 0.01)
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, math.nan, math.inf, True, "3"])
     def test_rejects_steps_that_are_not_integers(self, steps):
@@ -314,6 +323,45 @@ def _hand_made(a, b):
     }
 
 
+class TestCells:
+    NANS = [math.nan, float("nan"), -math.nan, float("inf") - float("inf")]
+    COLUMNS = {
+        "floats": [0.1, 2.5, -1e300, 123456789.125, 1e-7],
+        "zeros": [0.0, -0.0, 0.0],
+        "subnormals": [5e-324, -5e-324, 2.2250738585072009e-308],
+        "infinities": [math.inf, -math.inf, 1.5],
+        "nans": [*NANS, 1.5, *NANS],
+        "numpy": [np.float64(0.1), np.float64("nan"), np.float64(-0.0), 1.5],
+        "int": [1, 1.0, 0.5],
+        "bool": [True, 1.0, False, 0.0],
+        "none": [None, 0.25, math.nan],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("missing", ["", "null", "n/a"])
+    @pytest.mark.parametrize("name", COLUMNS)
+    def test_cells_is_cell_on_each_value(self, name, missing):
+        values = self.COLUMNS[name]
+        for column in (values, tuple(values)):
+            assert cells(column, missing) == [cell(value, missing) for value in values]
+
+    def test_sigma_writers_format_no_float_through_cell(self, monkeypatch):
+        # One column pass per write: a writer that sends each value back
+        # through ``cell`` costs a call per value on top of its repr.
+        formatted = []
+
+        def counted(value, missing=""):
+            formatted.append(value)
+            return cell(value, missing)
+
+        for module in (output, sweeps):
+            monkeypatch.setattr(module, "cell", counted)
+        table = sweep_sigma(DISTRESSED, 0.01, 0.8, 200)
+        for writer in (write_sweep_csv, write_sweep_json):
+            writer(table, io.StringIO())
+        assert [value for value in formatted if isinstance(value, float)] == []
+
+
 class TestStdlibIdentity:
     """The sweep writers write exactly what the stdlib writers would."""
 
@@ -326,6 +374,13 @@ class TestStdlibIdentity:
         ),
         "hand-made": _hand_made(-1.25, 1e-300),
         "hand-made-subnormal": _hand_made(5e-324, -2.5),
+        # The grid is spaced from numpy floats, so the sigma column holds them.
+        "numpy-inputs": sweep_sigma(
+            CapitalStructure(*map(np.float64, (62.0, 60.0, 10.0, 0.10, 1.0, 0.01))),
+            np.float64(0.01),
+            np.float64(0.8),
+            50,
+        ),
     }
     STRUCTURE_TABLES = {
         "figure": sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 100.0, 251, 0.10, 1.0, 0.01),
@@ -333,7 +388,13 @@ class TestStdlibIdentity:
         "payout": sweep_structure(
             110.0, [0.05, 0.25, 0.45, 0.5], 40.0, 95.0, 7, 0.2, 2.0, 0.03, 0.01
         ),
+        # No value is integral, as in most drawn inputs.
+        "drawn": sweep_structure(97.3, [0.12, 0.31, 0.44], 47.3, 83.9, 31, 0.17, 1.3, 0.02),
         "hand-made": [(0.1, _hand_made(-1.25, 1e-300)), (0.5, _hand_made(1.5, -0.0))],
+        # Chosen risk is the int initial volatility above the shift threshold.
+        "int-initial-sigma": sweep_structure(100.0, [0.1, 0.3], 50.0, 90.0, 9, 1, 1.0, 0.01),
+        # ... and an asset value is its float: 1 and 1.0 are one dict key.
+        "int-and-its-float": sweep_structure(100.0, [0.1, 0.2], 1.0, 200.0, 5, 1, 1.0, 0.01),
     }
 
     def test_tables_hold_the_cases_they_are_here_for(self):
@@ -345,6 +406,18 @@ class TestStdlibIdentity:
             for _, table in self.STRUCTURE_TABLES["absent-maximizers"]
             for value in table["optimal_volatility"]
         )
+        assert type(self.SIGMA_TABLES["numpy-inputs"]["sigma"][1]) is np.float64
+        assert not any(
+            value.is_integer()
+            for _, table in self.STRUCTURE_TABLES["drawn"]
+            for column in table.values()
+            for value in column
+        )
+        for name in ("int-initial-sigma", "int-and-its-float"):
+            for _, table in self.STRUCTURE_TABLES[name]:
+                assert any(type(value) is int for value in table["chosen_risk"])
+        _, table = self.STRUCTURE_TABLES["int-and-its-float"][0]
+        assert type(table["asset_value"][0]) is float and table["asset_value"][0] == 1
 
     @pytest.mark.parametrize("name", SIGMA_TABLES)
     def test_sweep_csv(self, name):
