@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 
 from .errors import DegenerateVolatilityError, ValidationError, _domain_error, checked_exp
-from .record import Record, set_field
+from .record import Record, slot_setters
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -70,6 +70,9 @@ class _Priced(Record):
     """
 
     __slots__ = ("_priced",)
+
+
+(_set_priced,) = slot_setters(_Priced)
 
 
 class CapitalStructure(_Priced):
@@ -124,18 +127,29 @@ class CapitalStructure(_Priced):
             raise _domain_error("dividend_yield", dividend_yield, "finite and >= 0")
         if not math.isfinite(senior_face + junior_face):
             raise _domain_error("total_face", senior_face + junior_face, "finite")
-        set_field(self, "asset_value", asset_value)
-        set_field(self, "senior_face", senior_face)
-        set_field(self, "junior_face", junior_face)
-        set_field(self, "volatility", volatility)
-        set_field(self, "maturity", maturity)
-        set_field(self, "rate", rate)
-        set_field(self, "dividend_yield", dividend_yield)
-        set_field(self, "_priced", None)
+        _set_asset_value(self, asset_value)
+        _set_senior_face(self, senior_face)
+        _set_junior_face(self, junior_face)
+        _set_volatility(self, volatility)
+        _set_maturity(self, maturity)
+        _set_rate(self, rate)
+        _set_dividend_yield(self, dividend_yield)
+        _set_priced(self, None)
 
     @property
     def total_face(self) -> float:
         return self.senior_face + self.junior_face
+
+
+(
+    _set_asset_value,
+    _set_senior_face,
+    _set_junior_face,
+    _set_volatility,
+    _set_maturity,
+    _set_rate,
+    _set_dividend_yield,
+) = slot_setters(CapitalStructure)
 
 
 class ClaimValues(Record):
@@ -146,10 +160,13 @@ class ClaimValues(Record):
     def __init__(
         self, senior_value: float, junior_value: float, equity_value: float, total: float
     ) -> None:
-        set_field(self, "senior_value", senior_value)
-        set_field(self, "junior_value", junior_value)
-        set_field(self, "equity_value", equity_value)
-        set_field(self, "total", total)
+        _set_senior_value(self, senior_value)
+        _set_junior_value(self, junior_value)
+        _set_equity_value(self, equity_value)
+        _set_total(self, total)
+
+
+_set_senior_value, _set_junior_value, _set_equity_value, _set_total = slot_setters(ClaimValues)
 
 
 def junior_debt_value(cs: CapitalStructure) -> float:
@@ -194,7 +211,7 @@ def _own_claims(cs: CapitalStructure) -> tuple[float, float, float, float | None
     priced = cs._priced
     if priced is None:
         priced = _claims(cs, cs.volatility)
-        set_field(cs, "_priced", priced)
+        _set_priced(cs, priced)
     return priced
 
 

@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING, Callable
 
 from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range, checked_exp
-from .record import Record, set_field
+from .record import Record, slot_setters
 from .scenario import MCConfig
 
 if TYPE_CHECKING:
@@ -93,9 +93,12 @@ class MCEstimate(Record):
     __slots__ = ("mean", "std_error", "path_count")
 
     def __init__(self, mean: float, std_error: float, path_count: int) -> None:
-        set_field(self, "mean", mean)
-        set_field(self, "std_error", std_error)
-        set_field(self, "path_count", path_count)
+        _set_mean(self, mean)
+        _set_std_error(self, std_error)
+        _set_path_count(self, path_count)
+
+
+_set_mean, _set_std_error, _set_path_count = slot_setters(MCEstimate)
 
 
 class GridSpec(Record):
@@ -107,9 +110,12 @@ class GridSpec(Record):
         check("grid.lower", lower, "finite and > 0")
         check_range("search interval", lower, upper)
         check("tolerance", tolerance, "finite and > 0")
-        set_field(self, "lower", lower)
-        set_field(self, "upper", upper)
-        set_field(self, "tolerance", tolerance)
+        _set_lower(self, lower)
+        _set_upper(self, upper)
+        _set_tolerance(self, tolerance)
+
+
+_set_lower, _set_upper, _set_tolerance = slot_setters(GridSpec)
 
 
 def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:

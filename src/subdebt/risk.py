@@ -22,7 +22,7 @@ import math
 
 from .claims import CapitalStructure
 from .errors import ValidationError, _domain_error, check
-from .record import Record, set_field
+from .record import Record, slot_setters
 
 # Radicands this close to zero are treated as the boundary case where the
 # interior maximizer degenerates to sigma = 0.
@@ -72,13 +72,24 @@ class RiskProfile(Record):
         initial_sigma: float,
         chosen_risk: float,
     ) -> None:
-        set_field(self, "optimal_volatility", optimal_volatility)
-        set_field(self, "shift_threshold", shift_threshold)
-        set_field(self, "hump_threshold", hump_threshold)
-        set_field(self, "regime", regime)
-        set_field(self, "shifts_above_initial", shifts_above_initial)
-        set_field(self, "initial_sigma", initial_sigma)
-        set_field(self, "chosen_risk", chosen_risk)
+        _set_optimal_volatility(self, optimal_volatility)
+        _set_shift_threshold(self, shift_threshold)
+        _set_hump_threshold(self, hump_threshold)
+        _set_regime(self, regime)
+        _set_shifts_above_initial(self, shifts_above_initial)
+        _set_initial_sigma(self, initial_sigma)
+        _set_chosen_risk(self, chosen_risk)
+
+
+(
+    _set_optimal_volatility,
+    _set_shift_threshold,
+    _set_hump_threshold,
+    _set_regime,
+    _set_shifts_above_initial,
+    _set_initial_sigma,
+    _set_chosen_risk,
+) = slot_setters(RiskProfile)
 
 
 def risk_shift_threshold(cs: CapitalStructure, sigma: float) -> float:
@@ -157,7 +168,8 @@ def optimal_volatility(cs: CapitalStructure) -> float | None:
 
 def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float | None:
     """``optimal_volatility`` of ``cs`` with its asset value replaced."""
-    senior_face, total_face = cs.senior_face, cs.total_face
+    senior_face = cs.senior_face
+    total_face = senior_face + cs.junior_face  # cs.total_face, without the property call
     face_product = senior_face * total_face
     v_squared = asset_value * asset_value
     # An infinite product or V^2 makes the ratio inf, 0 or NaN.

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .claims import CapitalStructure
 from .errors import ScenarioParseError, ValidationError, check
-from .record import Record, set_field
+from .record import Record, slot_setters
 
 DEFAULT_PATHS = 1_000_000
 DEFAULT_SEED = 1
@@ -54,8 +54,11 @@ class MCConfig(Record):
             raise ValidationError(f"path_count must be <= 2**32, got {path_count}")
         if not 0 <= seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        set_field(self, "path_count", path_count)
-        set_field(self, "seed", seed)
+        _set_path_count(self, path_count)
+        _set_seed(self, seed)
+
+
+_set_path_count, _set_seed = slot_setters(MCConfig)
 
 
 class Scenario(Record):
@@ -67,10 +70,13 @@ class Scenario(Record):
         self, name: str, structure: CapitalStructure, initial_sigma: float, mc: MCConfig
     ) -> None:
         check("initial_sigma", initial_sigma, "finite and > 0")
-        set_field(self, "name", name)
-        set_field(self, "structure", structure)
-        set_field(self, "initial_sigma", initial_sigma)
-        set_field(self, "mc", mc)
+        _set_name(self, name)
+        _set_structure(self, structure)
+        _set_initial_sigma(self, initial_sigma)
+        _set_mc(self, mc)
+
+
+_set_name, _set_structure, _set_initial_sigma, _set_mc = slot_setters(Scenario)
 
 
 def load_scenario(path: str | Path) -> Scenario:

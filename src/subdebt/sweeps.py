@@ -23,10 +23,11 @@ Sweeps use only the standard library.  Their grids place each point as
 numpy.linspace does, i * step + start with the last point set to stop,
 so they are bit-identical to it; a step count that is not an ``int``
 (or is a ``bool``), is outside [2, ``MAX_STEPS``], or is too large for
-its range to give strictly increasing points raises ``ValidationError``.
-The volatility sweep calls the fused claims kernel once per point; the
-structure sweep computes the two thresholds, which do not depend on the
-asset value, once per debt mix.
+its range to give strictly increasing points raises ``ValidationError``,
+as does a structure sweep whose steps times proportions exceed
+``MAX_STRUCTURE_POINTS``.  The volatility sweep calls the fused claims
+kernel once per point; the structure sweep computes the two thresholds,
+which do not depend on the asset value, once per debt mix.
 """
 
 from __future__ import annotations
@@ -47,9 +48,15 @@ Table = dict[str, tuple[float, ...]]
 # The most points a grid may have, so that a sweep's memory is bounded: an
 # unbounded count would allocate until the process ran out of memory.  At
 # the cap, a volatility sweep and its write peak near 92 MB of resident
-# memory, and a structure sweep over three debt mixes near 104 MB, in a
-# process that holds 15 MB before it starts.
+# memory, in a process that holds 15 MB before it starts.
 MAX_STEPS = 100_000
+# The most points a structure sweep may have over all its debt mixes, steps
+# times proportions: each mix is a table of its own, so capping the steps
+# alone leaves memory growing with the mixes, by about 21 MB per mix at
+# ``MAX_STEPS``.  At this cap, three mixes at ``MAX_STEPS`` and their JSON
+# write peak near 104 MB; many short tables cost more per point, up to
+# 248 MB for 150,000 two-point mixes.
+MAX_STRUCTURE_POINTS = 3 * MAX_STEPS
 
 
 def sweep_sigma(
@@ -93,6 +100,11 @@ def sweep_structure(
     if not junior_proportions:
         raise ValidationError("at least one junior proportion is required")
     asset_values = _grid("asset-value", v_lower, v_upper, steps)
+    if steps * len(junior_proportions) > MAX_STRUCTURE_POINTS:
+        raise ValidationError(
+            f"steps * proportions must be <= {MAX_STRUCTURE_POINTS}, "
+            f"got {steps} * {len(junior_proportions)}"
+        )
     check("initial_sigma", initial_sigma, "finite and > 0")
     tables = []
     for proportion in junior_proportions:

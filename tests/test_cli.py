@@ -625,15 +625,29 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "args",
+        "args,message",
         [
-            ["sweep-sigma"],
-            ["sweep-structure", "--total-face", "100", "--proportions", "0.1"]
-            + ["--v-min", "50", "--v-max", "70"],
+            (
+                ["sweep-sigma", "--steps", "1000000000000"],
+                "steps must be <= 100000, got 1000000000000",
+            ),
+            (
+                ["sweep-structure", "--total-face", "100", "--proportions", "0.1"]
+                + ["--v-min", "50", "--v-max", "70", "--steps", "1000000000000"],
+                "steps must be <= 100000, got 1000000000000",
+            ),
+            # Each debt mix is a table of its own: without the cap on steps
+            # times proportions, 99 mixes at the step cap take about 2 GB.
+            (
+                ["sweep-structure", "--total-face", "100"]
+                + ["--proportions", ",".join(f"0.{i:02d}" for i in range(1, 100))]
+                + ["--v-min", "50", "--v-max", "70", "--steps", "100000"],
+                "steps * proportions must be <= 300000, got 100000 * 99",
+            ),
         ],
-        ids=["sigma", "structure"],
+        ids=["sigma", "structure", "structure-mixes"],
     )
-    def test_step_count_over_the_cap_is_validation_error(self, distressed, args):
+    def test_step_count_over_the_cap_is_validation_error(self, distressed, args, message):
         # Refused before any point is allocated, so the command exits at once.
         # The child's address space is limited to 1 GiB, so that a build
         # without the cap fails fast instead of filling the machine's memory.
@@ -643,9 +657,8 @@ class TestExitCodes:
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
             "from subdebt.cli import main; sys.exit(main(sys.argv[1:]))"
         )
-        args = [command, "--scenario", distressed, *flags, "--steps", "1000000000000"]
         result = subprocess.run(
-            [sys.executable, "-c", limited, *args],
+            [sys.executable, "-c", limited, command, "--scenario", distressed, *flags],
             env=child_env(),
             capture_output=True,
             text=True,
@@ -653,7 +666,7 @@ class TestExitCodes:
         )
         assert result.returncode == EXIT_VALIDATION_ERROR
         assert result.stdout == ""
-        assert result.stderr == "error: steps must be <= 100000, got 1000000000000\n"
+        assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+import subdebt.record
 from conftest import rebuilt
 from subdebt import (
     CapitalStructure,
@@ -42,7 +43,9 @@ _CS_REPR = (
 )
 
 # Per class: the keyword arguments of a valid instance, one field with
-# another valid value, and the instance's repr.
+# another valid value, and the instance's repr.  Within an instance the
+# values are distinct objects, so a setter that wrote another field's slot
+# would show; a record does not check that its fields agree.
 _CASES = {
     "CapitalStructure": (CapitalStructure, _CS_FIELDS, ("asset_value", 63.0), _CS_REPR),
     "ClaimValues": (
@@ -60,12 +63,12 @@ _CASES = {
             "regime": Regime.DECREASING_IN_RISK,
             "shifts_above_initial": False,
             "initial_sigma": 0.1,
-            "chosen_risk": 0.1,
+            "chosen_risk": 0.25,
         },
         ("regime", Regime.HUMP_SHAPED),
         "RiskProfile(optimal_volatility=None, shift_threshold=60.5, hump_threshold=64.25, "
         "regime=<Regime.DECREASING_IN_RISK: 'decreasing-in-risk'>, "
-        "shifts_above_initial=False, initial_sigma=0.1, chosen_risk=0.1)",
+        "shifts_above_initial=False, initial_sigma=0.1, chosen_risk=0.25)",
     ),
     "MCConfig": (
         MCConfig,
@@ -161,6 +164,29 @@ def test_fields_cannot_be_assigned_or_deleted(name):
         assert getattr(record, key) is value
     with pytest.raises(AttributeError):
         record.not_a_field = 1.0
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_each_field_holds_its_own_value(name):
+    values = list(_CASES[name][1].values())
+    assert all(a is not b for i, a in enumerate(values) for b in values[i + 1 :])
+    # test_fields_cannot_be_assigned_or_deleted reads each value back by
+    # identity, which pins each setter to its own field.
+    record = _record(name)
+    # Every slot of the class and its bases is set, the stored result included.
+    slots = [slot for cls in type(record).__mro__ for slot in vars(cls).get("__slots__", ())]
+    for slot in slots:
+        getattr(record, slot)
+    assert ("_priced" in slots) == (name == "CapitalStructure")
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_construction_does_not_go_through_setattr(name):
+    # The fields are set through the slots' own setters, bound at import;
+    # object.__setattr__ costs about twice as much per field.
+    names = _CASES[name][0].__init__.__code__.co_names
+    assert "set_field" not in names and "__setattr__" not in names
+    assert not hasattr(subdebt.record, "set_field")
 
 
 @pytest.mark.parametrize("name", _NAMES)

@@ -173,6 +173,19 @@ class TestStructureSweep:
         sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 70.0, 201, 0.10, 1.0, 0.01)
         assert counts == {"sigma*": 3 * 201}
 
+    def test_caps_steps_times_proportions(self, monkeypatch):
+        steps = sweeps.MAX_STEPS
+        message = f"steps * proportions must be <= {sweeps.MAX_STRUCTURE_POINTS}, got {steps} * 4"
+        # Refused before any table is built, so the bad proportion is not reached.
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            sweep_structure(100.0, [0.1, 0.2, 0.3, 1.5], 50.0, 70.0, steps, 0.10, 1.0, 0.01)
+        monkeypatch.setattr(sweeps, "MAX_STRUCTURE_POINTS", 15)
+        assert len(sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 70.0, 5, 0.10, 1.0, 0.01)) == 3
+        for proportions, steps in (([0.1, 0.2, 0.3, 0.4], 5), ([0.1, 0.2], 8)):
+            message = f"steps * proportions must be <= 15, got {steps} * {len(proportions)}"
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                sweep_structure(100.0, proportions, 50.0, 70.0, steps, 0.10, 1.0, 0.01)
+
     @pytest.mark.parametrize("proportion", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_out_of_range_proportions(self, proportion):
         with pytest.raises(ValidationError):
