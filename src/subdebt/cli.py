@@ -9,11 +9,21 @@ or output that cannot be written (an ``--out`` path that cannot be
 opened, or a failed write or close of the output stream, stdout and the
 help text included); 3 parameter validation error; 4 verification check
 failure.
+
+``run`` is the entry point of a ``subdebt`` process (``python -m
+subdebt``, the console script, this module run as a script).  It returns
+``main``'s exit code and then freezes the garbage collector's heap
+(``gc.freeze``), so that the collections at interpreter exit skip the
+objects the imports built; atexit handlers, the final flush of the
+standard streams and refcount deallocation still run.  ``main`` does
+not freeze: tests and library callers run it in process, many times,
+and the cyclic collector never frees what a freeze keeps.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -43,6 +53,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, DegenerateVolatilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
+
+
+def run(argv: list[str] | None = None) -> int:
+    """``main(argv)`` for a process about to exit, its heap frozen after."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,4 +279,4 @@ def _discard_stdout() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,16 +1,21 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import child_env, count_calls, read_sweep_csv
+from golden.regenerate import GOLDEN, SCENARIOS, pinned_platform
 
+import subdebt.cli as cli
 import subdebt.risk as risk
 import subdebt.verify as verify
 from subdebt.cli import (
@@ -19,7 +24,10 @@ from subdebt.cli import (
     EXIT_VALIDATION_ERROR,
     EXIT_VERIFY_FAILURE,
     main,
+    run,
 )
+
+PYPROJECT = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
 
 DISTRESSED = """\
 [scenario]
@@ -787,3 +795,87 @@ class TestExitCodes:
             main(["verify", "--scenario", distressed, "--seed", "-5"])
             == EXIT_VALIDATION_ERROR
         )
+
+
+@pytest.fixture
+def freezes(monkeypatch):
+    """The calls of ``gc.freeze``, recorded instead of freezing this process."""
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    return calls
+
+
+# Reports at exit whether the heap is frozen, then runs ``python -m
+# subdebt`` with its own arguments.
+_LAUNCH = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > 0}\\n"))
+runpy.run_module("subdebt", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestProcessEntry:
+    """``run`` is ``main`` plus one ``gc.freeze`` once ``main`` has returned."""
+
+    @pytest.mark.parametrize(
+        "old, new, code",
+        [
+            ("", "", EXIT_OK),
+            ("senior_face = 60", "senior_face = -60", EXIT_VALIDATION_ERROR),
+            ("[scenario]", "[scenario", EXIT_PARSE_ERROR),
+        ],
+        ids=["ok", "validation", "parse"],
+    )
+    def test_run_returns_what_main_returns(self, tmp_path, capsys, freezes, old, new, code):
+        path = tmp_path / "scenario.ini"
+        path.write_text(DISTRESSED.replace(old, new))
+        argv = ["price", "--scenario", str(path)]
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        assert run(argv) == code
+        assert capsys.readouterr() == expected
+        assert freezes == ["freeze"]
+
+    def test_run_freezes_once_after_main_returns(self, distressed, capsys, freezes, monkeypatch):
+        def recorded(argv=None):
+            code = main(argv)
+            freezes.append(f"main returned {code}")
+            return code
+
+        monkeypatch.setattr(cli, "main", recorded)
+        assert run(["price", "--scenario", distressed]) == EXIT_OK
+        assert freezes == ["main returned 0", "freeze"]
+
+    def test_run_freezes_on_a_usage_error_and_reraises_it(self, capsys, freezes):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["frobnicate"])
+        assert excinfo.value.code == 2
+        assert freezes == ["freeze"]
+
+    def test_main_does_not_freeze(self, distressed, capsys, freezes):
+        before = gc.get_freeze_count()
+        for command, flags in COMMAND_FLAGS.items():
+            assert main([command, "--scenario", distressed, *flags]) == EXIT_OK
+        assert freezes == []
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.skipif(not pinned_platform(), reason="golden outputs are pinned for x86-64 glibc")
+    def test_python_m_subdebt_exits_with_the_heap_frozen(self):
+        scenario = str(SCENARIOS / "distressed.ini")
+        result = subprocess.run(
+            [sys.executable, "-c", _LAUNCH, "price", "--scenario", scenario],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_OK
+        assert result.stdout == (GOLDEN / "price" / "distressed.txt").read_text()
+        assert result.stderr == "frozen at exit: True\n"
+
+    def test_console_script_runs_what_python_m_subdebt_runs(self):
+        # A regex, as the tests read README: tomllib is new in Python 3.11.
+        script = re.search(r'^subdebt = "subdebt\.cli:(\w+)"$', PYPROJECT, re.M).group(1)
+        source = Path(cli.__file__).with_name("__main__.py").read_text()
+        assert f"from .cli import {script}\n" in source
+        assert f"sys.exit({script}())" in source
+        assert script == "run"
