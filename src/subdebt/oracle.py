@@ -36,28 +36,45 @@ own, keyed by the seed and set to the chunk's start, and reduced to
 per-claim (count, mean, M2) in buffers allocated once per call.  With two
 or more chunks two threads do this, the caller and one helper, each
 claiming the next chunk, so memory is two chunks plus one small result
-per chunk.  The per-chunk moments
-are merged in chunk order once both threads are done, so an estimate
-does not depend on which thread reduced which chunk.  The merged sums
-depend on where the chunks end, so the fixed chunk size is part of the
-estimate's contract: an estimate is a pure function of (seed,
-path_count) and this constant.
+per chunk.  Each thread holds three float64 rows of a chunk, the values
+at Z and two rows of scratch, and the chunk's raw draws, whose memory
+then holds the values at -Z: 2 MiB per thread.  Under tracemalloc a
+200k-path call peaks at 3.5 MiB and a 2M-path call at 4.0 MiB (4.8 and
+5.0 MiB with a fourth row that held a float64 copy of the raw draws).
+The per-chunk moments are merged in chunk order once both threads are
+done, so an estimate does not depend on which thread reduced which
+chunk.  The merged sums depend on where the chunks end, so the fixed
+chunk size is part of the estimate's contract: an estimate is a pure
+function of (seed, path_count) and this constant.
 
 numpy and scipy are imported inside the functions that build arrays, so
 that importing the package, and the closed-form CLI commands, do not
 load them.
 
-``ndtri`` is resolved once per process, by the calling thread before any
-helper starts, and handed to ``_draw``.  If ``scipy.special`` is already
-loaded, its ``ndtri`` is used.  Otherwise it is taken from the compiled
-``scipy.special._ufuncs`` module, imported under a bare package module
-that stands in for ``scipy.special`` only while that import runs.  The
-package ``__init__`` also loads ``numpy.f2py`` and scipy's array-API
-backends: with numpy loaded, ``from scipy.special import ndtri`` took
-270-410 ms on a 2-vCPU Xeon (scipy 1.17.1), ``_ufuncs`` alone 24-30 ms.
-It is the same C ufunc, so a later ``import scipy.special`` works and
-yields the same object.  That module layout is private to scipy, so on
-any failure the route falls back to ``from scipy.special import ndtri``.
+``ndtri`` and the ``Philox`` class are each resolved once per process,
+by the calling thread before any helper starts, and handed to the
+kernel.  Both come from compiled modules of packages whose ``__init__``
+loads much more, and one route serves both (``_compiled_member``).  If
+the package (``scipy.special``, ``numpy.random``) is already loaded, its
+member is used.  Otherwise the member is taken from the compiled module
+(``scipy.special._ufuncs``, ``numpy.random._philox``), imported under a
+bare package module that stands in for the package only while that
+import runs.  ``scipy.special``'s ``__init__`` also loads ``numpy.f2py``
+and scipy's array-API backends: with numpy loaded, ``from scipy.special
+import ndtri`` took 270-410 ms on a 2-vCPU Xeon (scipy 1.17.1),
+``_ufuncs`` alone 24-30 ms.  ``numpy.random``'s loads every generator,
+``RandomState`` and the distributions: 13-17 ms and 5.5 MB of resident
+memory with numpy loaded, against 5-8 ms and 4.1 MB for ``_philox`` and
+the two modules it needs, most of it the ``hashlib`` that
+``numpy.random.bit_generator`` loads through ``secrets`` (numpy 2.4, the
+same machine).  The members are the same objects, so a later ``import
+scipy.special`` or ``import numpy.random`` works and yields them.  A
+submodule loaded under the stub is not an attribute of the package
+imported later unless the package's ``__init__`` binds it:
+``numpy.random.bit_generator`` is then missing as an attribute, while
+``from numpy.random import bit_generator`` works.  That module layout
+is private to each package, so on any failure the route falls back to
+importing the package.
 """
 
 from __future__ import annotations
@@ -65,7 +82,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range, checked_exp
@@ -80,8 +97,8 @@ _COARSE_POINTS = 64
 # V e^{-q tau}, the scale of the two calls whose difference is the junior value.
 _PEAK_ULPS = 8
 # Normals drawn per chunk of the Monte-Carlo stream.  Each of the two threads
-# holds four float64 buffers of a chunk and its raw draws, 2.5 MiB; the traced
-# peak of a 2M-path call is 5.0 MiB.  Estimates depend on it through the order
+# holds three float64 rows of a chunk and its raw draws, 2 MiB; the traced
+# peak of a 2M-path call is 4.0 MiB.  Estimates depend on it through the order
 # of the final sums.
 _CHUNK_DRAWS = 1 << 16
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -129,9 +146,10 @@ def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
     import numpy as np
 
     values = np.empty((mc.path_count // 2, 2))
-    # Rows 0 and 1 of values.T are the up and down columns, so values is
-    # already interleaved and the peak is the output and the raw draws.
-    _draw(cs, np.random.Philox(key=mc.seed).random_raw(len(values)), values.T, _ndtri())
+    # The up and down columns of values are already interleaved, so the peak
+    # is the output and the raw draws.
+    raw = _philox()(key=mc.seed).random_raw(len(values))
+    _draw(cs, raw, values[:, 0], values[:, 1], _ndtri())
     return values.ravel()
 
 
@@ -169,45 +187,27 @@ def mc_claim_values(
     return tuple(estimates)
 
 
-def claim_payoffs(
-    terminal: np.ndarray, senior_face: float, junior_face: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split terminal asset values across the three claims at maturity.
-
-    senior = min(V_T, F_S); junior = clamp(V_T - F_S, 0, F_J);
-    equity = max(V_T - F_S - F_J, 0).  The single-branch clamp form of
-    the junior payoff equals both rearrangements
-    max(min(V_T - F_S, F_J), 0) and
-    max(V_T - F_S, 0) - max(V_T - F_S - F_J, 0).
-    """
-    import numpy as np
-
-    senior = np.minimum(terminal, senior_face)
-    excess = terminal - senior_face
-    junior = np.clip(excess, 0.0, junior_face)
-    equity = np.maximum(excess - junior_face, 0.0)
-    return senior, junior, equity
-
-
 def _draw(
-    cs: CapitalStructure, raw: np.ndarray, buffers: np.ndarray, ndtri: np.ufunc
-) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal values at Z and -Z from the raw Philox outputs ``raw``.
+    cs: CapitalStructure, raw: np.ndarray, up: np.ndarray, down: np.ndarray, ndtri: np.ufunc
+) -> None:
+    """Terminal values at Z and -Z, into ``up`` and ``down``, from the raw
+    Philox outputs ``raw``.
 
-    Shifts ``raw`` in place, maps it to normals with ``ndtri``, writes the
-    values at Z and -Z into rows 0 and 1 of ``buffers`` and returns those
-    rows cut to ``raw.size``.  Each value takes the operations of
-    V exp(drift +- shock z) in their order, so it has the bits of the same
-    expression over new arrays, whatever the strides of ``buffers``.
+    Shifts ``raw`` in place and maps it to normals with ``ndtri``.
+    ``down`` may be ``raw`` viewed as float64.  Each value takes the
+    operations of V exp(drift +- shock z) in their order, so it has the
+    bits of the same expression over new arrays, whatever the strides of
+    ``up`` and ``down``.
     """
     import numpy as np
 
     drift = (cs.rate - cs.dividend_yield - 0.5 * cs.volatility * cs.volatility) * cs.maturity
     shock = cs.volatility * math.sqrt(cs.maturity)
-    up, down = buffers[0, : raw.size], buffers[1, : raw.size]
     np.right_shift(raw, 11, out=raw)
     # raw >> 11 < 2**53 converts to float64 exactly from either integer
-    # type, and numpy's cast from int64 is about ten times faster.
+    # type, and numpy's cast from int64 is about ten times faster.  Where
+    # down overlays raw, the cast assignment runs in place; a ufunc given
+    # the int64 view as input and down as output would first copy raw.
     down[...] = raw.view(np.int64)
     down += 0.5
     down *= 2.0**-53
@@ -219,44 +219,49 @@ def _draw(
     for values in (up, down):
         np.exp(values, out=values)
         values *= cs.asset_value
-    return up, down
 
 
 @functools.cache
 def _ndtri() -> np.ufunc:
     """scipy's ``ndtri`` ufunc, by the route the module docstring describes."""
-    # Reading scipy.special as an attribute would import it through scipy's
-    # module __getattr__, so only sys.modules is consulted.
-    special = sys.modules.get("scipy.special")
-    if special is not None:
-        return special.ndtri
-    try:
-        return _compiled_ndtri()
-    except Exception:  # any change to scipy's private layout
-        from scipy.special import ndtri
-
-        return ndtri
+    return _compiled_member("scipy.special", "_ufuncs", "ndtri")
 
 
-def _compiled_ndtri() -> np.ufunc:
-    """Import ``scipy.special._ufuncs`` without running the package ``__init__``.
+@functools.cache
+def _philox() -> type:
+    """numpy's ``Philox`` bit generator, by the route the module docstring describes."""
+    return _compiled_member("numpy.random", "_philox", "Philox")
 
-    The stub is in ``sys.modules`` only while this import runs; an import
-    of ``scipy.special`` from another thread in that window would get it.
+
+def _compiled_member(package: str, module: str, name: str) -> Any:
+    """``name`` from ``package``, imported without the package ``__init__`` if it can be.
+
+    If ``package`` is loaded, its own ``name``.  Otherwise ``name`` from
+    the compiled ``package.module``, imported under a bare stub module
+    that stands in for ``package`` only while this import runs; an import
+    of ``package`` from another thread in that window would get the stub.
+    On any failure, ``name`` from the imported ``package``.
     """
     import importlib
     import os
     import types
 
-    import scipy
-
-    stub = types.ModuleType("scipy.special")
-    stub.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
-    sys.modules["scipy.special"] = stub
+    # Reading the package as an attribute would import it through its
+    # parent's module __getattr__, so only sys.modules is consulted.
+    loaded = sys.modules.get(package)
+    if loaded is not None:
+        return getattr(loaded, name)
     try:
-        return importlib.import_module("scipy.special._ufuncs").ndtri
-    finally:
-        sys.modules.pop("scipy.special", None)
+        parent, _, child = package.rpartition(".")
+        stub = types.ModuleType(package)
+        stub.__path__ = [os.path.join(p, child) for p in importlib.import_module(parent).__path__]
+        sys.modules[package] = stub
+        try:
+            return getattr(importlib.import_module(f"{package}.{module}"), name)
+        finally:
+            sys.modules.pop(package, None)
+    except Exception:  # any change to the package's private layout
+        return getattr(importlib.import_module(package), name)
 
 
 def _chunk_moments(
@@ -279,10 +284,10 @@ def _chunk_moments(
     # next() on this C iterator does not release the GIL, so each chunk goes
     # to exactly one thread.
     chunks = enumerate(range(0, n_draws, chunk))
-    # Resolved before the helper starts: _ndtri's cache takes no lock, and a
-    # thread that resolved it while the other imports _ufuncs would get the
-    # stub scipy.special.
-    ndtri = _ndtri()
+    # Resolved before the helper starts: the caches take no lock, and a
+    # thread that resolved one while the other imports under a stub would
+    # get the stub package.
+    ndtri, philox = _ndtri(), _philox()
     per_chunk = [None] * -(-n_draws // chunk)
     errors = []
 
@@ -290,11 +295,12 @@ def _chunk_moments(
         """Draw and reduce the chunk at ``start``; its raw array is freed on return."""
         # Philox gives four raw outputs per counter step, so draw ``start``
         # is output start % 4 of counter step start // 4.
-        philox = np.random.Philox(key=mc.seed, counter=start // 4)
-        philox.random_raw(start % 4)
-        raw = philox.random_raw(min(chunk, n_draws - start))
-        up, down = _draw(cs, raw, buffers, ndtri)
-        scratch = buffers[2:, : raw.size]
+        generator = philox(key=mc.seed, counter=start // 4)
+        generator.random_raw(start % 4)
+        raw = generator.random_raw(min(chunk, n_draws - start))
+        # The values at -Z overwrite the raw draws they come from.
+        up, scratch, down = buffers[0, : raw.size], buffers[1:, : raw.size], raw.view(np.float64)
+        _draw(cs, raw, up, down, ndtri)
         per_chunk[index] = raw.size, _claim_moments(cs, discount, up, down, scratch)
 
     def kernel(buffers: np.ndarray) -> None:
@@ -311,7 +317,7 @@ def _chunk_moments(
 
     # The caller allocates the helper's buffers too: allocated in the helper,
     # they would come from a second malloc arena and add to the peak RSS.
-    buffers = np.empty((min(len(per_chunk), 2), 4, chunk))
+    buffers = np.empty((min(len(per_chunk), 2), 3, chunk))
     helper = None
     if len(buffers) > 1:
         helper = threading.Thread(target=kernel, args=(buffers[1],))
@@ -335,9 +341,11 @@ def _claim_moments(
 ) -> list[tuple[float, float]]:
     """Per claim, (mean, M2) of a chunk's discounted payoffs averaged over each pair.
 
-    The payoffs take the operations of ``claim_payoffs`` in their order,
-    so each unit has the bits of one formed from new arrays.  Overwrites
-    ``up``, ``down`` and both rows of ``scratch``.
+    The payoffs at maturity are senior = min(V_T, F_S), junior =
+    clip(V_T - F_S, 0, F_J) and equity = max(V_T - F_S - F_J, 0), each
+    formed by those operations in that order, so each unit has the bits of
+    one formed from new arrays (the tests' ``claim_payoffs`` forms them
+    so).  Overwrites ``up``, ``down`` and both rows of ``scratch``.
     """
     import numpy as np
 

@@ -1,6 +1,6 @@
 """Shared hypothesis strategies for model inputs, a record rebuilder, a
-sweep CSV reader, the environment of a child process, and the CPU target
-of numpy's ``exp`` loop."""
+sweep CSV reader, the claim payoffs at maturity, the environment of a
+child process, and the CPU target of numpy's ``exp`` loop."""
 
 import csv
 import inspect
@@ -85,6 +85,26 @@ def read_sweep_csv(stream):
     header, *records = csv.reader(stream)
     columns = zip(*([float(cell) if cell else math.nan for cell in r] for r in records))
     return dict(zip(header, columns))
+
+
+def claim_payoffs(terminal, senior_face, junior_face):
+    """Split terminal asset values across the three claims at maturity.
+
+    senior = min(V_T, F_S); junior = clamp(V_T - F_S, 0, F_J);
+    equity = max(V_T - F_S - F_J, 0).  The single-branch clamp form of
+    the junior payoff equals both rearrangements
+    max(min(V_T - F_S, F_J), 0) and
+    max(V_T - F_S, 0) - max(V_T - F_S - F_J, 0).  These are the operations,
+    in their order, that ``oracle._claim_moments`` runs in place, so it
+    is the reference for the Monte-Carlo estimates.
+    """
+    import numpy as np
+
+    senior = np.minimum(terminal, senior_face)
+    excess = terminal - senior_face
+    junior = np.clip(excess, 0.0, junior_face)
+    equity = np.maximum(excess - junior_face, 0.0)
+    return senior, junior, equity
 
 
 # The directory that holds the imported package: ``src`` in a checkout,

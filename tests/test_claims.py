@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import subdebt.claims as claims
 from conftest import (
     capital_structures,
+    claim_payoffs,
     count_calls,
     distressed_structures,
     finite_floats,
@@ -29,7 +30,6 @@ from subdebt import (
     value_all_claims,
     vega,
 )
-from subdebt.oracle import claim_payoffs
 
 
 class TestMaturityPayoffs:

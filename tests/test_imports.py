@@ -1,12 +1,15 @@
 """Cold-start guard: each command loads only the modules it runs.
 
 ``import subdebt`` loads no submodule.  The closed-form commands and the
-sweeps load neither numpy, scipy, ``dataclasses`` nor ``inspect``;
+sweeps load neither numpy, scipy, ``dataclasses`` nor ``inspect``.
 ``price`` and ``thresholds`` load neither the sweeps, the oracles nor the
 option functions of ``black_scholes``, and as text neither ``json`` nor
-``csv``; ``price`` does not load ``subdebt.risk`` either.  The sweeps load neither ``json`` nor ``csv`` in any format.  ``verify`` loads numpy and only scipy's compiled ``_ufuncs``,
-not the ``scipy.special`` package, and not ``dataclasses`` (numpy loads
-``inspect`` itself).
+``csv``; ``price`` does not load ``subdebt.risk`` either.  The sweeps
+load neither ``json`` nor ``csv`` in any format.  ``verify`` loads numpy
+and, of the packages it draws from, only the compiled modules it uses:
+scipy's ``_ufuncs``, not the ``scipy.special`` package, and numpy's
+``_philox``, not the ``numpy.random`` package.  It does not load
+``dataclasses`` (numpy loads ``inspect`` itself).
 
 Each case runs in a fresh interpreter, because this test process has
 already imported all of these.
@@ -26,8 +29,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "scenarios" / "distressed.ini"
 
 # Imports the package and runs the command, if any; reports what that
-# loaded, then, if it loaded scipy's ufuncs, whether a real
-# ``import scipy.special`` yields the same ndtri.  It reads its arguments
+# loaded, then, if it loaded scipy's ufuncs and numpy's Philox module,
+# whether a real ``import scipy.special`` yields the same ndtri and a real
+# ``import numpy.random`` the same Philox.  It reads its arguments
 # from sys.argv and imports json only afterwards, so that json counts as
 # loaded only where the command loaded it.
 _PROBE = """\
@@ -38,15 +42,19 @@ if sys.argv[1:]:
     from subdebt.cli import main
     code = main(sys.argv[1:])
 modules = sorted(sys.modules)
-same_ndtri = None
+same_ndtri = same_philox = None
 if "scipy.special._ufuncs" in modules:
     import scipy.special
     from subdebt.oracle import _ndtri
     same_ndtri = _ndtri() is scipy.special.ndtri
+if "numpy.random._philox" in modules:
+    import numpy.random
+    from subdebt.oracle import _philox
+    same_philox = _philox() is numpy.random.Philox
 import json
 print(json.dumps({"code": code, "numpy": "numpy" in modules,
                   "scipy": "scipy" in modules, "modules": modules,
-                  "same_ndtri": same_ndtri}))
+                  "same_ndtri": same_ndtri, "same_philox": same_philox}))
 """
 
 # Modules that no closed-form command loads; those that ``price`` and
@@ -145,18 +153,34 @@ def test_commands_load_only_what_they_use(argv, code, absent):
         assert not {name for name in modules if name.startswith("subdebt.")}
 
 
+# The numpy.random package and the generators, distributions and pickling
+# support that its __init__ loads besides Philox.
+_NOT_IN_VERIFY_RANDOM = {
+    "numpy.random",
+    "numpy.random._generator",
+    "numpy.random.mtrand",
+    "numpy.random._pickle",
+    "numpy.random._mt19937",
+    "numpy.random._pcg64",
+    "numpy.random._sfc64",
+    "numpy.random._bounded_integers",
+}
+
+
 def test_verify_loads_only_the_compiled_ufuncs():
     loaded = _loaded_after(
         ["verify", "--scenario", str(SCENARIO), "--paths", "2000", "--format", "json"]
     )
     assert loaded["code"] == 0
     modules = set(loaded["modules"])
-    assert {"numpy", "scipy.special._ufuncs"} <= modules
+    assert {"numpy", "scipy.special._ufuncs", "numpy.random._philox"} <= modules
     assert "scipy.special._support_alternative_backends" not in modules
     assert "numpy.f2py" not in modules
     assert "scipy.special" not in modules
+    assert not _NOT_IN_VERIFY_RANDOM & modules
     assert "dataclasses" not in modules
     assert loaded["same_ndtri"] is True
+    assert loaded["same_philox"] is True
 
 
 def test_only_black_scholes_loads_dataclasses():

@@ -1,5 +1,6 @@
 """Tests for the Monte-Carlo, argmax, and finite-difference oracles."""
 
+import functools
 import json
 import math
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import child_env, distressed_structures, exp_loop, rebuilt
+from conftest import claim_payoffs, child_env, distressed_structures, exp_loop, rebuilt
 import subdebt.oracle as oracle
 from subdebt import (
     CapitalStructure,
@@ -51,21 +52,22 @@ sys.exit(main(sys.argv[1:]))
 """
 
 # Runs the frozen-sequence structure at 200k paths, then the ``verify``
-# command its remaining arguments name, by one ndtri route: the default,
-# scipy.special imported first, or the compiled-ufuncs route broken as a
-# changed scipy layout would break it.  Prints the results and the
-# scipy.special left loaded.
-_NDTRI_ROUTE_PROBE = """\
+# command its remaining arguments name, by one route of the compiled
+# members: the default, "import P" (package P imported first), or "break M"
+# (the compiled module M made to fail, as a changed layout would).  Prints
+# the results and which of scipy.special and numpy.random are left loaded.
+_ROUTE_PROBE = """\
 import contextlib, hashlib, importlib, io, json, sys
-if sys.argv[1] == "scipy-special":
-    import scipy.special
-if sys.argv[1] == "fallback":
+action, _, name = sys.argv[1].partition(" ")
+if action == "import":
+    importlib.import_module(name)
+if action == "break":
     import_module = importlib.import_module
 
-    def broken(name, package=None):
-        if name == "scipy.special._ufuncs":
-            raise ImportError("scipy.special._ufuncs moved")
-        return import_module(name, package)
+    def broken(module, package=None):
+        if module == name:
+            raise ImportError(f"{module} moved")
+        return import_module(module, package)
 
     importlib.import_module = broken
 from subdebt import CapitalStructure, MCConfig, mc_claim_values, simulate_terminal_values
@@ -76,32 +78,35 @@ terminal = simulate_terminal_values(cs, mc)
 estimates = [[e.mean.hex(), e.std_error.hex()] for e in mc_claim_values(cs, mc)]
 with contextlib.redirect_stdout(io.StringIO()) as report:
     code = main(sys.argv[2:])
-special = sys.modules.get("scipy.special")
+left = {}
+for package in ("scipy.special", "numpy.random"):
+    module = sys.modules.get(package)
+    left[package] = None if module is None else getattr(module, "__file__", "stub")
 print(json.dumps({
     "head": terminal[:8].tolist(),
     "terminal": hashlib.sha256(terminal.tobytes()).hexdigest(),
     "estimates": estimates,
     "verify": [code, report.getvalue()],
-    "special": None if special is None else getattr(special, "__file__", "stub"),
+    "left": left,
 }))
 """
 
-# Runs a cold two-chunk mc_claim_values and prints each resolution of ndtri,
-# with whether the main thread made it.
-_NDTRI_THREAD_PROBE = """\
+# Runs a cold two-chunk mc_claim_values and prints each resolution of ndtri
+# and Philox, and each stub import, with whether the main thread made it.
+_RESOLVE_THREAD_PROBE = """\
 import json, threading
 import subdebt.oracle as oracle
 from subdebt import CapitalStructure, MCConfig
 resolved = []
 
 def recording(resolve):
-    def wrapper():
+    def wrapper(*args):
         resolved.append([resolve.__name__, threading.current_thread() is threading.main_thread()])
-        return resolve()
+        return resolve(*args)
     return wrapper
 
-oracle._ndtri = recording(oracle._ndtri)
-oracle._compiled_ndtri = recording(oracle._compiled_ndtri)
+for name in ("_ndtri", "_philox", "_compiled_member"):
+    setattr(oracle, name, recording(getattr(oracle, name)))
 cs = CapitalStructure(62.0, 60.0, 10.0, 0.262, 1.0, 0.01, 0.0)
 oracle.mc_claim_values(cs, MCConfig(131_074, seed=42))
 print(json.dumps(resolved))
@@ -124,6 +129,30 @@ def _bounded(f, limit=1000):
 
 def _cs(v, fs=60.0, fj=10.0, sigma=0.262, tau=1.0, r=0.01, q=0.0):
     return CapitalStructure(v, fs, fj, sigma, tau, r, q)
+
+
+@functools.cache
+def _route(route):
+    """What ``_ROUTE_PROBE`` prints for ``route`` and the 200k-path ``verify``."""
+    return json.loads(_run_probe(_ROUTE_PROBE, route, *VERIFY))
+
+
+def _assert_routes_agree(package, compiled, frozen):
+    """The default route, ``package`` imported first and ``compiled`` broken
+    give the same terminal values, estimates and ``verify`` report."""
+    default, preloaded, fallback = (
+        dict(_route(route)) for route in ("default", f"import {package}", f"break {compiled}")
+    )
+    # The compiled-module route leaves neither package, stub or real,
+    # behind; the other two leave the real package.
+    assert default.pop("left") == {"scipy.special": None, "numpy.random": None}
+    assert preloaded.pop("left")[package].endswith("__init__.py")
+    assert fallback.pop("left")[package].endswith("__init__.py")
+    assert default["head"] == frozen
+    assert default["verify"][0] == 0
+    assert json.loads(default["verify"][1])["paths"] == 200_000
+    assert preloaded == default
+    assert fallback == default
 
 
 def _run_probe(probe, *args, **env_vars):
@@ -206,7 +235,7 @@ class TestSimulation:
             uniforms.extend(u.tolist())
             return ndtri(u, out=out)
 
-        monkeypatch.setattr(np.random, "Philox", TopRaw)
+        monkeypatch.setattr(oracle, "_philox", lambda: TopRaw)
         monkeypatch.setattr(oracle, "_ndtri", lambda: recording_ndtri)
         cs = _cs(62.0)
         assert simulate_terminal_values(cs, MCConfig(2, seed=1)).tolist() == [math.inf, 0.0]
@@ -215,27 +244,20 @@ class TestSimulation:
             mc_claim_values(cs, MCConfig(2, seed=1))
 
     def test_every_ndtri_route_gives_the_same_bits(self):
-        default, preloaded, fallback = (
-            json.loads(_run_probe(_NDTRI_ROUTE_PROBE, route, *VERIFY))
-            for route in ("default", "scipy-special", "fallback")
-        )
-        # The compiled-ufuncs route leaves no scipy.special, stub or real,
-        # behind; the other two leave the real package.
-        assert default.pop("special") is None
-        assert preloaded.pop("special").endswith("__init__.py")
-        assert fallback.pop("special").endswith("__init__.py")
-        assert default["head"] == self.FROZEN
-        assert default["verify"][0] == 0
-        assert json.loads(default["verify"][1])["paths"] == 200_000
-        assert preloaded == default
-        assert fallback == default
+        _assert_routes_agree("scipy.special", "scipy.special._ufuncs", self.FROZEN)
+
+    def test_every_philox_route_gives_the_same_bits(self):
+        _assert_routes_agree("numpy.random", "numpy.random._philox", self.FROZEN)
 
     def test_only_the_calling_thread_resolves_ndtri(self):
-        # The helper thread must not resolve it: the cache takes no lock, and
-        # while _compiled_ndtri imports, scipy.special is a bare stub.
-        assert json.loads(_run_probe(_NDTRI_THREAD_PROBE)) == [
+        # The helper thread must not resolve ndtri or Philox: the caches take
+        # no lock, and while _compiled_member imports, the package is a bare
+        # stub.
+        assert json.loads(_run_probe(_RESOLVE_THREAD_PROBE)) == [
             ["_ndtri", True],
-            ["_compiled_ndtri", True],
+            ["_compiled_member", True],
+            ["_philox", True],
+            ["_compiled_member", True],
         ]
 
 
@@ -351,11 +373,14 @@ class TestStreaming:
         draw = oracle._draw
         chunks = []
 
-        def recording_draw(cs, raw, buffers, ndtri):
+        def recording_draw(cs, raw, up, down, ndtri):
+            # The values at -Z overlay the raw draws, and each thread's
+            # buffers hold three rows, the values at Z and two of scratch.
+            assert np.shares_memory(raw, down)
+            assert up.base.shape[1:] == (3, min(oracle._CHUNK_DRAWS, paths // 2))
             drawn = raw.copy()  # before _draw shifts it
-            up, down = draw(cs, raw, buffers, ndtri)
+            draw(cs, raw, up, down, ndtri)
             chunks.append((drawn, up.copy(), down.copy()))  # before the reduce overwrites them
-            return up, down
 
         if chunk is not None:
             monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
@@ -377,7 +402,7 @@ class TestStreaming:
         monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
         estimates = mc_claim_values(cs, mc)
         for payoff, estimate in zip(
-            oracle.claim_payoffs(terminal, cs.senior_face, cs.junior_face), estimates
+            claim_payoffs(terminal, cs.senior_face, cs.junior_face), estimates
         ):
             discounted = discount * payoff
             units = 0.5 * (discounted[0::2] + discounted[1::2])
@@ -400,6 +425,22 @@ class TestStreaming:
         assert all(float(line) > 0 for line in std_errors)
         assert json.loads(report)["paths"] == 200_000
         assert outputs[0] == outputs[1]
+
+    def test_draw_over_the_raw_draws_allocates_no_copy(self):
+        # The chunk kernel writes the values at -Z over the raw draws; a
+        # conversion that copied them first would add a chunk per thread.
+        cs = _cs(62.0, sigma=0.3)
+        raw = np.random.Philox(key=5).random_raw(1 << 16)
+        expected = simulate_terminal_values(cs, MCConfig(2 * raw.size, seed=5))
+        up = np.empty(raw.size)
+        tracemalloc.start()
+        try:
+            oracle._draw(cs, raw, up, raw.view(np.float64), oracle._ndtri())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < raw.nbytes // 8
+        assert np.column_stack((up, raw.view(np.float64))).tobytes() == expected.tobytes()
 
     def test_single_pair_has_zero_standard_error(self):
         for estimate in mc_claim_values(_cs(62.0, sigma=0.3), MCConfig(2, seed=1)):
@@ -601,7 +642,7 @@ class TestTwoThreads:
         # around the draws, or the barrier breaks after its timeout.
         both = threading.Barrier(2, timeout=5)
         drawn = set()
-        real = np.random.Philox
+        real = oracle._philox()
 
         class WaitingPhilox:
             def __init__(self, *args, **kwargs):
@@ -614,7 +655,7 @@ class TestTwoThreads:
                     both.wait()
                 return self._philox.random_raw(size)
 
-        monkeypatch.setattr(np.random, "Philox", WaitingPhilox)
+        monkeypatch.setattr(oracle, "_philox", lambda: WaitingPhilox)
         monkeypatch.setattr(oracle, "_CHUNK_DRAWS", 7)
         mc_claim_values(_cs(62.0), MCConfig(20_002, seed=1))
         assert len(drawn) == 2
