@@ -40,7 +40,6 @@ _NAMES = {
         "MCEstimate",
         "argmax_sigma_numeric",
         "finite_diff_vega",
-        "golden_section_max",
         "mc_claim_values",
         "simulate_terminal_values",
     ),

@@ -2,13 +2,15 @@
 
 Three routes that do not share code with the formulas they check:
 Monte-Carlo pricing from simulated terminal asset values, a numeric
-one-dimensional argmax (coarse grid plus golden-section refinement), and
-central finite differences for the junior-debt vega.  The argmax and the
-finite difference maximize and differentiate the kernel's junior value,
-``claims._claims(cs, sigma)[1]``, on the caller's validated structure;
-they never read the kernel's vega or the closed-form sigma*, the results
-they check.  numpy builds only the coarse grid, so the kernel and
-``golden_section_max`` see Python floats.
+argmax that finds where the junior-debt vega changes sign, and central
+finite differences for the junior-debt vega.  The finite difference
+differences the kernel's junior value, ``claims._claims(cs, sigma)[1]``,
+on the caller's validated structure.  The argmax takes the vega by a
+complex step, Im B_J(sigma + ih) / h, with the junior value
+B_J = C(F_S) - C(F_S + F_J) written for complex sigma over scipy's
+complex ``ndtr`` loop: the imaginary part carries the derivative without
+the subtractive cancellation of a real difference.  Neither reads the
+kernel's vega or the closed-form sigma*, the results they check.
 
 Randomness contract
 -------------------
@@ -51,12 +53,12 @@ numpy and scipy are imported inside the functions that build arrays, so
 that importing the package, and the closed-form CLI commands, do not
 load them.
 
-``ndtri`` and the ``Philox`` class are each resolved once per process,
-by the calling thread before any helper starts, and handed to the
-kernel.  Both come from compiled modules of packages whose ``__init__``
-loads much more, and one route serves both (``_compiled_member``).  If
-the package (``scipy.special``, ``numpy.random``) is already loaded, its
-member is used.  Otherwise the member is taken from the compiled module
+``ndtri``, ``ndtr`` and the ``Philox`` class are each resolved once per
+process, by the calling thread before any helper starts.  They come from
+compiled modules of packages whose ``__init__`` loads much more, and one
+route serves all three (``_compiled_member``).  If the package
+(``scipy.special``, ``numpy.random``) is already loaded, its member is
+used.  Otherwise the member is taken from the compiled module
 (``scipy.special._ufuncs``, ``numpy.random._philox``), imported under a
 bare package module that stands in for the package only while that
 import runs.  ``scipy.special``'s ``__init__`` also loads ``numpy.f2py``
@@ -82,7 +84,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range, checked_exp
@@ -92,16 +94,13 @@ from .scenario import MCConfig
 if TYPE_CHECKING:
     import numpy as np
 
-_COARSE_POINTS = 64
-# A coarse peak must beat its grid neighbours by more than this many ulps of
-# V e^{-q tau}, the scale of the two calls whose difference is the junior value.
-_PEAK_ULPS = 8
+_GRID_POINTS = 64  # of the argmax's grid, and of each round that shrinks its bracket
+_STEP = 1e-10  # the complex step of the argmax's vega, per unit of sigma
 # Normals drawn per chunk of the Monte-Carlo stream.  Each of the two threads
 # holds three float64 rows of a chunk and its raw draws, 2 MiB; the traced
 # peak of a 2M-path call is 4.0 MiB.  Estimates depend on it through the order
 # of the final sums.
 _CHUNK_DRAWS = 1 << 16
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class MCEstimate(Record):
@@ -225,6 +224,12 @@ def _draw(
 def _ndtri() -> np.ufunc:
     """scipy's ``ndtri`` ufunc, by the route the module docstring describes."""
     return _compiled_member("scipy.special", "_ufuncs", "ndtri")
+
+
+@functools.cache
+def _ndtr() -> np.ufunc:
+    """scipy's ``ndtr`` ufunc, whose complex loop the argmax uses, by the same route."""
+    return _compiled_member("scipy.special", "_ufuncs", "ndtr")
 
 
 @functools.cache
@@ -401,62 +406,56 @@ def _merge_moments(
     )
 
 
-def golden_section_max(
-    f: Callable[[float], float], lower: float, upper: float, tolerance: float
-) -> float:
-    """Golden-section search for the maximizer of a unimodal f on [lower, upper].
-
-    Stops once the bracket is no wider than ``tolerance``, or once a step
-    no longer narrows it (a tolerance below the float spacing there).
-
-    Raises:
-        ValidationError: If lower < upper fails or either is not finite,
-            or if tolerance is not finite and > 0.
-    """
-    check_range("search interval", lower, upper)
-    check("tolerance", tolerance, "finite and > 0")
-    a, b = lower, upper
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (width := b - a) > tolerance:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-        if not b - a < width:
-            break
-    return float(0.5 * (a + b))
-
-
 def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
     """Numerically locate the volatility maximizing the junior-bond value.
 
-    Brackets the peak on a 64-point log-spaced coarse grid over
-    [lower, upper] (the value is unimodal in volatility), then refines
-    with golden-section search to ``grid.tolerance``.  Returns None when
-    the coarse values are nonincreasing from the left edge, i.e. no
-    interior peak exists over the grid, or when the coarse peak beats its
-    neighbours only by rounding noise, on a plateau flat at float resolution.
+    It is the first + to - sign change of ``_junior_vega`` on a 64-point geometric
+    grid over [lower, upper], where a vega counts as positive only above the smallest
+    normal float (saturated calls leave subnormal noise).  64-point rounds shrink the
+    bracket to ``grid.tolerance``, or until one no longer narrows it, and its midpoint
+    is returned.  None when no vega is positive; ``grid.upper`` when none falls after.
     """
     import numpy as np
 
-    sigmas = np.geomspace(grid.lower, grid.upper, _COARSE_POINTS).tolist()
-    values = [_claims(cs, s)[1] for s in sigmas]
-    peak = values.index(max(values))  # the first maximum; no junior value is NaN
-    if peak == 0:
+    points = np.geomspace(grid.lower, grid.upper, _GRID_POINTS).tolist()
+    rising = (_junior_vega(cs, points) > sys.float_info.min).tolist()
+    if True not in rising:
         return None
-    forward = cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity)
-    neighbours = values[peak - 1 : peak + 2 : 2]  # only the left at the right end
-    if values[peak] - max(neighbours) <= _PEAK_ULPS * math.ulp(forward):
-        return None
-    lo = sigmas[peak - 1]
-    hi = sigmas[peak + 1] if peak + 1 < len(sigmas) else sigmas[-1]
-    return golden_section_max(lambda s: _claims(cs, s)[1], lo, hi, grid.tolerance)
+    fall = [*rising, False].index(False, rising.index(True))
+    lo, hi = points[fall - 1], [*points, grid.upper][fall]
+    while (width := hi - lo) > grid.tolerance:
+        points = np.linspace(lo, hi, _GRID_POINTS).tolist()
+        rising = (_junior_vega(cs, points[1:-1]) > sys.float_info.min).tolist()
+        fall = [True, *rising, False].index(False)
+        lo, hi = points[fall - 1], points[fall]
+        if not hi - lo < width:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _junior_vega(cs: CapitalStructure, sigmas: list[float]) -> np.ndarray:
+    """Complex-step junior vega Im B_J(sigma + ih) / h, h = _STEP * sigma, at ``sigmas``.
+
+    Each call of B_J is V e^{-q tau} N(d1) - K e^{-r tau} N(d2).  A vega is 0, inf or
+    NaN, with no warning, where sigma or h underflows or d1 overflows.  ValidationError
+    where the discount factor, the discounted total face or sigma^2 / 2 * tau overflows.
+    """
+    import numpy as np
+
+    tau, top = cs.maturity, sigmas[-1]
+    check("sigma^2 / 2 * tau", 0.5 * top * top * tau, "finite")
+    discount = checked_exp(-cs.rate * tau, "discount factor")
+    check("discounted total face", cs.total_face * discount, "finite")
+    forward = cs.asset_value * math.exp(-cs.dividend_yield * tau)
+    step = _STEP * np.array(sigmas)
+    with np.errstate(all="ignore"):
+        shock = (1j * step + sigmas) * math.sqrt(tau)
+        drift = (cs.rate - cs.dividend_yield) * tau + 0.5 * shock * shock
+        calls = []
+        for face in (cs.senior_face, cs.total_face):  # log V - log K cannot underflow as V / K can
+            d1 = (math.log(cs.asset_value) - math.log(face) + drift) / shock
+            calls.append(forward * _ndtr()(d1) - face * discount * _ndtr()(d1 - shock))
+        return (calls[0] - calls[1]).imag / step
 
 
 def finite_diff_vega(cs: CapitalStructure, bump: float) -> float:

@@ -24,10 +24,11 @@ process with the AVX-512 loop disabled (``NPY_DISABLE_CPU_FEATURES``).
 The pinned library bits, ``library.txt``, hold ``float.hex`` of each
 closed form, the regime fields and the two oracles that need no
 Monte-Carlo, on ``LIBRARY_SIZE`` seeded structures, one line each.
-``argmax_sigma_numeric`` lays out its coarse grid with numpy's ``power``,
-whose loops also differ in the last bits, so the X86_V3 child checks
-that it renders the same table, rather than the table being kept per
-loop.
+``argmax_sigma_numeric`` lays out its grid with numpy's ``power`` and
+takes its vega with numpy's complex arithmetic, whose loops may also
+differ in the last bits, so the X86_V3 child checks that it renders the
+same table, rather than the table being kept per loop;
+``tests/test_golden.py`` renders it in such a child too.
 """
 
 import contextlib
@@ -117,10 +118,11 @@ def library_structures():
     """(structure, initial sigma) of each line of the library table.
 
     The kinds take turns: any structure; a hump whose sigma* is drawn
-    first, small enough for the argmax's plateau, inside its grid or past
-    its right edge; sigma = 0, where the vega is undefined; faces and
-    asset value scaled by 1e+-150, where the thresholds and sigma* take
-    their logs.  Every other structure has a payout yield.
+    first, small enough that the vega can underflow near it, inside the
+    argmax's grid or past its right edge; sigma = 0, where the vega is
+    undefined; faces and asset value scaled by 1e+-150, where the
+    thresholds and sigma* take their logs.  Every other structure has a
+    payout yield.
     """
     rng = random.Random(LIBRARY_SEED)
 

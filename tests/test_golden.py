@@ -5,10 +5,12 @@ kept, and when a golden file may change)."""
 
 import itertools
 import platform
+import subprocess
+import sys
 
 import pytest
 
-from conftest import exp_loop
+from conftest import child_env, exp_loop
 from golden.regenerate import (
     GOLDEN,
     LIBRARY,
@@ -24,6 +26,16 @@ from golden.regenerate import (
 
 LOOP = exp_loop()
 CASES = list(cases(LOOP))
+
+# Prints the child's exp loop, then its library table; argv[1] is the tests directory.
+_LIBRARY_PROBE = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from conftest import exp_loop
+from golden.regenerate import library_table
+print(exp_loop())
+sys.stdout.write(library_table())
+"""
 
 
 def _first_difference(expected, actual):
@@ -58,6 +70,26 @@ def test_library_bits_are_the_golden_bits():
         pytest.skip(f"the argmax bits are shown to agree on the loops {LOOPS}, not {LOOP}")
     expected = LIBRARY.read_text()
     actual = library_table()
+    assert actual == expected, f"library.txt differs at {_first_difference(expected, actual)}"
+
+
+def test_library_bits_do_not_depend_on_the_numpy_loop():
+    # The argmax's grid and complex arithmetic run through numpy loops that
+    # are chosen per CPU; the X86_V3 loops must give the pinned table too.
+    if not pinned_platform():
+        pytest.skip(f"library bits are pinned for x86-64 glibc, not {platform.platform()}")
+    if LOOP != "X86_V4":
+        pytest.skip(f"the X86_V3 child needs a host whose exp loop is X86_V4, not {LOOP}")
+    child = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_PROBE, str(GOLDEN.parent)],
+        env=child_env(NPY_DISABLE_CPU_FEATURES="X86_V4"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loop, _, actual = child.stdout.partition("\n")
+    assert loop == "X86_V3"
+    expected = LIBRARY.read_text()
     assert actual == expected, f"library.txt differs at {_first_difference(expected, actual)}"
 
 

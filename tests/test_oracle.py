@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import claim_payoffs, child_env, distressed_structures, exp_loop, rebuilt
+from golden.regenerate import library_structures
 import subdebt.oracle as oracle
+import subdebt.risk as risk
 from subdebt import (
     CapitalStructure,
     GridSpec,
@@ -23,7 +25,6 @@ from subdebt import (
     ValidationError,
     argmax_sigma_numeric,
     finite_diff_vega,
-    golden_section_max,
     junior_debt_value,
     junior_debt_vega,
     mc_claim_values,
@@ -31,8 +32,14 @@ from subdebt import (
     simulate_terminal_values,
     value_all_claims,
 )
+from subdebt.verify import ARGMAX_GRID, ARGMAX_TOL
 
 SEARCH_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
+
+# Library structures (``tests/golden/library.txt``) whose sigma*, about 0.0117
+# and 0.0123, lies inside ARGMAX_GRID where the junior vega underflows to 0:
+# no vega formed in float64 brackets their maximizer.
+UNDECIDED_HUMPS = {27, 171}
 
 # The bundled scenario whose ``verify`` JSON the probes below print.
 SCENARIO = str(Path(__file__).resolve().parents[1] / "scenarios" / "distressed.ini")
@@ -662,10 +669,6 @@ class TestTwoThreads:
 
 
 class TestArgmaxSearch:
-    def test_synthetic_parabola(self):
-        best = golden_section_max(lambda s: -((s - 0.3) ** 2), 0.01, 1.0, 1e-6)
-        assert best == pytest.approx(0.3, abs=1e-6)
-
     def test_distressed_peak_matches_closed_form(self):
         numeric = argmax_sigma_numeric(_cs(62.0), SEARCH_GRID)
         assert numeric == pytest.approx(0.262, abs=5e-4)
@@ -675,8 +678,8 @@ class TestArgmaxSearch:
         assert argmax_sigma_numeric(_cs(100.0), SEARCH_GRID) is None
 
     def test_agrees_with_closed_form_across_asset_values(self):
-        # At V = 76 and 77 the junior value is flat at float resolution at
-        # low sigma, and a rounding bump on the coarse grid is no peak.
+        # At V = 76 and 77 both calls are saturated at low sigma, and the
+        # vega there is subnormal noise, which is no rise.
         for v in range(60, 100):
             cs = _cs(float(v), sigma=0.2)
             closed = optimal_volatility(cs)
@@ -685,6 +688,18 @@ class TestArgmaxSearch:
                 assert numeric is None, v
             else:
                 assert abs(numeric - closed) < 1e-4, v
+
+    def test_finds_every_library_maximizer_inside_the_grid(self):
+        misses = []
+        for index, (cs, _) in enumerate(library_structures()):
+            closed = optimal_volatility(cs)
+            numeric = argmax_sigma_numeric(cs, ARGMAX_GRID)
+            if closed is None:
+                assert numeric is None, index
+            elif ARGMAX_GRID.lower < closed < ARGMAX_GRID.upper:
+                if numeric is None or not abs(numeric - closed) < ARGMAX_TOL:
+                    misses.append(index)
+        assert set(misses) <= UNDECIDED_HUMPS, misses
 
     def test_respects_grid_tolerance(self):
         loose = argmax_sigma_numeric(_cs(62.0), GridSpec(0.01, 1.5, 1e-2))
@@ -697,31 +712,36 @@ class TestArgmaxSearch:
         with pytest.raises(ValidationError):
             argmax_sigma_numeric(_cs(62.0), GridSpec(0.0, 1.5, 1e-6))
 
+    @pytest.mark.parametrize("upper", [1e200, 1.7e308])
+    def test_overflowing_upper_end_is_validation_error(self, upper):
+        # sigma^2 / 2 * tau overflows at the grid's upper end.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                argmax_sigma_numeric(_cs(62.0), GridSpec(0.01, upper, 1e-6))
+
+    @pytest.mark.parametrize("lower", [1e-300, 5e-324])
+    def test_underflowing_lower_end_decides_without_a_warning(self, lower):
+        # Near the lower end sigma sqrt(tau) and the complex step underflow.
+        cs = _cs(62.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            numeric = argmax_sigma_numeric(cs, GridSpec(lower, 1.5, 1e-6))
+        assert numeric is None or abs(numeric - optimal_volatility(cs)) < ARGMAX_TOL
+
     def test_tolerance_below_float_spacing_ends(self, monkeypatch):
         # A search that stops narrowing must stop; the bound turns a hang into a failure.
-        monkeypatch.setattr(oracle, "_claims", _bounded(oracle._claims))
+        monkeypatch.setattr(oracle, "_junior_vega", _bounded(oracle._junior_vega))
         numeric = argmax_sigma_numeric(_cs(62.0), GridSpec(0.01, 1.5, 1e-300))
         assert abs(numeric - optimal_volatility(_cs(62.0))) < 1e-4
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf])
-    def test_golden_section_rejects_bad_tolerance(self, tolerance):
-        with pytest.raises(ValidationError):
-            golden_section_max(_bounded(lambda s: -((s - 1.7) ** 2)), 0.0, 2.0, tolerance)
-
-    @pytest.mark.parametrize(
-        "lower, upper",
-        [
-            (math.nan, 2.0),
-            (0.0, math.nan),
-            (0.0, math.inf),
-            (-math.inf, 2.0),
-            (2.0, 0.0),
-            (1.0, 1.0),
-        ],
-    )
-    def test_golden_section_rejects_bad_interval(self, lower, upper):
-        with pytest.raises(ValidationError):
-            golden_section_max(_bounded(lambda s: -((s - 1.7) ** 2)), lower, upper, 1e-6)
+    def test_complex_step_vega_matches_analytic_vega(self):
+        sigmas = [0.05, 0.1, 0.262, 0.5, 1.2]
+        for v in (62.0, 70.0, 100.0):
+            vegas = oracle._junior_vega(_cs(v), sigmas)
+            for sigma, vega in zip(sigmas, vegas):
+                analytic = junior_debt_vega(_cs(v, sigma=sigma))
+                assert vega == pytest.approx(analytic, rel=1e-10, abs=1e-12 * v), (v, sigma)
 
 
 class TestSearchKernelCalls:
@@ -745,14 +765,19 @@ class TestSearchKernelCalls:
         return built, calls
 
     @pytest.mark.parametrize("v", [62.0, 100.0])
-    def test_argmax_builds_no_structure(self, kernel_calls, v):
+    def test_argmax_builds_no_structure(self, kernel_calls, monkeypatch, v):
+        # It differentiates its own complex price: it reads neither the
+        # kernel nor the closed-form sigma* it checks.
+        closed_forms = []
+        monkeypatch.setattr(risk, "optimal_volatility", lambda *args: closed_forms.append(args))
         cs = _cs(v)
         built, calls = kernel_calls
         built.clear()
         argmax_sigma_numeric(cs, SEARCH_GRID)
         assert built == []
-        assert len(calls) >= oracle._COARSE_POINTS
-        assert all(structure is cs and type(sigma) is float for structure, sigma in calls)
+        assert calls == []
+        assert closed_forms == []
+        assert not hasattr(oracle, "optimal_volatility")
 
     def test_finite_diff_builds_no_structure(self, kernel_calls):
         cs = _cs(62.0, sigma=0.10)
@@ -838,16 +863,26 @@ class TestConfigValidation:
 
     def test_grid_spec_validation(self):
         with pytest.raises(ValidationError):
-            GridSpec(0.5, 0.5, 1e-6)
-        with pytest.raises(ValidationError):
-            GridSpec(0.01, 1.5, 0.0)
-        with pytest.raises(ValidationError):
-            GridSpec(0.01, math.inf, 1e-6)
-        with pytest.raises(ValidationError):
-            GridSpec(math.nan, 1.5, 1e-6)
-        with pytest.raises(ValidationError):
-            GridSpec(0.01, 1.5, math.inf)
-        with pytest.raises(ValidationError):
             GridSpec(0.0, 1.5, 1e-6)
         with pytest.raises(ValidationError):
             GridSpec(-1.0, 1.5, 1e-6)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, math.nan, math.inf])
+    def test_grid_spec_rejects_bad_tolerance(self, tolerance):
+        with pytest.raises(ValidationError):
+            GridSpec(0.01, 1.5, tolerance)
+
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            (math.nan, 2.0),
+            (0.5, math.nan),
+            (0.5, math.inf),
+            (-math.inf, 2.0),
+            (2.0, 0.5),
+            (1.0, 1.0),
+        ],
+    )
+    def test_grid_spec_rejects_bad_interval(self, lower, upper):
+        with pytest.raises(ValidationError):
+            GridSpec(lower, upper, 1e-6)
