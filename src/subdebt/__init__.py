@@ -24,14 +24,13 @@ __version__ = "0.1.0"
 
 # Each public name, grouped by the module that defines it.
 _NAMES = {
-    "black_scholes": ("OptionInputs", "call_price", "put_price", "vega"),
+    "black_scholes": ("OptionInputs", "call_price"),
     "claims": (
         "CapitalStructure",
         "ClaimValues",
         "junior_debt_value",
         "junior_debt_vega",
         "norm_cdf",
-        "norm_pdf",
         "value_all_claims",
     ),
     "errors": ("DegenerateVolatilityError", "ScenarioParseError", "ValidationError"),

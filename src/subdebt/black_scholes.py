@@ -1,12 +1,13 @@
-"""European option primitives on a lognormal asset.
+"""One European call on a lognormal asset.
 
 All rates and yields are continuously compounded annual rates and all
-times are year fractions.  The standard normal CDF and density,
-``norm_cdf`` and ``norm_pdf``, live in ``claims`` next to the fused
-kernel, and are imported from there.
+times are year fractions.  The standard normal CDF, ``norm_cdf``, lives
+in ``claims`` next to the fused kernel, and is imported from there.
 
-These single-option functions are the independent reference that the
-tests compare the fused claims kernel in ``claims`` against.
+No command calls this module: every claim value and the junior vega
+come from the kernel in ``claims``.  ``OptionInputs`` and ``call_price``
+remain public because the benchmark's traced run times them as its
+single-option layer.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .claims import norm_cdf, norm_pdf
-from .errors import DegenerateVolatilityError, check
+from .claims import norm_cdf
+from .errors import check
 
 
 @dataclass(frozen=True)
@@ -49,78 +50,23 @@ class OptionInputs:
         check("dividend_yield", self.dividend_yield, "finite and >= 0")
 
 
-def _sigma_sqrt_t(inputs: OptionInputs) -> float:
-    """sigma sqrt(tau); exactly 0.0 marks the deterministic degenerate case
-    (sigma = 0, or small enough that the product underflows)."""
-    return inputs.volatility * math.sqrt(inputs.maturity)
+def call_price(inputs: OptionInputs) -> float:
+    """European call value, V e^{-q tau} N(d1) - K e^{-r tau} N(d2), with
+    d1 = [ln(V/K) + (r - q + sigma^2/2) tau] / (sigma sqrt(tau)) and
+    d2 = d1 - sigma sqrt(tau).
 
-
-def d1(inputs: OptionInputs) -> float:
-    """d1 = [ln(V/K) + (r - q + sigma^2/2) tau] / (sigma sqrt(tau)).
-
-    Raises:
-        DegenerateVolatilityError: If volatility is zero (or so small
-            that sigma sqrt(tau) underflows).  Pricing operations handle
-            that case via the deterministic forward limit; d1 itself is
-            undefined there.
+    At sigma = 0, or where sigma sqrt(tau) underflows to 0, returns the
+    deterministic forward limit max(V e^{-q tau} - K e^{-r tau}, 0).
     """
-    sigma_sqrt_t = _sigma_sqrt_t(inputs)
+    forward = inputs.asset_value * math.exp(-inputs.dividend_yield * inputs.maturity)
+    discounted_strike = inputs.strike * math.exp(-inputs.rate * inputs.maturity)
+    sigma_sqrt_t = inputs.volatility * math.sqrt(inputs.maturity)
     if sigma_sqrt_t == 0.0:
-        raise DegenerateVolatilityError("d1 is undefined at sigma = 0")
+        return max(forward - discounted_strike, 0.0)
     drift = (
         inputs.rate - inputs.dividend_yield + 0.5 * inputs.volatility * inputs.volatility
     ) * inputs.maturity
-    return (math.log(inputs.asset_value / inputs.strike) + drift) / sigma_sqrt_t
-
-
-def d2(inputs: OptionInputs) -> float:
-    """d2 = d1 - sigma sqrt(tau)."""
-    return d1(inputs) - inputs.volatility * math.sqrt(inputs.maturity)
-
-
-def call_price(inputs: OptionInputs) -> float:
-    """European call value, V e^{-q tau} N(d1) - K e^{-r tau} N(d2).
-
-    At sigma = 0 returns the deterministic forward limit
-    max(V e^{-q tau} - K e^{-r tau}, 0).
-    """
-    forward = inputs.asset_value * math.exp(-inputs.dividend_yield * inputs.maturity)
-    discounted_strike = inputs.strike * math.exp(-inputs.rate * inputs.maturity)
-    sigma_sqrt_t = _sigma_sqrt_t(inputs)
-    if sigma_sqrt_t == 0.0:
-        return max(forward - discounted_strike, 0.0)
-    x1 = d1(inputs)
+    x1 = (math.log(inputs.asset_value / inputs.strike) + drift) / sigma_sqrt_t
     x2 = x1 - sigma_sqrt_t
     value = forward * norm_cdf(x1) - discounted_strike * norm_cdf(x2)
     return max(value, 0.0)
-
-
-def put_price(inputs: OptionInputs) -> float:
-    """European put value, K e^{-r tau} N(-d2) - V e^{-q tau} N(-d1).
-
-    Satisfies put-call parity against ``call_price``:
-    call - put = V e^{-q tau} - K e^{-r tau}.  At sigma = 0 returns
-    max(K e^{-r tau} - V e^{-q tau}, 0).
-    """
-    forward = inputs.asset_value * math.exp(-inputs.dividend_yield * inputs.maturity)
-    discounted_strike = inputs.strike * math.exp(-inputs.rate * inputs.maturity)
-    sigma_sqrt_t = _sigma_sqrt_t(inputs)
-    if sigma_sqrt_t == 0.0:
-        return max(discounted_strike - forward, 0.0)
-    x1 = d1(inputs)
-    x2 = x1 - sigma_sqrt_t
-    value = discounted_strike * norm_cdf(-x2) - forward * norm_cdf(-x1)
-    return max(value, 0.0)
-
-
-def vega(inputs: OptionInputs) -> float:
-    """dCall/dsigma = V e^{-q tau} sqrt(tau) phi(d1); always >= 0.
-
-    Raises:
-        DegenerateVolatilityError: If volatility is zero (or so small
-            that sigma sqrt(tau) underflows).
-    """
-    if _sigma_sqrt_t(inputs) == 0.0:
-        raise DegenerateVolatilityError("vega is undefined at sigma = 0")
-    forward = inputs.asset_value * math.exp(-inputs.dividend_yield * inputs.maturity)
-    return forward * math.sqrt(inputs.maturity) * norm_pdf(d1(inputs))

@@ -15,9 +15,10 @@ sum to the asset value itself.
 
 Every claim value and the junior vega come from one kernel, ``_claims``,
 which prices both strikes together: each discount factor once, and d1
-and d2 once per strike.  Its arithmetic is that of the single-option
-functions in ``black_scholes``, operation for operation, so the results
-are bit-identical to composing them.
+and d2 once per strike.  Its arithmetic is that of a single-option
+Black-Scholes call, put and vega, operation for operation, so the
+results are bit-identical to composing them; the tests keep such a
+reference of their own and compare the kernel against it.
 
 A structure is priced at most once at its own volatility.  The first of
 ``value_all_claims``, ``junior_debt_value`` and ``junior_debt_vega`` on
@@ -29,14 +30,14 @@ not a field: equality, hash, repr, pickling and copying never see it.
 Prices at a sigma other than the structure's own come from ``_claims``
 directly, as the sweeps and the sigma-search oracles take them.
 
-The standard normal CDF and density live here, next to the kernel, and
-``black_scholes`` imports them.  The CDF is computed as
+The standard normal CDF lives here, next to the kernel, and
+``black_scholes`` imports it.  It is computed as
 N(x) = erfc(-x / sqrt(2)) / 2 with the C library's double-precision
 complementary error function (``math.erfc``), which keeps the absolute
-error below 1e-15 over the whole real line.  The kernel evaluates N and
-phi inline, with the expressions of ``norm_cdf`` and ``norm_pdf``, to
-save a Python call per evaluation; the two functions stay public as the
-reference.
+error below 1e-15 over the whole real line.  The kernel evaluates N
+inline, with the expression of ``norm_cdf``, and the density as
+phi(x) = exp(-x^2 / 2) / sqrt(2 pi), to save a Python call per
+evaluation.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ _INF = math.inf
 def norm_cdf(x: float) -> float:
     """Standard normal CDF, N(x) = erfc(-x / sqrt(2)) / 2."""
     return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def norm_pdf(x: float) -> float:
-    """Standard normal density, phi(x) = exp(-x^2 / 2) / sqrt(2 pi)."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
 class _Priced(Record):
@@ -270,7 +266,7 @@ def _claims(
             ) from None
         d2_s = d1_s - sigma_sqrt_t
         d2_t = d1_t - sigma_sqrt_t
-        # N(x) and phi(x) with the expressions of norm_cdf and norm_pdf;
+        # N(x) as norm_cdf computes it, and phi(x) = exp(-x^2 / 2) / sqrt(2 pi).
         # N(-x) = erfc(x / sqrt(2)) / 2, since -(-x) / c == x / c exactly.
         put_s = pv_s * (0.5 * erfc(d2_s / _SQRT2)) - forward * (0.5 * erfc(d1_s / _SQRT2))
         put_s = 0.0 if put_s < 0.0 else put_s

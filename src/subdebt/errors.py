@@ -11,7 +11,8 @@ class DegenerateVolatilityError(ValueError):
     """An operation that requires sigma sqrt(tau) > 0 was called where it is 0.
 
     Pricing operations handle sigma = 0 through their deterministic
-    forward limits; d1/d2 and vega have no such limit and refuse instead.
+    forward limits; the junior vega, ``claims.junior_debt_vega``, has no
+    such limit and refuses instead.
     """
 
 

@@ -20,15 +20,12 @@ from subdebt import (
     ClaimValues,
     DegenerateVolatilityError,
     MCConfig,
-    OptionInputs,
     ValidationError,
-    call_price,
     junior_debt_value,
     junior_debt_vega,
     mc_claim_values,
-    put_price,
+    norm_cdf,
     value_all_claims,
-    vega,
 )
 
 
@@ -68,10 +65,26 @@ def _cs(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
     return CapitalStructure(v, fs, fj, sigma, tau, r, q)
 
 
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
 def _option(cs, strike):
-    return OptionInputs(
-        cs.asset_value, strike, cs.volatility, cs.maturity, cs.rate, cs.dividend_yield
-    )
+    """(call, put, vega or None) of one European option on the firm's
+    assets at ``strike``: the textbook single-option formulas, written
+    without sharing work between strikes.  The vega is None where
+    sigma sqrt(tau) is 0, and the prices take their forward limits."""
+    forward = cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity)
+    discounted_strike = strike * math.exp(-cs.rate * cs.maturity)
+    sigma_sqrt_t = cs.volatility * math.sqrt(cs.maturity)
+    if sigma_sqrt_t == 0.0:
+        return max(forward - discounted_strike, 0.0), max(discounted_strike - forward, 0.0), None
+    drift = (cs.rate - cs.dividend_yield + 0.5 * cs.volatility * cs.volatility) * cs.maturity
+    d1 = (math.log(cs.asset_value / strike) + drift) / sigma_sqrt_t
+    d2 = d1 - sigma_sqrt_t
+    call = max(forward * norm_cdf(d1) - discounted_strike * norm_cdf(d2), 0.0)
+    put = max(discounted_strike * norm_cdf(-d2) - forward * norm_cdf(-d1), 0.0)
+    vega = forward * math.sqrt(cs.maturity) * (_INV_SQRT_2PI * math.exp(-0.5 * d1 * d1))
+    return call, put, vega
 
 
 def _senior_value(cs):
@@ -83,17 +96,15 @@ def _equity_value(cs):
 
 
 def _reference_claims(cs):
-    """(senior, junior, equity, total, vega or None) composed from the
-    single-option functions: a riskless bond less a put at F_S, a call
-    spread between F_S and F_S + F_J, and a call at F_S + F_J."""
-    senior_option, total_option = _option(cs, cs.senior_face), _option(cs, cs.total_face)
-    senior = cs.senior_face * math.exp(-cs.rate * cs.maturity) - put_price(senior_option)
-    junior = call_price(senior_option) - call_price(total_option)
-    equity = call_price(total_option)
-    if cs.volatility * math.sqrt(cs.maturity) == 0.0:
-        junior_vega = None
-    else:
-        junior_vega = vega(senior_option) - vega(total_option)
+    """(senior, junior, equity, total, vega or None) composed from single
+    options: a riskless bond less a put at F_S, a call spread between F_S
+    and F_S + F_J, and a call at F_S + F_J."""
+    call_s, put_s, vega_s = _option(cs, cs.senior_face)
+    call_t, _, vega_t = _option(cs, cs.total_face)
+    senior = cs.senior_face * math.exp(-cs.rate * cs.maturity) - put_s
+    junior = call_s - call_t
+    equity = call_t
+    junior_vega = None if vega_s is None else vega_s - vega_t
     return senior, junior, equity, senior + junior + equity, junior_vega
 
 
@@ -326,7 +337,7 @@ class TestLimits:
     @given(distressed_structures())
     def test_junior_approaches_senior_strike_call_for_huge_junior_face(self, cs):
         huge = rebuilt(cs, junior_face=1e9)
-        call = call_price(_option(huge, huge.senior_face))
+        call = _option(huge, huge.senior_face)[0]
         assert junior_debt_value(huge) == pytest.approx(call, abs=1e-9)
 
     @given(distressed_structures())

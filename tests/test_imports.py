@@ -1,15 +1,15 @@
 """Cold-start guard: each command loads only the modules it runs.
 
-``import subdebt`` loads no submodule.  The closed-form commands and the
-sweeps load neither numpy, scipy, ``dataclasses`` nor ``inspect``.
-``price`` and ``thresholds`` load neither the sweeps, the oracles nor the
-option functions of ``black_scholes``, and as text neither ``json`` nor
-``csv``; ``price`` does not load ``subdebt.risk`` either.  The sweeps
-load neither ``json`` nor ``csv`` in any format.  ``verify`` loads numpy
-and, of the packages it draws from, only the compiled modules it uses:
-scipy's ``_ufuncs``, not the ``scipy.special`` package, and numpy's
-``_philox``, not the ``numpy.random`` package.  It does not load
-``dataclasses`` (numpy loads ``inspect`` itself).
+``import subdebt`` loads no submodule, and no command loads
+``black_scholes``.  The closed-form commands and the sweeps load
+neither numpy, scipy, ``dataclasses`` nor ``inspect``.  ``price`` and
+``thresholds`` load neither the sweeps nor the oracles, and as text
+neither ``json`` nor ``csv``; ``price`` does not load ``subdebt.risk``
+either.  The sweeps load neither ``json`` nor ``csv`` in any format.
+``verify`` loads numpy and, of the packages it draws from, only the
+compiled modules it uses: scipy's ``_ufuncs``, not the ``scipy.special``
+package, and numpy's ``_philox``, not the ``numpy.random`` package.  It
+does not load ``dataclasses`` (numpy loads ``inspect`` itself).
 
 Each case runs in a fresh interpreter, because this test process has
 already imported all of these.

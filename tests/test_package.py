@@ -1,14 +1,19 @@
 """The package namespace: every public name loads its module on first use
 and is then a plain attribute of the package."""
 
+import ast
 import importlib
+import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import subdebt
 from conftest import child_env
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @pytest.mark.parametrize("name", subdebt.__all__)
@@ -58,3 +63,21 @@ def test_child_process_imports_the_package_this_process_runs(tmp_path):
         check=True,
     )
     assert result.stdout == f"{subdebt.__file__}\n"
+
+
+def test_every_package_name_the_benchmark_reads_is_public():
+    # The benchmark's scripts are read, not run: each ``subdebt.<name>``
+    # they take from the package, other than a submodule, must stay public.
+    submodules = {info.name for info in pkgutil.iter_modules(subdebt.__path__)}
+    names = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "subdebt"
+            ):
+                names.add(node.attr)
+    names -= submodules
+    assert names, f"no subdebt.<name> found in {BENCH}"
+    assert sorted(names - set(subdebt.__all__)) == []
