@@ -40,7 +40,6 @@ _NAMES = {
         "argmax_sigma_numeric",
         "finite_diff_vega",
         "mc_claim_values",
-        "simulate_terminal_values",
     ),
     "risk": (
         "Regime",

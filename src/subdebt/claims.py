@@ -285,4 +285,8 @@ def _claims(
         raise ValidationError(
             f"discounted total face {total_face} * {discount} overflows"
         )
-    return senior, call_s - call_t, call_t, vega
+    # Where both calls are subnormal, rounding can put call_s below call_t: at
+    # V = 1, F_S = 72.5, F_J = 1, sigma = 0.5, tau = 0.05 the spread is -3e-323.
+    junior = call_s - call_t
+    junior = 0.0 if junior < 0.0 else junior
+    return senior, junior, call_t, vega

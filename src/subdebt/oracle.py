@@ -31,14 +31,13 @@ bits.
 
 One function, ``_draw``, maps raw outputs to terminal values elementwise,
 so a value's bits do not depend on how the stream is cut.
-``simulate_terminal_values`` draws the whole stream in one call, so its
-memory grows with path_count.  ``mc_claim_values`` cuts the stream into
-chunks of ``_CHUNK_DRAWS`` normals.  Chunk i is drawn from a Philox of its
-own, keyed by the seed and set to the chunk's start, and reduced to
-per-claim (count, mean, M2) in buffers allocated once per call.  With two
-or more chunks two threads do this, the caller and one helper, each
-claiming the next chunk, so memory is two chunks plus one small result
-per chunk.  Each thread holds three float64 rows of a chunk, the values
+``mc_claim_values`` cuts the stream into chunks of ``_CHUNK_DRAWS``
+normals.  Chunk i is drawn from a Philox of its own, keyed by the seed
+and set to the chunk's start, and reduced to per-claim (count, mean, M2)
+in buffers allocated once per call.  With two or more chunks two threads
+do this, the caller and one helper, each claiming the next chunk, so
+memory is two chunks plus one small result per chunk, whatever
+path_count is.  Each thread holds three float64 rows of a chunk, the values
 at Z and two rows of scratch, and the chunk's raw draws, whose memory
 then holds the values at -Z: 2 MiB per thread.  Under tracemalloc a
 200k-path call peaks at 3.5 MiB and a 2M-path call at 4.0 MiB (4.8 and
@@ -132,24 +131,6 @@ class GridSpec(Record):
 
 
 _set_lower, _set_upper, _set_tolerance = slot_setters(GridSpec)
-
-
-def simulate_terminal_values(cs: CapitalStructure, mc: MCConfig) -> np.ndarray:
-    """Draw terminal asset values in a single exact step.
-
-    V_T = V exp((r - q - sigma^2/2) tau + sigma sqrt(tau) Z).  The output
-    interleaves antithetic pairs (Z_i, -Z_i): element 2i uses Z_i and
-    element 2i+1 uses -Z_i.  The whole stream goes through ``_draw``, the
-    draw function that ``mc_claim_values`` runs on each chunk.
-    """
-    import numpy as np
-
-    values = np.empty((mc.path_count // 2, 2))
-    # The up and down columns of values are already interleaved, so the peak
-    # is the output and the raw draws.
-    raw = _philox()(key=mc.seed).random_raw(len(values))
-    _draw(cs, raw, values[:, 0], values[:, 1], _ndtri())
-    return values.ravel()
 
 
 def mc_claim_values(
@@ -413,7 +394,13 @@ def argmax_sigma_numeric(cs: CapitalStructure, grid: GridSpec) -> float | None:
     grid over [lower, upper], where a vega counts as positive only above the smallest
     normal float (saturated calls leave subnormal noise).  64-point rounds shrink the
     bracket to ``grid.tolerance``, or until one no longer narrows it, and its midpoint
-    is returned.  None when no vega is positive; ``grid.upper`` when none falls after.
+    is returned; ``grid.upper`` when no vega falls after the first positive one.
+
+    None when no vega at the 64 grid points exceeds the smallest normal float.  That
+    is not "no maximizer in [lower, upper]": a coarse grid can step over the band
+    where the vega is a normal float.  ``GridSpec(1e-300, 1.5, 1e-6)`` on
+    ``CapitalStructure(62, 60, 10, 0.2, 1, 0.01)`` gives None, though sigma* =
+    0.2619 lies inside.
     """
     import numpy as np
 

@@ -1,6 +1,7 @@
 """Shared hypothesis strategies for model inputs, a record rebuilder, a
-sweep CSV reader, the claim payoffs at maturity, the environment of a
-child process, and the CPU target of numpy's ``exp`` loop."""
+sweep CSV reader, the whole Monte-Carlo stream of terminal values, the
+claim payoffs at maturity, the environment of a child process, and the
+CPU target of numpy's ``exp`` loop."""
 
 import csv
 import inspect
@@ -85,6 +86,25 @@ def read_sweep_csv(stream):
     header, *records = csv.reader(stream)
     columns = zip(*([float(cell) if cell else math.nan for cell in r] for r in records))
     return dict(zip(header, columns))
+
+
+def terminal_values(cs, mc):
+    """The whole stream of ``mc``'s terminal asset values, drawn in one call.
+
+    V_T = V exp((r - q - sigma^2/2) tau + sigma sqrt(tau) Z).  Element 2i
+    uses Z_i and element 2i+1 uses -Z_i.  The stream goes through
+    ``oracle._draw``, the draw function that ``mc_claim_values`` runs on
+    each chunk, with the generator and ``ndtri`` the oracle resolves, so
+    these are the values its chunks hold.  Memory grows with the path count.
+    """
+    import numpy as np
+
+    import subdebt.oracle as oracle
+
+    values = np.empty((mc.path_count // 2, 2))
+    raw = oracle._philox()(key=mc.seed).random_raw(len(values))
+    oracle._draw(cs, raw, values[:, 0], values[:, 1], oracle._ndtri())
+    return values.ravel()
 
 
 def claim_payoffs(terminal, senior_face, junior_face):

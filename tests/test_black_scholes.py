@@ -14,8 +14,8 @@ from subdebt import (
     OptionInputs,
     ValidationError,
     call_price,
+    mc_claim_values,
     norm_cdf,
-    simulate_terminal_values,
 )
 
 
@@ -33,13 +33,11 @@ class TestPrices:
         assert call_price(_inputs(50.0, 60.0, 0.0)) == 0.0
 
     def test_call_matches_monte_carlo(self):
-        cs = CapitalStructure(62.0, 60.0, 10.0, 0.10, 1.0, 0.01)
-        terminal = simulate_terminal_values(cs, MCConfig(1_000_000, seed=42))
-        payoff = math.exp(-0.01) * np.maximum(terminal - 60.0, 0.0)
-        units = 0.5 * (payoff[0::2] + payoff[1::2])
-        std_error = units.std(ddof=1) / math.sqrt(units.size)
+        # Equity is the call struck at the total face, 50 + 10 = 60.
+        cs = CapitalStructure(62.0, 50.0, 10.0, 0.10, 1.0, 0.01)
+        equity = mc_claim_values(cs, MCConfig(1_000_000, seed=42))[2]
         closed = call_price(_inputs(62.0, 60.0, 0.10))
-        assert abs(units.mean() - closed) <= 3.0 * std_error
+        assert abs(equity.mean - closed) <= 3.0 * equity.std_error
 
     @given(option_inputs(min_sigma=0.0), finite_floats(1.0, 500.0))
     def test_call_nonincreasing_in_strike(self, inputs, other_strike):

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import claim_payoffs, child_env, distressed_structures, exp_loop, rebuilt
+from conftest import (
+    claim_payoffs,
+    child_env,
+    distressed_structures,
+    exp_loop,
+    rebuilt,
+    terminal_values,
+)
 from golden.regenerate import library_structures
 import subdebt.oracle as oracle
 import subdebt.risk as risk
@@ -29,7 +36,6 @@ from subdebt import (
     junior_debt_vega,
     mc_claim_values,
     optimal_volatility,
-    simulate_terminal_values,
     value_all_claims,
 )
 from subdebt.verify import ARGMAX_GRID, ARGMAX_TOL
@@ -77,11 +83,16 @@ if action == "break":
         return import_module(module, package)
 
     importlib.import_module = broken
-from subdebt import CapitalStructure, MCConfig, mc_claim_values, simulate_terminal_values
+import numpy as np
+import subdebt.oracle as oracle
+from subdebt import CapitalStructure, MCConfig, mc_claim_values
 from subdebt.cli import main
 cs = CapitalStructure(62.0, 60.0, 10.0, 0.262, 1.0, 0.01, 0.0)
 mc = MCConfig(200_000, seed=42)
-terminal = simulate_terminal_values(cs, mc)
+values = np.empty((mc.path_count // 2, 2))
+raw = oracle._philox()(key=mc.seed).random_raw(len(values))
+oracle._draw(cs, raw, values[:, 0], values[:, 1], oracle._ndtri())
+terminal = values.ravel()
 estimates = [[e.mean.hex(), e.std_error.hex()] for e in mc_claim_values(cs, mc)]
 with contextlib.redirect_stdout(io.StringIO()) as report:
     code = main(sys.argv[2:])
@@ -188,22 +199,22 @@ class TestSimulation:
     ]
 
     def test_fixed_seed_reproduces_frozen_sequence(self):
-        terminal = simulate_terminal_values(_cs(62.0), MCConfig(8, seed=42))
+        terminal = terminal_values(_cs(62.0), MCConfig(8, seed=42))
         assert terminal.tolist() == self.FROZEN
 
     def test_seed_changes_the_draws(self):
-        a = simulate_terminal_values(_cs(62.0), MCConfig(8, seed=42))
-        b = simulate_terminal_values(_cs(62.0), MCConfig(8, seed=43))
+        a = terminal_values(_cs(62.0), MCConfig(8, seed=42))
+        b = terminal_values(_cs(62.0), MCConfig(8, seed=43))
         assert not np.array_equal(a, b)
 
     def test_draw_depends_only_on_path_index(self):
-        short = simulate_terminal_values(_cs(62.0), MCConfig(8, seed=42))
-        long = simulate_terminal_values(_cs(62.0), MCConfig(16, seed=42))
+        short = terminal_values(_cs(62.0), MCConfig(8, seed=42))
+        long = terminal_values(_cs(62.0), MCConfig(16, seed=42))
         assert np.array_equal(long[:8], short)
 
     def test_antithetic_pairs_mirror_the_shock(self):
         cs = _cs(62.0)
-        terminal = simulate_terminal_values(cs, MCConfig(1000, seed=7))
+        terminal = terminal_values(cs, MCConfig(1000, seed=7))
         drift = (cs.rate - 0.5 * cs.volatility**2) * cs.maturity
         z = (np.log(terminal / cs.asset_value) - drift) / (
             cs.volatility * math.sqrt(cs.maturity)
@@ -212,13 +223,13 @@ class TestSimulation:
 
     def test_zero_volatility_is_deterministic_drift(self):
         cs = _cs(62.0, sigma=0.0, q=0.002)
-        terminal = simulate_terminal_values(cs, MCConfig(64, seed=5))
+        terminal = terminal_values(cs, MCConfig(64, seed=5))
         expected = 62.0 * math.exp(0.01 - 0.002)
         assert (terminal == expected).all()
 
     def test_discounted_terminal_mean_is_martingale(self):
         cs = _cs(62.0, q=0.015)
-        terminal = simulate_terminal_values(cs, MCConfig(400_000, seed=9))
+        terminal = terminal_values(cs, MCConfig(400_000, seed=9))
         discounted = math.exp(-cs.rate * cs.maturity) * terminal
         units = 0.5 * (discounted[0::2] + discounted[1::2])
         std_error = units.std(ddof=1) / math.sqrt(units.size)
@@ -245,7 +256,7 @@ class TestSimulation:
         monkeypatch.setattr(oracle, "_philox", lambda: TopRaw)
         monkeypatch.setattr(oracle, "_ndtri", lambda: recording_ndtri)
         cs = _cs(62.0)
-        assert simulate_terminal_values(cs, MCConfig(2, seed=1)).tolist() == [math.inf, 0.0]
+        assert terminal_values(cs, MCConfig(2, seed=1)).tolist() == [math.inf, 0.0]
         assert uniforms == [1.0]
         with pytest.raises(ValidationError, match="leave the float range"):
             mc_claim_values(cs, MCConfig(2, seed=1))
@@ -286,7 +297,7 @@ class TestMCClaimValues:
         estimates = mc_claim_values(cs, mc)
         discounted_mean = float(
             math.exp(-cs.rate * cs.maturity)
-            * simulate_terminal_values(cs, mc).mean()
+            * terminal_values(cs, mc).mean()
         )
         total = sum(estimate.mean for estimate in estimates)
         assert total == pytest.approx(discounted_mean, rel=1e-12)
@@ -370,10 +381,10 @@ class TestStreaming:
     )
     def test_terminal_values_do_not_depend_on_chunk_size(self, monkeypatch, chunk, paths):
         # Each chunk the kernel draws, placed by its raw draws in the one-call
-        # stream, holds the values simulate_terminal_values gives there.
+        # stream, holds the values terminal_values gives there.
         cs = _cs(62.0, sigma=0.3)
         mc = MCConfig(paths, seed=5)
-        expected = simulate_terminal_values(cs, mc)
+        expected = terminal_values(cs, mc)
         stream = np.random.Philox(key=mc.seed).random_raw(paths // 2)
         start_of = {raw: i for i, raw in enumerate(stream.tolist())}
         assert len(start_of) == stream.size
@@ -405,7 +416,7 @@ class TestStreaming:
         cs = _cs(62.0, sigma=0.3)
         mc = MCConfig(paths, seed=11)
         discount = math.exp(-cs.rate * cs.maturity)
-        terminal = simulate_terminal_values(cs, mc)
+        terminal = terminal_values(cs, mc)
         monkeypatch.setattr(oracle, "_CHUNK_DRAWS", chunk)
         estimates = mc_claim_values(cs, mc)
         for payoff, estimate in zip(
@@ -438,7 +449,7 @@ class TestStreaming:
         # conversion that copied them first would add a chunk per thread.
         cs = _cs(62.0, sigma=0.3)
         raw = np.random.Philox(key=5).random_raw(1 << 16)
-        expected = simulate_terminal_values(cs, MCConfig(2 * raw.size, seed=5))
+        expected = terminal_values(cs, MCConfig(2 * raw.size, seed=5))
         up = np.empty(raw.size)
         tracemalloc.start()
         try:

@@ -81,3 +81,25 @@ def test_every_package_name_the_benchmark_reads_is_public():
     names -= submodules
     assert names, f"no subdebt.<name> found in {BENCH}"
     assert sorted(names - set(subdebt.__all__)) == []
+
+
+def _reads_the_optimize_flag(node):
+    """An assert statement, or a read of ``__debug__`` or ``sys.flags.optimize``."""
+    if isinstance(node, ast.Assert):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id == "__debug__"
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.flags.optimize"
+
+
+def test_package_does_not_depend_on_assert_statements():
+    # ``python -O`` strips assert statements and sets __debug__ and
+    # sys.flags.optimize, so package code that uses none of them runs the
+    # same with and without it: every domain check raises either way.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(subdebt.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _reads_the_optimize_flag(node)
+    ]
+    assert found == []
