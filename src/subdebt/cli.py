@@ -1,7 +1,7 @@
 """Command-line interface: pricing, thresholds, sweeps, and verification.
 
-It parses arguments, loads the scenario, runs the library and opens the
-output stream; the module that computes each report writes it.  Each
+It reads the arguments, loads the scenario, runs the library and opens
+the output stream; the module that computes each report writes it.  Each
 command imports the modules it runs inside its handler, so ``price`` and
 ``thresholds`` load neither the sweeps nor the Monte-Carlo engine.  Exit
 codes: 0 success; 2 usage error, malformed or unreadable scenario file,
@@ -10,24 +10,38 @@ opened, or a failed write or close of the output stream, stdout and the
 help text included); 3 parameter validation error; 4 verification check
 failure.
 
+One table, ``_COMMANDS``, lists each command's options.  ``main`` reads
+argv from it without argparse where argv is the command name and then
+``--flag value`` pairs: each flag named exactly and at most once, no
+value starting with ``-``, each value converted and checked as argparse
+would, and the required flags all given.  The arguments are then the
+ones argparse would give.  Any other argv (help, an unknown, abbreviated
+or repeated flag, ``--flag=value``, a value starting with ``-``, a value
+that does not convert, a missing flag) goes to the argparse parser that
+``_build_parser`` builds from the same table, so help text and usage
+errors are argparse's.  argparse, and the ``gettext`` and ``locale``
+modules its messages load, are imported only there.
+
 ``run`` is the entry point of a ``subdebt`` process (``python -m
-subdebt``, the console script, this module run as a script).  It returns
-``main``'s exit code and then freezes the garbage collector's heap
-(``gc.freeze``), so that the collections at interpreter exit skip the
-objects the imports built; atexit handlers, the final flush of the
-standard streams and refcount deallocation still run.  ``main`` does
-not freeze: tests and library callers run it in process, many times,
-and the cyclic collector never frees what a freeze keeps.
+subdebt``, the console script, this module run as a script).  It turns
+the cyclic garbage collector off while ``main`` runs, so that no
+collection walks the objects the imports build; then it freezes the
+heap (``gc.freeze``), so that the collections at interpreter exit skip
+them too, and turns the collector back on if it was on.  atexit
+handlers, the final flush of the standard streams and refcount
+deallocation still run.  ``main`` neither switches the collector nor
+freezes: tests and library callers run it in process, many times, and
+the cyclic collector never frees what a freeze keeps.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DegenerateVolatilityError, ScenarioParseError, ValidationError
 from .scenario import MCConfig, Scenario, load_scenario
@@ -44,8 +58,12 @@ class _OutputError(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_flags(argv)
+        if args is None:
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         return args.handler(args, load_scenario(args.scenario))
     except (ScenarioParseError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -56,37 +74,64 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """``main(argv)`` for a process about to exit, its heap frozen after."""
+    """``main(argv)`` for a process about to exit: the cyclic collector off
+    while it runs, the heap frozen after, the collector as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return main(argv)
     finally:
         gc.freeze()
+        if enabled:
+            gc.enable()
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse, but help for stdout is written through ``_open_out``:
-    argparse's own writer ignores a failed write, and the exit would be 0."""
+def _read_flags(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments argparse would give for a well-formed ``argv``, None
+    for any other: the command name, then ``--flag value`` pairs of its
+    options, each flag named exactly and at most once, no value starting
+    with ``-``, each value converted and in its ``choices``, and every
+    required flag given."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, *pairs = argv
+    _, handler, options = _COMMANDS[command]
+    if len(pairs) % 2:
+        return None
+    given = {}
+    for flag, text in zip(pairs[::2], pairs[1::2]):
+        option = options.get(flag)
+        if option is None or flag in given or text.startswith("-"):
+            return None
+        try:
+            value = option.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        given[flag] = value
+    values = {}
+    for flag, option in options.items():
+        if flag not in given and option.get("required"):
+            return None
+        values[flag[2:].replace("-", "_")] = given.get(flag, option.get("default"))
+    return SimpleNamespace(command=command, handler=handler, **values)
 
-    def print_help(self, file=None) -> None:
-        if file is not None:
-            return super().print_help(file)
-        with _open_out(None) as stream:
-            stream.write(self.format_help())
 
+def _build_parser():
+    """The argparse parser for every argv: help, usage errors and whatever
+    ``_read_flags`` declines."""
+    import argparse
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--scenario", required=True, metavar="PATH", help="scenario file (INI format)"
-    )
-    common.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        help="machine-readable output format (default: text for reports, csv for sweeps)",
-    )
-    common.add_argument(
-        "--out", metavar="PATH", help="write output to PATH instead of stdout"
-    )
+    class _Parser(argparse.ArgumentParser):
+        """argparse, but help for stdout is written through ``_open_out``:
+        argparse's own writer ignores a failed write, and the exit would be 0."""
+
+        def print_help(self, file=None) -> None:
+            if file is not None:
+                return super().print_help(file)
+            with _open_out(None) as stream:
+                stream.write(self.format_help())
 
     parser = _Parser(
         prog="subdebt",
@@ -97,56 +142,15 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    price = subparsers.add_parser(
-        "price", parents=[common], help="value the three claims and the junior-debt vega"
-    )
-    price.set_defaults(handler=_cmd_price)
-
-    thresholds = subparsers.add_parser(
-        "thresholds",
-        parents=[common],
-        help="risk-shifting thresholds, regime, and chosen risk",
-    )
-    thresholds.set_defaults(handler=_cmd_thresholds)
-
-    sweep_s = subparsers.add_parser(
-        "sweep-sigma", parents=[common], help="claim values over a volatility grid"
-    )
-    sweep_s.add_argument("--sigma-min", type=float, default=0.01)
-    sweep_s.add_argument("--sigma-max", type=float, default=0.8)
-    sweep_s.add_argument("--steps", type=int, default=200)
-    sweep_s.set_defaults(handler=_cmd_sweep_sigma)
-
-    sweep_f = subparsers.add_parser(
-        "sweep-structure",
-        parents=[common],
-        help="chosen risk over asset value for several junior-debt proportions",
-    )
-    sweep_f.add_argument("--total-face", type=float, required=True)
-    sweep_f.add_argument(
-        "--proportions",
-        required=True,
-        help="comma-separated junior proportions of total debt, e.g. 0.1,0.2,0.3",
-    )
-    sweep_f.add_argument("--v-min", type=float, required=True)
-    sweep_f.add_argument("--v-max", type=float, required=True)
-    sweep_f.add_argument("--steps", type=int, default=201)
-    sweep_f.set_defaults(handler=_cmd_sweep_structure)
-
-    verify = subparsers.add_parser(
-        "verify",
-        parents=[common],
-        help="check closed forms against Monte-Carlo, numeric argmax, and finite differences",
-    )
-    verify.add_argument("--seed", type=int, help="override the Monte-Carlo seed")
-    verify.add_argument("--paths", type=int, help="override the Monte-Carlo path count")
-    verify.set_defaults(handler=_cmd_verify)
-
+    for command, (summary, handler, options) in _COMMANDS.items():
+        subparser = subparsers.add_parser(command, help=summary)
+        for flag, option in options.items():
+            subparser.add_argument(flag, **option)
+        subparser.set_defaults(handler=handler)
     return parser
 
 
-def _cmd_price(args: argparse.Namespace, scenario: Scenario) -> int:
+def _cmd_price(args: SimpleNamespace, scenario: Scenario) -> int:
     from .claims import junior_debt_vega, value_all_claims
     from .output import write_report
 
@@ -168,7 +172,7 @@ def _cmd_price(args: argparse.Namespace, scenario: Scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_thresholds(args: argparse.Namespace, scenario: Scenario) -> int:
+def _cmd_thresholds(args: SimpleNamespace, scenario: Scenario) -> int:
     from .output import write_report
     from .risk import classify_regime
 
@@ -188,7 +192,7 @@ def _cmd_thresholds(args: argparse.Namespace, scenario: Scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_sigma(args: argparse.Namespace, scenario: Scenario) -> int:
+def _cmd_sweep_sigma(args: SimpleNamespace, scenario: Scenario) -> int:
     from .sweeps import sweep_sigma, write_sweep_csv, write_sweep_json
 
     table = sweep_sigma(scenario.structure, args.sigma_min, args.sigma_max, args.steps)
@@ -198,7 +202,7 @@ def _cmd_sweep_sigma(args: argparse.Namespace, scenario: Scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep_structure(args: argparse.Namespace, scenario: Scenario) -> int:
+def _cmd_sweep_structure(args: SimpleNamespace, scenario: Scenario) -> int:
     from .sweeps import sweep_structure, write_structure_csv, write_structure_json
 
     try:
@@ -223,7 +227,7 @@ def _cmd_sweep_structure(args: argparse.Namespace, scenario: Scenario) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace, scenario: Scenario) -> int:
+def _cmd_verify(args: SimpleNamespace, scenario: Scenario) -> int:
     from .verify import run_verification, write_report
 
     mc = MCConfig(
@@ -248,6 +252,61 @@ def _input_echo(scenario: Scenario) -> dict:
         "rate": cs.rate,
         "dividend_yield": cs.dividend_yield,
     }
+
+
+# Each command's help line, handler and options, the common ones first:
+# flag -> ``add_argument`` keywords.  ``_build_parser`` and ``_read_flags``
+# both read this table.
+_COMMON = {
+    "--scenario": dict(required=True, metavar="PATH", help="scenario file (INI format)"),
+    "--format": dict(
+        choices=("csv", "json"),
+        help="machine-readable output format (default: text for reports, csv for sweeps)",
+    ),
+    "--out": dict(metavar="PATH", help="write output to PATH instead of stdout"),
+}
+_COMMANDS = {
+    "price": ("value the three claims and the junior-debt vega", _cmd_price, _COMMON),
+    "thresholds": (
+        "risk-shifting thresholds, regime, and chosen risk",
+        _cmd_thresholds,
+        _COMMON,
+    ),
+    "sweep-sigma": (
+        "claim values over a volatility grid",
+        _cmd_sweep_sigma,
+        {
+            **_COMMON,
+            "--sigma-min": dict(type=float, default=0.01),
+            "--sigma-max": dict(type=float, default=0.8),
+            "--steps": dict(type=int, default=200),
+        },
+    ),
+    "sweep-structure": (
+        "chosen risk over asset value for several junior-debt proportions",
+        _cmd_sweep_structure,
+        {
+            **_COMMON,
+            "--total-face": dict(type=float, required=True),
+            "--proportions": dict(
+                required=True,
+                help="comma-separated junior proportions of total debt, e.g. 0.1,0.2,0.3",
+            ),
+            "--v-min": dict(type=float, required=True),
+            "--v-max": dict(type=float, required=True),
+            "--steps": dict(type=int, default=201),
+        },
+    ),
+    "verify": (
+        "check closed forms against Monte-Carlo, numeric argmax, and finite differences",
+        _cmd_verify,
+        {
+            **_COMMON,
+            "--seed": dict(type=int, help="override the Monte-Carlo seed"),
+            "--paths": dict(type=int, help="override the Monte-Carlo path count"),
+        },
+    ),
+}
 
 
 @contextmanager

@@ -40,7 +40,6 @@ from typing import IO
 from .claims import CapitalStructure, _claims
 from .errors import ValidationError, check, check_range
 from .output import cell, cells
-from .risk import _chosen_risk, _optimal_volatility, _threshold, hump_threshold
 
 # A sweep table: column name -> values, the independent column first.
 Table = dict[str, tuple[float, ...]]
@@ -96,6 +95,9 @@ def sweep_structure(
     F_S = (1 - p) * total_face.  Columns per table: asset_value;
     chosen_risk, optimal_volatility, shift_threshold, hump_threshold.
     """
+    # Here, not at the top: the volatility sweep does not run ``risk``.
+    from .risk import _chosen_risk, _optimal_volatility, _threshold, hump_threshold
+
     check("total_face", total_face, "finite and > 0")
     if not junior_proportions:
         raise ValidationError("at least one junior proportion is required")

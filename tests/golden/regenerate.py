@@ -29,6 +29,11 @@ takes its vega with numpy's complex arithmetic, whose loops may also
 differ in the last bits, so the X86_V3 child checks that it renders the
 same table, rather than the table being kept per loop;
 ``tests/test_golden.py`` renders it in such a child too.
+
+``usage.json`` is not written here.  It holds the stdout, stderr and
+exit code of help and of usage errors as the argparse parser gave them
+before the CLI read well-formed flags itself; ``tests/test_cli.py``
+requires the same bytes, so no change may regenerate it.
 """
 
 import contextlib

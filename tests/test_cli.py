@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -815,7 +816,9 @@ runpy.run_module("subdebt", run_name="__main__", alter_sys=True)
 
 
 class TestProcessEntry:
-    """``run`` is ``main`` plus one ``gc.freeze`` once ``main`` has returned."""
+    """``run`` is ``main`` with the cyclic collector off, plus one
+    ``gc.freeze`` once ``main`` has returned; then the collector is as
+    ``run`` found it."""
 
     @pytest.mark.parametrize(
         "old, new, code",
@@ -859,6 +862,44 @@ class TestProcessEntry:
         assert freezes == []
         assert gc.get_freeze_count() == before
 
+    def test_main_runs_with_the_collector_off_under_run(
+        self, distressed, capsys, freezes, monkeypatch
+    ):
+        def recorded(argv=None):
+            freezes.append(f"collector enabled: {gc.isenabled()}")
+            return main(argv)
+
+        monkeypatch.setattr(cli, "main", recorded)
+        assert gc.isenabled()
+        assert run(["price", "--scenario", distressed]) == EXIT_OK
+        assert freezes == ["collector enabled: False", "freeze"]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_run_leaves_the_collector_as_it_found_it(self, distressed, capsys, freezes, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(["price", "--scenario", distressed]) == EXIT_OK
+            assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):
+                run(["frobnicate"])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert freezes == ["freeze", "freeze"]
+
+    def test_main_does_not_switch_the_collector(self, distressed, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+        monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+        for command, flags in COMMAND_FLAGS.items():
+            assert main([command, "--scenario", distressed, *flags]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert calls == []
+        assert gc.isenabled()
+
     @pytest.mark.skipif(not pinned_platform(), reason="golden outputs are pinned for x86-64 glibc")
     def test_python_m_subdebt_exits_with_the_heap_frozen(self):
         scenario = str(SCENARIOS / "distressed.ini")
@@ -879,3 +920,97 @@ class TestProcessEntry:
         assert f"from .cli import {script}\n" in source
         assert f"sys.exit({script}())" in source
         assert script == "run"
+
+
+# The stdout, stderr and exit code of help and of usage errors, as the
+# argparse parser wrote them before the flag reader existed, 80 columns
+# wide.  Recorded once, not by ``golden/regenerate.py``: these bytes must
+# not change.
+USAGE = json.loads((GOLDEN / "usage.json").read_text())
+
+# Values for each kind of option: well formed, then junk.
+_VALUES = {
+    float: (["0.5", "62", "1e3", "inf", "1_000.5", " 7"], ["-5", "abc", "", "-inf", "--"]),
+    int: (["5", "200", "07", "1_000"], ["1e3", "1.5", "-5", "x", ""]),
+    "choices": (["csv", "json"], ["CSV", "xml", "-csv", ""]),
+    str: (["x", "a b", "price", "0.1,0.2", "=x", ""], ["-x", "--out", "-5"]),
+}
+
+
+def _draw_argv(rng):
+    """An argv drawn from the option table and from junk, and whether it is
+    well formed: a command, then each flag it gives named exactly, once,
+    with a well-formed value, and every required flag given."""
+    if rng.random() < 0.05:
+        command = rng.choice(["frobnicate", "Price", "pric", "", "-h", "--scenario"])
+        return [command, "--scenario", "x"], False
+    command = rng.choice(list(cli._COMMANDS))
+    options = cli._COMMANDS[command][2]
+    argv, well_formed = [command], True
+    for flag, option in rng.sample(list(options.items()), len(options)):
+        if rng.random() < (0.05 if option.get("required") else 0.5):
+            well_formed = well_formed and not option.get("required")
+            continue
+        kind = "choices" if "choices" in option else option.get("type", str)
+        good, junk = _VALUES[kind]
+        value = rng.choice(good)
+        if rng.random() < 0.1:
+            value, well_formed = rng.choice(junk), False
+        form = rng.random()
+        if form < 0.04:
+            argv.append(f"{flag}={value}")
+            well_formed = False
+            continue
+        if form < 0.08:
+            flag, well_formed = flag[: rng.randrange(3, len(flag))], False
+        elif form < 0.12:
+            argv += [flag, rng.choice(good)]
+            well_formed = False
+        argv += [flag, value]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(["extra", "--paths", "--frob"]))
+        well_formed = False
+    return argv, well_formed
+
+
+def _typed(arguments):
+    """Each argument with its type, so that 5 and 5.0 differ."""
+    return {name: (type(value), value) for name, value in arguments.items()}
+
+
+class TestFlagReader:
+    """``_read_flags`` gives argparse's arguments for a well-formed argv and
+    None for any other; that goes to argparse, whose help and errors keep
+    their bytes."""
+
+    def test_reader_agrees_with_argparse(self, capsys):
+        rng = random.Random(20261020)
+        parser = cli._build_parser()
+        outcomes = {"read": 0, "declined": 0}
+        for _ in range(3000):
+            argv, well_formed = _draw_argv(rng)
+            read = cli._read_flags(argv)
+            try:
+                parsed = vars(parser.parse_args(argv))
+            except SystemExit:
+                parsed = None
+            assert (read is not None) == well_formed, argv
+            if read is not None:
+                assert _typed(vars(read)) == _typed(parsed), argv
+            outcomes["read" if well_formed else "declined"] += 1
+        capsys.readouterr()
+        assert min(outcomes.values()) > 500, outcomes
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 13), reason="argparse wraps usage lines differently from 3.13"
+    )
+    @pytest.mark.parametrize(
+        "case", USAGE, ids=[" ".join(case["argv"]) or "no-arguments" for case in USAGE]
+    )
+    def test_help_and_usage_errors_keep_their_bytes(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli._read_flags(case["argv"]) is None
+        with pytest.raises(SystemExit) as excinfo:
+            main(case["argv"])
+        assert excinfo.value.code == case["code"]
+        assert capsys.readouterr() == (case["stdout"], case["stderr"])

@@ -1,15 +1,21 @@
 """Cold-start guard: each command loads only the modules it runs.
 
 ``import subdebt`` loads no submodule, and no command loads
-``black_scholes``.  The closed-form commands and the sweeps load
-neither numpy, scipy, ``dataclasses`` nor ``inspect``.  ``price`` and
-``thresholds`` load neither the sweeps nor the oracles, and as text
-neither ``json`` nor ``csv``; ``price`` does not load ``subdebt.risk``
-either.  The sweeps load neither ``json`` nor ``csv`` in any format.
-``verify`` loads numpy and, of the packages it draws from, only the
-compiled modules it uses: scipy's ``_ufuncs``, not the ``scipy.special``
-package, and numpy's ``_philox``, not the ``numpy.random`` package.  It
-does not load ``dataclasses`` (numpy loads ``inspect`` itself).
+``black_scholes``.  Every command that succeeds, in every format, and
+every scenario error reads its flags without ``argparse``, so it loads
+neither ``argparse`` nor the ``gettext`` and ``locale`` modules that
+argparse's messages pull in (``verify`` loads ``locale``, because scipy
+imports ``subprocess``); help and an unknown command still load
+argparse.  The closed-form commands and the sweeps load neither numpy,
+scipy, ``dataclasses`` nor ``inspect``.  ``price`` and ``thresholds``
+load neither the sweeps nor the oracles, and as text neither ``json``
+nor ``csv``; ``price`` does not load ``subdebt.risk`` either, and nor
+does ``sweep-sigma``.  The sweeps load neither ``json`` nor ``csv`` in
+any format.  ``verify`` loads numpy and, of the packages it draws from,
+only the compiled modules it uses: scipy's ``_ufuncs``, not the
+``scipy.special`` package, and numpy's ``_philox``, not the
+``numpy.random`` package.  It does not load ``dataclasses`` (numpy loads
+``inspect`` itself).
 
 Each case runs in a fresh interpreter, because this test process has
 already imported all of these.
@@ -28,7 +34,8 @@ from conftest import child_env
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO = ROOT / "scenarios" / "distressed.ini"
 
-# Imports the package and runs the command, if any; reports what that
+# Imports the package and runs the command, if any, taking help's or a
+# usage error's exit code from its SystemExit; reports what that
 # loaded, then, if it loaded scipy's ufuncs and numpy's Philox module,
 # whether a real ``import scipy.special`` yields the same ndtri and a real
 # ``import numpy.random`` the same Philox.  It reads its arguments
@@ -40,7 +47,10 @@ import subdebt
 code = 0
 if sys.argv[1:]:
     from subdebt.cli import main
-    code = main(sys.argv[1:])
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 modules = sorted(sys.modules)
 same_ndtri = same_philox = None
 if "scipy.special._ufuncs" in modules:
@@ -57,11 +67,14 @@ print(json.dumps({"code": code, "numpy": "numpy" in modules,
                   "same_ndtri": same_ndtri, "same_philox": same_philox}))
 """
 
-# Modules that no closed-form command loads; those that ``price`` and
-# ``thresholds`` do not load either; those that ``price`` does not load
-# either; those that text output does not; and those that the sweeps do
-# not, in any format.
-_NOT_IN_COMMANDS = {
+# The argument parser and the modules its messages load, which no command
+# that reads its flags without it loads; modules that no closed-form
+# command loads; those that ``price`` and ``thresholds`` do not load
+# either; those that ``price`` does not load either; those that text
+# output does not; those that the sweeps do not, in any format; and those
+# that ``sweep-sigma`` does not load either.
+_PARSER = {"argparse", "gettext", "locale"}
+_NOT_IN_COMMANDS = _PARSER | {
     "subdebt.oracle",
     "subdebt.verify",
     "subdebt.black_scholes",
@@ -72,6 +85,7 @@ _NOT_IN_CLOSED_FORM = _NOT_IN_COMMANDS | {"subdebt.sweeps"}
 _NOT_IN_PRICE = _NOT_IN_CLOSED_FORM | {"subdebt.risk"}
 _NOT_IN_TEXT = {"json", "csv"}
 _NOT_IN_SWEEPS = _NOT_IN_COMMANDS | _NOT_IN_TEXT
+_NOT_IN_SWEEP_SIGMA = _NOT_IN_SWEEPS | {"subdebt.risk"}
 _STRUCTURE = [
     "sweep-structure",
     "--scenario",
@@ -114,31 +128,43 @@ def _loaded_after(argv, probe=_PROBE):
     [
         ([], 0, set()),
         (["price", "--scenario", str(SCENARIO)], 0, _NOT_IN_PRICE | _NOT_IN_TEXT),
+        (["price", "--scenario", str(SCENARIO), "--format", "csv"], 0, _NOT_IN_PRICE),
         (["price", "--scenario", str(SCENARIO), "--format", "json"], 0, _NOT_IN_PRICE),
         (["thresholds", "--scenario", str(SCENARIO)], 0, _NOT_IN_CLOSED_FORM | _NOT_IN_TEXT),
+        (["thresholds", "--scenario", str(SCENARIO), "--format", "csv"], 0, _NOT_IN_CLOSED_FORM),
         (["thresholds", "--scenario", str(SCENARIO), "--format", "json"], 0, _NOT_IN_CLOSED_FORM),
         (["price", "--scenario", str(ROOT / "no-such-scenario.ini")], 2, _NOT_IN_PRICE),
-        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "1"], 3, _NOT_IN_SWEEPS),
-        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5"], 0, _NOT_IN_SWEEPS),
+        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "1"], 3, _NOT_IN_SWEEP_SIGMA),
+        (["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5"], 0, _NOT_IN_SWEEP_SIGMA),
+        (
+            ["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5", "--format", "csv"],
+            0,
+            _NOT_IN_SWEEP_SIGMA,
+        ),
         (
             ["sweep-sigma", "--scenario", str(SCENARIO), "--steps", "5", "--format", "json"],
             0,
-            _NOT_IN_SWEEPS,
+            _NOT_IN_SWEEP_SIGMA,
         ),
         (_STRUCTURE, 0, _NOT_IN_SWEEPS),
+        ([*_STRUCTURE, "--format", "csv"], 0, _NOT_IN_SWEEPS),
         ([*_STRUCTURE, "--format", "json"], 0, _NOT_IN_SWEEPS),
     ],
     ids=[
         "import",
         "price",
+        "price-csv",
         "price-json",
         "thresholds",
+        "thresholds-csv",
         "thresholds-json",
         "parse-error",
         "sweep-error",
         "sweep-sigma",
+        "sweep-sigma-csv",
         "sweep-sigma-json",
         "sweep-structure",
+        "sweep-structure-csv",
         "sweep-structure-json",
     ],
 )
@@ -151,6 +177,44 @@ def test_commands_load_only_what_they_use(argv, code, absent):
     assert not absent & modules
     if not argv:
         assert not {name for name in modules if name.startswith("subdebt.")}
+
+
+@pytest.mark.parametrize(
+    "old,new,code",
+    [("rate = 0.01\n", "", 2), ("\nsigma = 0.10", "\nsigma = -0.10", 3)],
+    ids=["missing-key", "negative-sigma"],
+)
+@pytest.mark.parametrize("command", ["price", "thresholds"])
+def test_scenario_errors_load_no_parser(tmp_path, command, old, new, code):
+    path = tmp_path / "bad.ini"
+    text = SCENARIO.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    loaded = _loaded_after([command, "--scenario", str(path)])
+    assert loaded["code"] == code
+    assert not _PARSER & set(loaded["modules"])
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["--help"], 0), (["price", "--help"], 0), (["frobnicate"], 2)],
+    ids=["help", "price-help", "unknown-command"],
+)
+def test_help_and_usage_errors_load_argparse(argv, code):
+    loaded = _loaded_after(argv)
+    assert loaded["code"] == code
+    assert "argparse" in loaded["modules"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_loads_no_parser(fmt):
+    argv = ["verify", "--scenario", str(SCENARIO), "--paths", "2000"]
+    loaded = _loaded_after(argv if fmt == "text" else [*argv, "--format", fmt])
+    assert loaded["code"] == 0
+    modules = set(loaded["modules"])
+    # scipy imports subprocess, which loads locale.
+    assert "subprocess" in modules
+    assert not (_PARSER - {"locale"}) & modules
 
 
 # The numpy.random package and the generators, distributions and pickling

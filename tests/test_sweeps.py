@@ -169,7 +169,7 @@ class TestStructureSweep:
 
     def test_one_optimal_volatility_per_point(self, monkeypatch):
         counts = {"sigma*": 0}
-        count_calls(monkeypatch, counts, "sigma*", (risk, sweeps), "_optimal_volatility")
+        count_calls(monkeypatch, counts, "sigma*", (risk,), "_optimal_volatility")
         sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 70.0, 201, 0.10, 1.0, 0.01)
         assert counts == {"sigma*": 3 * 201}
 
