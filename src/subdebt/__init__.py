@@ -28,7 +28,6 @@ _NAMES = {
     "claims": (
         "CapitalStructure",
         "ClaimValues",
-        "junior_debt_value",
         "junior_debt_vega",
         "norm_cdf",
         "value_all_claims",

@@ -21,12 +21,12 @@ results are bit-identical to composing them; the tests keep such a
 reference of their own and compare the kernel against it.
 
 A structure is priced at most once at its own volatility.  The first of
-``value_all_claims``, ``junior_debt_value`` and ``junior_debt_vega`` on
-a structure stores the kernel's tuple in the structure's one private
-slot, and later calls read it back.  The structure is immutable, so the
-stored tuple is what the kernel would compute again.  A kernel call that
-raises stores nothing, so it raises again on the next call.  The slot is
-not a field: equality, hash, repr, pickling and copying never see it.
+``value_all_claims`` and ``junior_debt_vega`` on a structure stores the
+kernel's tuple in the structure's one private slot, and later calls read
+it back.  The structure is immutable, so the stored tuple is what the
+kernel would compute again.  A kernel call that raises stores nothing,
+so it raises again on the next call.  The slot is not a field: equality,
+hash, repr, pickling and copying never see it.
 Prices at a sigma other than the structure's own come from ``_claims``
 directly, as the sweeps and the sigma-search oracles take them.
 
@@ -165,20 +165,14 @@ class ClaimValues(Record):
 _set_senior_value, _set_junior_value, _set_equity_value, _set_total = slot_setters(ClaimValues)
 
 
-def junior_debt_value(cs: CapitalStructure) -> float:
-    """Junior bond value: call at F_S minus call at F_S + F_J.
-
-    A bull call spread, bounded in [0, F_J e^{-r tau}]; equals the
-    discounted expected junior payoff under the risk-neutral measure.
-    """
-    return _own_claims(cs)[1]
-
-
 def value_all_claims(cs: CapitalStructure) -> ClaimValues:
     """Value all three claims and their sum.
 
     Senior debt is F_S e^{-r tau} minus a put struck at F_S, bounded in
-    [0, F_S e^{-r tau}]; equity is a call struck at F_S + F_J.
+    [0, F_S e^{-r tau}].  Junior debt is a call at F_S minus a call at
+    F_S + F_J, a bull call spread bounded in [0, F_J e^{-r tau}]: the
+    discounted expected junior payoff under the risk-neutral measure.
+    Equity is a call struck at F_S + F_J.
     """
     senior, junior, equity, _ = _own_claims(cs)
     return ClaimValues(senior, junior, equity, senior + junior + equity)
@@ -237,15 +231,10 @@ def _claims(
     pv_t = total_face * discount
     sqrt_t = math.sqrt(tau)
     sigma_sqrt_t = sigma * sqrt_t
-    # ``0.0 if x < 0.0 else x`` is max(x, 0.0) without the call: it keeps
-    # NaN and -0.0 as max does.
     if sigma_sqrt_t == 0.0:
         put_s = pv_s - forward
-        put_s = 0.0 if put_s < 0.0 else put_s
         call_s = forward - pv_s
-        call_s = 0.0 if call_s < 0.0 else call_s
         call_t = forward - pv_t
-        call_t = 0.0 if call_t < 0.0 else call_t
         vega = None
     else:
         half_variance = 0.5 * sigma * sigma
@@ -269,16 +258,18 @@ def _claims(
         # N(x) as norm_cdf computes it, and phi(x) = exp(-x^2 / 2) / sqrt(2 pi).
         # N(-x) = erfc(x / sqrt(2)) / 2, since -(-x) / c == x / c exactly.
         put_s = pv_s * (0.5 * erfc(d2_s / _SQRT2)) - forward * (0.5 * erfc(d1_s / _SQRT2))
-        put_s = 0.0 if put_s < 0.0 else put_s
         call_s = forward * (0.5 * erfc(-d1_s / _SQRT2)) - pv_s * (0.5 * erfc(-d2_s / _SQRT2))
-        call_s = 0.0 if call_s < 0.0 else call_s
         call_t = forward * (0.5 * erfc(-d1_t / _SQRT2)) - pv_t * (0.5 * erfc(-d2_t / _SQRT2))
-        call_t = 0.0 if call_t < 0.0 else call_t
         # Two call vegas, V e^{-q tau} sqrt(tau) phi(d1) each, subtracted
         # unfactored: factoring out V e^{-q tau} sqrt(tau) rounds differently.
         phi_s = _INV_SQRT_2PI * exp(-0.5 * d1_s * d1_s)
         phi_t = _INV_SQRT_2PI * exp(-0.5 * d1_t * d1_t)
         vega = forward * sqrt_t * phi_s - forward * sqrt_t * phi_t
+    # Each option is worth at least 0.  ``0.0 if x < 0.0 else x`` is
+    # max(x, 0.0) without the call: it keeps NaN and -0.0 as max does.
+    put_s = 0.0 if put_s < 0.0 else put_s
+    call_s = 0.0 if call_s < 0.0 else call_s
+    call_t = 0.0 if call_t < 0.0 else call_t
     senior = pv_s - put_s
     # A claim is NaN only where the discounted total face overflowed.
     if senior != senior or call_t != call_t:

@@ -10,7 +10,8 @@ opened, or a failed write or close of the output stream, stdout and the
 help text included); 3 parameter validation error; 4 verification check
 failure.
 
-One table, ``_COMMANDS``, lists each command's options.  ``main`` reads
+One table, ``_COMMANDS``, lists each command's handler and options, and
+``main`` runs the handler it lists for the command read.  ``main`` reads
 argv from it without argparse where argv is the command name and then
 ``--flag value`` pairs: each flag named exactly and at most once, no
 value starting with ``-``, each value converted and checked as argparse
@@ -63,8 +64,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_flags(argv)
         if args is None:
-            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
-        return args.handler(args, load_scenario(args.scenario))
+            args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][1](args, load_scenario(args.scenario))
     except (ScenarioParseError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -95,7 +96,7 @@ def _read_flags(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _COMMANDS:
         return None
     command, *pairs = argv
-    _, handler, options = _COMMANDS[command]
+    options = _COMMANDS[command][2]
     if len(pairs) % 2:
         return None
     given = {}
@@ -115,7 +116,7 @@ def _read_flags(argv: list[str]) -> SimpleNamespace | None:
         if flag not in given and option.get("required"):
             return None
         values[flag[2:].replace("-", "_")] = given.get(flag, option.get("default"))
-    return SimpleNamespace(command=command, handler=handler, **values)
+    return SimpleNamespace(command=command, **values)
 
 
 def _build_parser():
@@ -124,12 +125,11 @@ def _build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        """argparse, but help for stdout is written through ``_open_out``:
-        argparse's own writer ignores a failed write, and the exit would be 0."""
+        """argparse, but help is written to stdout through ``_open_out``:
+        argparse's own writer ignores a failed write, and the exit would be 0.
+        argparse's help action passes no file."""
 
-        def print_help(self, file=None) -> None:
-            if file is not None:
-                return super().print_help(file)
+        def print_help(self) -> None:
             with _open_out(None) as stream:
                 stream.write(self.format_help())
 
@@ -142,11 +142,10 @@ def _build_parser():
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, handler, options) in _COMMANDS.items():
+    for command, (summary, _, options) in _COMMANDS.items():
         subparser = subparsers.add_parser(command, help=summary)
         for flag, option in options.items():
             subparser.add_argument(flag, **option)
-        subparser.set_defaults(handler=handler)
     return parser
 
 

@@ -1,7 +1,8 @@
-"""Shared hypothesis strategies for model inputs, a record rebuilder, a
-sweep CSV reader, the whole Monte-Carlo stream of terminal values, the
-claim payoffs at maturity, the environment of a child process, and the
-CPU target of numpy's ``exp`` loop."""
+"""Shared hypothesis strategies for model inputs, a structure builder with
+defaults, a record rebuilder, a sweep CSV reader, the whole Monte-Carlo
+stream of terminal values, the claim payoffs at maturity, the
+environment of a child process, and the CPU target of numpy's ``exp``
+loop."""
 
 import csv
 import inspect
@@ -60,6 +61,11 @@ def distressed_structures(draw, min_sigma=0.05, max_sigma=1.2, with_yield=False)
         rate=draw(finite_floats(0.0, 0.05)),
         dividend_yield=draw(finite_floats(0.0, 0.05)) if with_yield else 0.0,
     )
+
+
+def structure(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
+    """A ``CapitalStructure`` at asset value ``v``, the rest defaulted."""
+    return CapitalStructure(v, fs, fj, sigma, tau, r, q)
 
 
 def rebuilt(record, **changes):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import rebuilt
+from conftest import rebuilt, structure
 from subdebt import (
     CapitalStructure,
     GridSpec,
@@ -29,10 +29,6 @@ from subdebt import (
 )
 
 SEARCH_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
-
-
-def _cs(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
-    return CapitalStructure(v, fs, fj, sigma, tau, r, q)
 
 
 class _Budget:
@@ -62,7 +58,7 @@ class _Budget:
 
 def test_01_interior_maximizer_and_search_agree():
     with _Budget(1, "peak volatility 26.2% and search agreement", 1.0) as budget:
-        cs = _cs(62.0)
+        cs = structure(62.0)
         closed = optimal_volatility(cs)
         assert closed == pytest.approx(0.262, abs=0.0005)
         numeric = argmax_sigma_numeric(cs, SEARCH_GRID)
@@ -73,7 +69,7 @@ def test_01_interior_maximizer_and_search_agree():
 
 def test_02_shift_threshold_matches_reported_value():
     with _Budget(2, "risk-shift threshold 63.8 at 10% volatility", 1.0) as budget:
-        value = risk_shift_threshold(_cs(62.0), 0.10)
+        value = risk_shift_threshold(structure(62.0), 0.10)
         assert value == pytest.approx(63.8, abs=0.05)
         budget.ok = True
 
@@ -103,7 +99,7 @@ def _junior_value_reference(mpmath, cs, sigmas):
 def test_03_junior_value_strictly_decreasing_when_solvent():
     mpmath = pytest.importorskip("mpmath")
     with _Budget(3, "strict decrease of junior value at V=100", 1.0) as budget:
-        cs = _cs(100.0)
+        cs = structure(100.0)
         table = sweep_sigma(cs, 0.01, 0.8, 200)
         sigmas = list(table["sigma"])
         junior = list(table["junior_value"])
@@ -137,7 +133,7 @@ def test_03_junior_value_strictly_decreasing_when_solvent():
 
 def test_04_junior_value_unimodal_when_distressed():
     with _Budget(4, "unimodal junior value at V=62 peaking nearest 26.2%", 1.0) as budget:
-        table = sweep_sigma(_cs(62.0), 0.01, 0.8, 200)
+        table = sweep_sigma(structure(62.0), 0.01, 0.8, 200)
         junior = np.asarray(table["junior_value"])
         sigmas = np.asarray(table["sigma"])
         peak = int(np.argmax(junior))
@@ -192,7 +188,7 @@ def test_06_claim_values_sum_to_asset_value():
 def test_07_monte_carlo_confirms_closed_forms():
     with _Budget(7, "closed forms within 3 SE of million-path estimates", 30.0) as budget:
         for sigma in (0.10, 0.262, 0.50):
-            cs = _cs(62.0, sigma=sigma)
+            cs = structure(62.0, sigma=sigma)
             closed = value_all_claims(cs)
             estimates = mc_claim_values(cs, MCConfig(1_000_000, seed=1))
             for closed_value, estimate in zip(
@@ -239,11 +235,11 @@ def test_08_analytic_vega_agrees_with_finite_differences():
 def test_09_shift_flag_is_the_threshold_comparison():
     with _Budget(9, "shift flag iff V below threshold iff peak above sigma0", 5.0) as budget:
         initial_sigma = 0.10
-        threshold = risk_shift_threshold(_cs(62.0), initial_sigma)
-        boundary = hump_threshold(_cs(62.0))
+        threshold = risk_shift_threshold(structure(62.0), initial_sigma)
+        boundary = hump_threshold(structure(62.0))
         assert threshold < boundary
         for v in np.arange(63.0, 65.0001, 0.05):
-            cs = _cs(float(v))
+            cs = structure(float(v))
             profile = classify_regime(cs, initial_sigma)
             assert profile.shifts_above_initial == (v < threshold)
             if profile.optimal_volatility is not None:

@@ -14,6 +14,7 @@ from conftest import (
     distressed_structures,
     finite_floats,
     rebuilt,
+    structure,
 )
 from subdebt import (
     CapitalStructure,
@@ -21,7 +22,6 @@ from subdebt import (
     DegenerateVolatilityError,
     MCConfig,
     ValidationError,
-    junior_debt_value,
     junior_debt_vega,
     mc_claim_values,
     norm_cdf,
@@ -61,10 +61,6 @@ class TestMaturityPayoffs:
         assert abs(total - terminal) <= math.ulp(max(terminal, senior_face + junior_face))
 
 
-def _cs(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
-    return CapitalStructure(v, fs, fj, sigma, tau, r, q)
-
-
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -91,6 +87,10 @@ def _senior_value(cs):
     return value_all_claims(cs).senior_value
 
 
+def _junior_value(cs):
+    return value_all_claims(cs).junior_value
+
+
 def _equity_value(cs):
     return value_all_claims(cs).equity_value
 
@@ -110,15 +110,15 @@ def _reference_claims(cs):
 
 class TestZeroVolatilityLimits:
     def test_senior_default_free(self):
-        assert _senior_value(_cs(100.0, sigma=0.0)) == pytest.approx(
+        assert _senior_value(structure(100.0, sigma=0.0)) == pytest.approx(
             60.0 * math.exp(-0.01), rel=1e-15
         )
 
     def test_senior_certain_default_gets_assets(self):
-        assert _senior_value(_cs(40.0, sigma=0.0)) == pytest.approx(40.0, rel=1e-15)
+        assert _senior_value(structure(40.0, sigma=0.0)) == pytest.approx(40.0, rel=1e-15)
 
     def test_junior_default_free(self):
-        assert junior_debt_value(_cs(100.0, sigma=0.0)) == pytest.approx(
+        assert _junior_value(structure(100.0, sigma=0.0)) == pytest.approx(
             10.0 * math.exp(-0.01), rel=1e-14
         )
 
@@ -126,19 +126,19 @@ class TestZeroVolatilityLimits:
         # At sigma = 0 assets grow at the risk-free rate, so the residual
         # above the senior tranche is V e^{r tau} - F_S, worth
         # V - F_S e^{-r tau} today.
-        assert junior_debt_value(_cs(65.0, sigma=0.0)) == pytest.approx(
+        assert _junior_value(structure(65.0, sigma=0.0)) == pytest.approx(
             65.0 - 60.0 * math.exp(-0.01), rel=1e-14
         )
 
     def test_equity_deterministic(self):
-        assert _equity_value(_cs(100.0, sigma=0.0)) == pytest.approx(
+        assert _equity_value(structure(100.0, sigma=0.0)) == pytest.approx(
             100.0 - 70.0 * math.exp(-0.01), rel=1e-15
         )
-        assert _equity_value(_cs(62.0, sigma=0.0)) == 0.0
+        assert _equity_value(structure(62.0, sigma=0.0)) == 0.0
 
     def test_overflowing_discounted_total_face_keeps_finite_limits(self):
         # (F_S + F_J) e^{-r tau} overflows, but every deterministic limit is finite.
-        values = value_all_claims(_cs(62.0, fs=1.0, fj=1.5e308, sigma=0.0, r=-0.5))
+        values = value_all_claims(structure(62.0, fs=1.0, fj=1.5e308, sigma=0.0, r=-0.5))
         assert values.senior_value == math.exp(0.5)
         assert values.junior_value == 62.0 - math.exp(0.5)
         assert values.equity_value == 0.0
@@ -148,11 +148,11 @@ class TestOutOfFloatRange:
     @pytest.mark.parametrize(
         "cs",
         [
-            _cs(1e-200, fs=1e200),  # V / F_S underflows to 0
-            _cs(62.0, fs=1e300, r=-100.0),  # F_S e^{-r tau} overflows
-            _cs(62.0, fs=1.0, fj=1e300, r=-100.0),  # only F_T e^{-r tau} does
-            _cs(62.0, sigma=1e200),  # sigma^2 tau / 2 overflows
-            _cs(62.0, sigma=1e155),  # so does sigma^2 alone
+            structure(1e-200, fs=1e200),  # V / F_S underflows to 0
+            structure(62.0, fs=1e300, r=-100.0),  # F_S e^{-r tau} overflows
+            structure(62.0, fs=1.0, fj=1e300, r=-100.0),  # only F_T e^{-r tau} does
+            structure(62.0, sigma=1e200),  # sigma^2 tau / 2 overflows
+            structure(62.0, sigma=1e155),  # so does sigma^2 alone
         ],
         ids=[
             "tiny-ratio",
@@ -167,7 +167,7 @@ class TestOutOfFloatRange:
         # again and raises again.
         counts = {"kernel": 0}
         count_calls(monkeypatch, counts, "kernel", (claims,), "_claims")
-        for function in (value_all_claims, junior_debt_value, junior_debt_vega) * 2:
+        for function in (value_all_claims, junior_debt_vega) * 3:
             with pytest.raises(ValidationError):
                 function(cs)
         assert counts["kernel"] == 6
@@ -193,19 +193,19 @@ class TestClaimBoundsAndIdentities:
 
     @given(capital_structures(min_sigma=0.0, with_yield=True))
     # Both calls subnormal: their unclamped difference is -3e-323.
-    @example(_cs(1.0, fs=72.5, fj=1.0, sigma=0.5, tau=0.05, r=0.0))
+    @example(structure(1.0, fs=72.5, fj=1.0, sigma=0.5, tau=0.05, r=0.0))
     def test_debt_values_bounded_by_discounted_faces(self, cs):
         discount = math.exp(-cs.rate * cs.maturity)
         slack = 1.0 + 1e-12
         assert 0.0 <= _senior_value(cs) <= cs.senior_face * discount * slack
-        assert 0.0 <= junior_debt_value(cs) <= cs.junior_face * discount * slack
+        assert 0.0 <= _junior_value(cs) <= cs.junior_face * discount * slack
 
     def test_value_all_claims_matches_components(self):
-        cs = _cs(62.0, sigma=0.262)
+        cs = structure(62.0, sigma=0.262)
         values = value_all_claims(cs)
         senior, junior, equity, _, _ = _reference_claims(cs)
         assert values.senior_value == senior
-        assert values.junior_value == junior_debt_value(cs) == junior
+        assert values.junior_value == _junior_value(cs) == junior
         assert values.equity_value == equity
         assert values.total == pytest.approx(
             values.senior_value + values.junior_value + values.equity_value, rel=1e-15
@@ -221,17 +221,17 @@ _KERNEL_SIGMAS = st.one_of(
 
 class TestKernelMatchesSingleOptionFunctions:
     @given(capital_structures(min_sigma=0.0, with_yield=True), _KERNEL_SIGMAS)
-    @example(_cs(100.0), 0.01)
-    @example(_cs(100.0), 0.0)
-    @example(_cs(62.0, q=0.02), 0.262)
-    @example(_cs(1.0, fs=72.5, fj=1.0, tau=0.05, r=0.0), 0.5)
+    @example(structure(100.0), 0.01)
+    @example(structure(100.0), 0.0)
+    @example(structure(62.0, q=0.02), 0.262)
+    @example(structure(1.0, fs=72.5, fj=1.0, tau=0.05, r=0.0), 0.5)
     def test_claims_and_vega_bit_identical(self, cs, sigma):
         # repr is exact for floats and tells -0.0 from 0.0.
         cs = rebuilt(cs, volatility=sigma)
         senior, junior, equity, total, junior_vega = _reference_claims(cs)
         values = value_all_claims(cs)
         assert repr(values) == repr(ClaimValues(senior, junior, equity, total))
-        assert repr(junior_debt_value(cs)) == repr(junior)
+        assert repr(_junior_value(cs)) == repr(junior)
         if junior_vega is None:
             with pytest.raises(DegenerateVolatilityError):
                 junior_debt_vega(cs)
@@ -241,7 +241,6 @@ class TestKernelMatchesSingleOptionFunctions:
 
 _PRICED = {
     "value_all_claims": value_all_claims,
-    "junior_debt_value": junior_debt_value,
     "junior_debt_vega": junior_debt_vega,
 }
 
@@ -273,9 +272,9 @@ class TestPricedOnce:
     )
     # At sigma = 0, and where sigma sqrt(tau) underflows, the vega is
     # refused before and after the claims are priced.
-    @example(_cs(62.0), 0.0, ["junior_debt_vega", "value_all_claims", "junior_debt_vega"])
-    @example(_cs(62.0, tau=0.25), 5e-324, ["value_all_claims", "junior_debt_vega"] * 2)
-    @example(_cs(62.0, q=0.02), 0.262, ["junior_debt_vega", "junior_debt_value"])
+    @example(structure(62.0), 0.0, ["junior_debt_vega", "value_all_claims", "junior_debt_vega"])
+    @example(structure(62.0, tau=0.25), 5e-324, ["value_all_claims", "junior_debt_vega"] * 2)
+    @example(structure(62.0, q=0.02), 0.262, ["junior_debt_vega", "value_all_claims"])
     def test_any_calls_run_the_kernel_once_with_fresh_bits(self, cs, sigma, calls):
         cs = rebuilt(cs, volatility=sigma)
         # Each function on its own fresh, equal structure.
@@ -299,16 +298,16 @@ class TestMonotonicity:
     def test_junior_nondecreasing_in_asset_value(self, cs, other_value):
         lo, hi = sorted((cs.asset_value, other_value))
         _weakly_above(
-            junior_debt_value(rebuilt(cs, asset_value=hi)),
-            junior_debt_value(rebuilt(cs, asset_value=lo)),
+            _junior_value(rebuilt(cs, asset_value=hi)),
+            _junior_value(rebuilt(cs, asset_value=lo)),
         )
 
     @given(capital_structures(min_sigma=0.0), finite_floats(0.5, 300.0))
     def test_junior_nondecreasing_in_junior_face(self, cs, other_face):
         lo, hi = sorted((cs.junior_face, other_face))
         _weakly_above(
-            junior_debt_value(rebuilt(cs, junior_face=hi)),
-            junior_debt_value(rebuilt(cs, junior_face=lo)),
+            _junior_value(rebuilt(cs, junior_face=hi)),
+            _junior_value(rebuilt(cs, junior_face=lo)),
         )
 
     @given(capital_structures(min_sigma=0.0), finite_floats(1.0, 500.0))
@@ -341,17 +340,17 @@ class TestLimits:
     def test_junior_approaches_senior_strike_call_for_huge_junior_face(self, cs):
         huge = rebuilt(cs, junior_face=1e9)
         call = _option(huge, huge.senior_face)[0]
-        assert junior_debt_value(huge) == pytest.approx(call, abs=1e-9)
+        assert _junior_value(huge) == pytest.approx(call, abs=1e-9)
 
     @given(distressed_structures())
     def test_junior_vanishes_at_extreme_volatility(self, cs):
-        assert junior_debt_value(rebuilt(cs, volatility=30.0)) <= 1e-9
+        assert _junior_value(rebuilt(cs, volatility=30.0)) <= 1e-9
 
 
 class TestMonteCarloAgreement:
     @pytest.mark.parametrize("sigma", [0.10, 0.262, 0.50])
     def test_each_claim_within_three_standard_errors(self, sigma):
-        cs = _cs(62.0, sigma=sigma)
+        cs = structure(62.0, sigma=sigma)
         closed = value_all_claims(cs)
         estimates = mc_claim_values(cs, MCConfig(200_000, seed=11))
         for closed_value, estimate in zip(
@@ -360,7 +359,7 @@ class TestMonteCarloAgreement:
             assert abs(closed_value - estimate.mean) <= 3.0 * estimate.std_error
 
     def test_agreement_with_dividend_yield(self):
-        cs = _cs(62.0, sigma=0.3, q=0.02)
+        cs = structure(62.0, sigma=0.3, q=0.02)
         closed = value_all_claims(cs)
         estimates = mc_claim_values(cs, MCConfig(200_000, seed=11))
         for closed_value, estimate in zip(

@@ -20,6 +20,7 @@ from conftest import (
     distressed_structures,
     exp_loop,
     rebuilt,
+    structure,
     terminal_values,
 )
 from golden.regenerate import library_structures
@@ -32,7 +33,6 @@ from subdebt import (
     ValidationError,
     argmax_sigma_numeric,
     finite_diff_vega,
-    junior_debt_value,
     junior_debt_vega,
     mc_claim_values,
     optimal_volatility,
@@ -145,8 +145,7 @@ def _bounded(f, limit=1000):
     return counted
 
 
-def _cs(v, fs=60.0, fj=10.0, sigma=0.262, tau=1.0, r=0.01, q=0.0):
-    return CapitalStructure(v, fs, fj, sigma, tau, r, q)
+_cs = functools.partial(structure, sigma=0.262)
 
 
 @functools.cache
@@ -842,8 +841,8 @@ class TestFiniteDifference:
     def test_equals_difference_of_rebuilt_structures(self, cs):
         sigma = cs.volatility
         for bump in (1e-5, 1e-3, 0.5 * sigma):
-            up = junior_debt_value(rebuilt(cs, volatility=sigma + bump))
-            down = junior_debt_value(rebuilt(cs, volatility=sigma - bump))
+            up = value_all_claims(rebuilt(cs, volatility=sigma + bump)).junior_value
+            down = value_all_claims(rebuilt(cs, volatility=sigma - bump)).junior_value
             assert finite_diff_vega(cs, bump).hex() == ((up - down) / (2.0 * bump)).hex()
 
 

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import capital_structures, distressed_structures, finite_floats, rebuilt
+from conftest import (
+    capital_structures,
+    distressed_structures,
+    finite_floats,
+    rebuilt,
+    structure,
+)
 from subdebt import (
     CapitalStructure,
     DegenerateVolatilityError,
@@ -20,17 +26,13 @@ from subdebt import (
     classify_regime,
     finite_diff_vega,
     hump_threshold,
-    junior_debt_value,
     junior_debt_vega,
     optimal_volatility,
     risk_shift_threshold,
+    value_all_claims,
 )
 
 SEARCH_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
-
-
-def _cs(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
-    return CapitalStructure(v, fs, fj, sigma, tau, r, q)
 
 
 @st.composite
@@ -54,23 +56,23 @@ def _regime_cases(draw):
 
 class TestJuniorDebtVega:
     def test_positive_in_the_shifting_zone(self):
-        assert junior_debt_vega(_cs(62.0, sigma=0.10)) > 0.0
+        assert junior_debt_vega(structure(62.0, sigma=0.10)) > 0.0
 
     def test_negative_for_solvent_firm_across_volatilities(self):
         for sigma in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
-            assert junior_debt_vega(_cs(100.0, sigma=sigma)) < 0.0
+            assert junior_debt_vega(structure(100.0, sigma=sigma)) < 0.0
 
     def test_near_zero_at_reported_peak_volatility(self):
-        assert abs(junior_debt_vega(_cs(62.0, sigma=0.262))) < 0.01
+        assert abs(junior_debt_vega(structure(62.0, sigma=0.262))) < 0.01
 
     def test_vanishes_at_the_exact_maximizer(self):
-        cs = _cs(62.0)
+        cs = structure(62.0)
         best = optimal_volatility(cs)
         assert abs(junior_debt_vega(rebuilt(cs, volatility=best))) < 1e-8
 
     def test_zero_volatility_refused(self):
         with pytest.raises(DegenerateVolatilityError):
-            junior_debt_vega(_cs(62.0, sigma=0.0))
+            junior_debt_vega(structure(62.0, sigma=0.0))
 
     @given(distressed_structures(with_yield=True))
     def test_matches_central_finite_difference(self, cs):
@@ -100,27 +102,27 @@ class TestJuniorDebtVega:
 
 class TestThresholds:
     def test_shift_threshold_matches_reported_value(self):
-        assert risk_shift_threshold(_cs(62.0), 0.10) == pytest.approx(63.8, abs=0.05)
+        assert risk_shift_threshold(structure(62.0), 0.10) == pytest.approx(63.8, abs=0.05)
 
     def test_shift_threshold_direct_arithmetic(self):
         expected = math.exp(-(0.02 + 0.5 * 0.3 * 0.3) * 2.0) * math.sqrt(50.0 * 80.0)
-        cs = _cs(62.0, fs=50.0, fj=30.0, tau=2.0, r=0.02)
+        cs = structure(62.0, fs=50.0, fj=30.0, tau=2.0, r=0.02)
         assert risk_shift_threshold(cs, 0.3) == pytest.approx(expected, rel=1e-15)
 
     def test_hump_threshold_direct_arithmetic(self):
         expected = math.exp(-0.01) * math.sqrt(60.0 * 70.0)
-        value = hump_threshold(_cs(62.0))
+        value = hump_threshold(structure(62.0))
         assert value == pytest.approx(expected, rel=1e-15)
         assert value == pytest.approx(64.16, abs=0.01)
 
     def test_hump_threshold_no_discounting(self):
-        assert hump_threshold(_cs(62.0, r=0.0)) == pytest.approx(
+        assert hump_threshold(structure(62.0, r=0.0)) == pytest.approx(
             math.sqrt(4200.0), rel=1e-15
         )
 
     def test_hump_threshold_equal_faces(self):
         face = 40.0
-        cs = _cs(62.0, fs=face, fj=face, tau=2.0, r=0.03)
+        cs = structure(62.0, fs=face, fj=face, tau=2.0, r=0.03)
         assert hump_threshold(cs) == pytest.approx(
             math.exp(-0.06) * face * math.sqrt(2.0), rel=1e-12
         )
@@ -140,10 +142,10 @@ class TestThresholds:
         assert chosen_risk(tiny, 0.2) == profile.chosen_risk
 
     def test_shift_threshold_at_zero_sigma_equals_hump_threshold(self):
-        assert risk_shift_threshold(_cs(62.0), 0.0) == hump_threshold(_cs(62.0))
+        assert risk_shift_threshold(structure(62.0), 0.0) == hump_threshold(structure(62.0))
 
     def test_undiscounted_when_rate_equals_yield_at_zero_sigma(self):
-        assert risk_shift_threshold(_cs(62.0, r=0.03, q=0.03), 0.0) == pytest.approx(
+        assert risk_shift_threshold(structure(62.0, r=0.03, q=0.03), 0.0) == pytest.approx(
             math.sqrt(4200.0), rel=1e-15
         )
 
@@ -152,13 +154,13 @@ class TestThresholds:
     @pytest.mark.parametrize(
         "evaluate",
         [
-            lambda: hump_threshold(_cs(62.0, fs=0.0)),
-            lambda: risk_shift_threshold(_cs(62.0), -0.1),
-            lambda: hump_threshold(_cs(62.0, fs=math.inf)),
-            lambda: hump_threshold(_cs(62.0, tau=math.inf)),
-            lambda: risk_shift_threshold(_cs(62.0), math.inf),
-            lambda: hump_threshold(_cs(62.0, r=-800.0)),
-            lambda: risk_shift_threshold(_cs(62.0, r=0.0, q=800.0), 0.1),
+            lambda: hump_threshold(structure(62.0, fs=0.0)),
+            lambda: risk_shift_threshold(structure(62.0), -0.1),
+            lambda: hump_threshold(structure(62.0, fs=math.inf)),
+            lambda: hump_threshold(structure(62.0, tau=math.inf)),
+            lambda: risk_shift_threshold(structure(62.0), math.inf),
+            lambda: hump_threshold(structure(62.0, r=-800.0)),
+            lambda: risk_shift_threshold(structure(62.0, r=0.0, q=800.0), 0.1),
         ],
         ids=[
             "zero-senior-face",
@@ -180,11 +182,11 @@ class TestThresholds:
     @pytest.mark.parametrize(
         "cs",
         [
-            _cs(62.0, fs=1e200),
-            _cs(62.0, fs=1e300, fj=1e300, r=800.0),
+            structure(62.0, fs=1e200),
+            structure(62.0, fs=1e300, fj=1e300, r=800.0),
             CapitalStructure(1e200, 1e200, 1e200, 0.2, 1.0, 0.01),
-            _cs(62.0, fs=1e-300, fj=1e-300, r=-800.0),
-            _cs(62.0, fs=1e150, fj=1e150, r=720.0),
+            structure(62.0, fs=1e-300, fj=1e-300, r=-800.0),
+            structure(62.0, fs=1e150, fj=1e150, r=720.0),
         ],
         ids=[
             "face-product-overflow",
@@ -209,10 +211,14 @@ class TestThresholds:
     @pytest.mark.parametrize(
         "cs,sigma,message",
         [
-            (_cs(62.0, r=-800.0), 0.0, "threshold discount factor e^800.0 overflows"),
-            (_cs(62.0, r=0.0, q=800.0), 0.1, "threshold discount factor e^799.995 overflows"),
+            (structure(62.0, r=-800.0), 0.0, "threshold discount factor e^800.0 overflows"),
             (
-                _cs(62.0, r=-707.0),
+                structure(62.0, r=0.0, q=800.0),
+                0.1,
+                "threshold discount factor e^799.995 overflows",
+            ),
+            (
+                structure(62.0, r=-707.0),
                 0.0,
                 "threshold 1.1122405015634333e+307 * sqrt(60.0 * 70.0) overflows",
             ),
@@ -231,13 +237,13 @@ class TestThresholds:
         finite_floats(-0.02, 0.10),
     )
     def test_shift_threshold_below_hump_threshold(self, fs, fj, sigma, tau, r):
-        cs = _cs(62.0, fs=fs, fj=fj, tau=tau, r=r)
+        cs = structure(62.0, fs=fs, fj=fj, tau=tau, r=r)
         assert risk_shift_threshold(cs, sigma) < hump_threshold(cs)
 
     def test_maximizer_exists_just_below_boundary_only(self):
-        boundary = hump_threshold(_cs(62.0))
-        below = _cs(boundary - 0.5)
-        above = _cs(boundary + 0.5)
+        boundary = hump_threshold(structure(62.0))
+        below = structure(boundary - 0.5)
+        above = structure(boundary + 0.5)
         assert argmax_sigma_numeric(below, SEARCH_GRID) is not None
         assert argmax_sigma_numeric(above, SEARCH_GRID) is None
         assert optimal_volatility(below) is not None
@@ -246,22 +252,22 @@ class TestThresholds:
 
 class TestOptimalVolatility:
     def test_reported_peak_value(self):
-        assert optimal_volatility(_cs(62.0)) == pytest.approx(0.262, abs=0.0005)
+        assert optimal_volatility(structure(62.0)) == pytest.approx(0.262, abs=0.0005)
 
     def test_direct_arithmetic(self):
         expected = math.sqrt(math.log(60.0 * 70.0 / 62.0**2) - 0.02)
-        assert optimal_volatility(_cs(62.0)) == pytest.approx(expected, rel=1e-14)
+        assert optimal_volatility(structure(62.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_boundary_value_is_exactly_zero(self):
-        boundary = hump_threshold(_cs(62.0))
-        assert optimal_volatility(_cs(boundary)) == 0.0
+        boundary = hump_threshold(structure(62.0))
+        assert optimal_volatility(structure(boundary)) == 0.0
 
     def test_dividend_yield_raises_the_peak(self):
         expected = math.sqrt(math.log(4200.0 / 3844.0) - 0.02 + 0.04)
-        assert optimal_volatility(_cs(62.0, q=0.02)) == pytest.approx(expected, rel=1e-14)
+        assert optimal_volatility(structure(62.0, q=0.02)) == pytest.approx(expected, rel=1e-14)
 
     def test_dividend_variant_matches_numeric_argmax(self):
-        cs = _cs(62.0, q=0.02)
+        cs = structure(62.0, q=0.02)
         numeric = argmax_sigma_numeric(cs, SEARCH_GRID)
         assert numeric == pytest.approx(optimal_volatility(cs), abs=1e-4)
 
@@ -280,7 +286,7 @@ class TestOptimalVolatility:
         # The ranges keep target * sqrt(tau) large enough that the hump is
         # resolvable in double precision and the search can see it.
         fj = fs * junior_ratio
-        boundary = hump_threshold(_cs(62.0, fs=fs, fj=fj, tau=tau, r=r))
+        boundary = hump_threshold(structure(62.0, fs=fs, fj=fj, tau=tau, r=r))
         asset_value = boundary * math.exp(-0.5 * target * target * tau)
         cs = CapitalStructure(asset_value, fs, fj, 0.1, tau, r)
         closed = optimal_volatility(cs)
@@ -295,15 +301,15 @@ class TestOptimalVolatility:
     @pytest.mark.parametrize(
         "cs,radicand",
         [
-            (_cs(1e-308), math.log(4200.0) + 616.0 * math.log(10.0) - 0.02),
-            (_cs(1e-160), math.log(4200.0) + 320.0 * math.log(10.0) - 0.02),
-            (_cs(62.0, fs=1e200), 400.0 * math.log(10.0) - 2.0 * math.log(62.0) - 0.02),
-            (_cs(62.0, fs=1e-200, fj=1e-200), None),
-            (_cs(1e155), None),
-            (_cs(1e200), None),
-            (_cs(1e300), None),
-            (_cs(1.0, fs=1e-200, fj=1e-200), None),
-            (_cs(1e200, fs=1e200, fj=1e200), math.log(2.0) - 0.02),
+            (structure(1e-308), math.log(4200.0) + 616.0 * math.log(10.0) - 0.02),
+            (structure(1e-160), math.log(4200.0) + 320.0 * math.log(10.0) - 0.02),
+            (structure(62.0, fs=1e200), 400.0 * math.log(10.0) - 2.0 * math.log(62.0) - 0.02),
+            (structure(62.0, fs=1e-200, fj=1e-200), None),
+            (structure(1e155), None),
+            (structure(1e200), None),
+            (structure(1e300), None),
+            (structure(1.0, fs=1e-200, fj=1e-200), None),
+            (structure(1e200, fs=1e200, fj=1e200), math.log(2.0) - 0.02),
         ],
         ids=[
             "v-squared-underflows",
@@ -326,10 +332,10 @@ class TestOptimalVolatility:
     @pytest.mark.parametrize(
         "cs",
         [
-            _cs(62.0, tau=1e-310),
-            _cs(1e-308, tau=1e-310),
-            _cs(1.0, r=-1e308),
-            _cs(62.0, tau=1e-310, r=1e308),
+            structure(62.0, tau=1e-310),
+            structure(1e-308, tau=1e-310),
+            structure(1.0, r=-1e308),
+            structure(62.0, tau=1e-310, r=1e308),
         ],
         ids=[
             "log-over-maturity-overflows",
@@ -353,26 +359,26 @@ class TestOptimalVolatility:
             assert optimal_volatility(cs) == pytest.approx(unit, rel=1e-14, abs=0), j
 
     def test_structure_volatility_field_is_ignored(self):
-        assert optimal_volatility(_cs(62.0, sigma=0.9)) == optimal_volatility(
-            _cs(62.0, sigma=0.1)
+        assert optimal_volatility(structure(62.0, sigma=0.9)) == optimal_volatility(
+            structure(62.0, sigma=0.1)
         )
 
 
 class TestComparativeStatics:
     def test_increases_as_asset_value_falls(self):
-        assert optimal_volatility(_cs(55.0)) > optimal_volatility(_cs(62.0))
+        assert optimal_volatility(structure(55.0)) > optimal_volatility(structure(62.0))
 
     def test_increases_with_senior_share_at_fixed_total(self):
         # Raising the senior face while keeping total debt fixed raises the peak.
-        more_senior = optimal_volatility(_cs(62.0, fs=65.0, fj=5.0))
-        less_senior = optimal_volatility(_cs(62.0, fs=60.0, fj=10.0))
+        more_senior = optimal_volatility(structure(62.0, fs=65.0, fj=5.0))
+        less_senior = optimal_volatility(structure(62.0, fs=60.0, fj=10.0))
         assert more_senior > less_senior
 
     def test_thresholds_fall_as_junior_share_rises_at_fixed_total(self):
         for fj_small, fj_big in ((10.0, 20.0), (20.0, 30.0)):
             total = 100.0
-            small = _cs(62.0, fs=total - fj_small, fj=fj_small)
-            big = _cs(62.0, fs=total - fj_big, fj=fj_big)
+            small = structure(62.0, fs=total - fj_small, fj=fj_small)
+            big = structure(62.0, fs=total - fj_big, fj=fj_big)
             assert optimal_volatility(big) < optimal_volatility(small)
             assert risk_shift_threshold(big, 0.1) < risk_shift_threshold(small, 0.1)
 
@@ -381,15 +387,15 @@ class TestUnimodality:
     @pytest.mark.parametrize(
         "cs",
         [
-            _cs(62.0),
-            _cs(58.0, tau=2.0, r=0.02),
-            _cs(62.0, q=0.02),
+            structure(62.0),
+            structure(58.0, tau=2.0, r=0.02),
+            structure(62.0, q=0.02),
         ],
     )
     def test_value_rises_then_falls_on_fine_grid(self, cs):
         sigmas = np.arange(1e-3, 1.5 + 1e-9, 1e-3)
         values = np.array(
-            [junior_debt_value(rebuilt(cs, volatility=float(s))) for s in sigmas]
+            [value_all_claims(rebuilt(cs, volatility=float(s))).junior_value for s in sigmas]
         )
         peak = int(np.argmax(values))
         diffs = np.diff(values)
@@ -403,26 +409,26 @@ class TestUnimodality:
 
 class TestRegimeClassification:
     def test_solvent_firm_decreasing(self):
-        profile = classify_regime(_cs(100.0), 0.10)
+        profile = classify_regime(structure(100.0), 0.10)
         assert profile.regime is Regime.DECREASING_IN_RISK
         assert profile.optimal_volatility is None
         assert not profile.shifts_above_initial
         assert profile.initial_sigma == 0.10
 
     def test_distressed_firm_hump_shaped(self):
-        profile = classify_regime(_cs(62.0), 0.10)
+        profile = classify_regime(structure(62.0), 0.10)
         assert profile.regime is Regime.HUMP_SHAPED
         assert profile.optimal_volatility == pytest.approx(0.262, abs=0.0005)
         assert profile.shifts_above_initial
         assert profile.shift_threshold == pytest.approx(63.8, abs=0.05)
 
     def test_between_thresholds_peak_below_initial(self):
-        profile = classify_regime(_cs(64.0), 0.10)
+        profile = classify_regime(structure(64.0), 0.10)
         assert profile.regime is Regime.HUMP_SHAPED
         assert profile.optimal_volatility is not None
         assert 0.0 < profile.optimal_volatility < 0.10
         assert not profile.shifts_above_initial
-        numeric = argmax_sigma_numeric(_cs(64.0), SEARCH_GRID)
+        numeric = argmax_sigma_numeric(structure(64.0), SEARCH_GRID)
         assert numeric == pytest.approx(profile.optimal_volatility, abs=1e-4)
 
     @given(distressed_structures(with_yield=True), finite_floats(0.01, 0.5))
@@ -446,28 +452,28 @@ class TestRegimeClassification:
 
     def test_rejects_nonpositive_initial_sigma(self):
         with pytest.raises(ValidationError):
-            classify_regime(_cs(62.0), 0.0)
+            classify_regime(structure(62.0), 0.0)
         with pytest.raises(ValidationError):
-            chosen_risk(_cs(62.0), -0.1)
+            chosen_risk(structure(62.0), -0.1)
         with pytest.raises(ValidationError):
-            classify_regime(_cs(62.0), math.inf)
+            classify_regime(structure(62.0), math.inf)
         with pytest.raises(ValidationError):
-            chosen_risk(_cs(62.0), math.nan)
+            chosen_risk(structure(62.0), math.nan)
 
 
 class TestChosenRisk:
     def test_shifts_to_the_peak_when_distressed(self):
-        assert chosen_risk(_cs(62.0), 0.10) == pytest.approx(0.262, abs=0.0005)
+        assert chosen_risk(structure(62.0), 0.10) == pytest.approx(0.262, abs=0.0005)
 
     def test_keeps_initial_risk_when_solvent(self):
-        assert chosen_risk(_cs(100.0), 0.10) == 0.10
+        assert chosen_risk(structure(100.0), 0.10) == 0.10
 
     def test_keeps_initial_risk_between_thresholds(self):
-        assert chosen_risk(_cs(64.0), 0.10) == 0.10
+        assert chosen_risk(structure(64.0), 0.10) == 0.10
 
     def test_high_senior_share_mix(self):
         # 10% junior share of a total face of 100.
-        cs = _cs(62.0, fs=90.0, fj=10.0)
+        cs = structure(62.0, fs=90.0, fj=10.0)
         expected = math.sqrt(math.log(90.0 * 100.0 / 62.0**2) - 0.02)
         assert chosen_risk(cs, 0.10) == pytest.approx(expected, rel=1e-12)
         numeric = argmax_sigma_numeric(cs, SEARCH_GRID)
@@ -486,15 +492,15 @@ class TestChosenRisk:
     @pytest.mark.parametrize("initial_sigma", [0.0, -0.1, math.nan, math.inf])
     def test_rejects_initial_sigma_as_classify_regime_does(self, initial_sigma):
         with pytest.raises(ValidationError) as chosen:
-            chosen_risk(_cs(62.0), initial_sigma)
+            chosen_risk(structure(62.0), initial_sigma)
         with pytest.raises(ValidationError) as classified:
-            classify_regime(_cs(62.0), initial_sigma)
+            classify_regime(structure(62.0), initial_sigma)
         assert str(chosen.value) == str(classified.value)
         assert str(chosen.value).startswith("initial_sigma must be finite and > 0")
 
     def test_returns_where_only_the_hump_threshold_overflows(self):
         # e^{707} sqrt(4200) overflows; e^{707 - 4.5} sqrt(4200) does not.
-        cs = _cs(62.0, r=-707.0)
+        cs = structure(62.0, r=-707.0)
         with pytest.raises(ValidationError, match="threshold .* overflows"):
             classify_regime(cs, 3.0)
         assert chosen_risk(cs, 3.0) == optimal_volatility(cs)
@@ -509,7 +515,7 @@ class TestDividendReduction:
         finite_floats(-0.02, 0.10),
     )
     def test_zero_yield_thresholds_bit_identical(self, fs, fj, sigma, tau, r):
-        cs = _cs(62.0, fs=fs, fj=fj, tau=tau, r=r, q=0.0)
+        cs = structure(62.0, fs=fs, fj=fj, tau=tau, r=r, q=0.0)
         with_yield = risk_shift_threshold(cs, sigma)
         base = math.exp(-(r + 0.5 * sigma * sigma) * tau) * math.sqrt(fs * (fs + fj))
         assert with_yield == base

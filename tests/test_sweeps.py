@@ -408,6 +408,9 @@ class TestStdlibIdentity:
         "int-initial-sigma": sweep_structure(100.0, [0.1, 0.3], 50.0, 90.0, 9, 1, 1.0, 0.01),
         # ... and an asset value is its float: 1 and 1.0 are one dict key.
         "int-and-its-float": sweep_structure(100.0, [0.1, 0.2], 1.0, 200.0, 5, 1, 1.0, 0.01),
+        # ... and no asset value is integral, so the memo meets the int
+        # before any integral float.
+        "int-first": sweep_structure(97.3, [0.12, 0.31], 47.3, 83.9, 9, 1, 1.3, 0.02),
     }
 
     def test_tables_hold_the_cases_they_are_here_for(self):
@@ -431,6 +434,9 @@ class TestStdlibIdentity:
                 assert any(type(value) is int for value in table["chosen_risk"])
         _, table = self.STRUCTURE_TABLES["int-and-its-float"][0]
         assert type(table["asset_value"][0]) is float and table["asset_value"][0] == 1
+        for _, table in self.STRUCTURE_TABLES["int-first"]:
+            assert not any(value.is_integer() for value in table["asset_value"])
+            assert all(type(value) is int and value == 1 for value in table["chosen_risk"])
 
     @pytest.mark.parametrize("name", SIGMA_TABLES)
     def test_sweep_csv(self, name):
