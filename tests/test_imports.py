@@ -4,18 +4,19 @@
 ``black_scholes``.  Every command that succeeds, in every format, and
 every scenario error reads its flags without ``argparse``, so it loads
 neither ``argparse`` nor the ``gettext`` and ``locale`` modules that
-argparse's messages pull in (``verify`` loads ``locale``, because scipy
-imports ``subprocess``); help and an unknown command still load
-argparse.  The closed-form commands and the sweeps load neither numpy,
-scipy, ``dataclasses`` nor ``inspect``.  ``price`` and ``thresholds``
-load neither the sweeps nor the oracles, and as text neither ``json``
-nor ``csv``; ``price`` does not load ``subdebt.risk`` either, and nor
-does ``sweep-sigma``.  The sweeps load neither ``json`` nor ``csv`` in
-any format.  ``verify`` loads numpy and, of the packages it draws from,
-only the compiled modules it uses: scipy's ``_ufuncs``, not the
-``scipy.special`` package, and numpy's ``_philox``, not the
-``numpy.random`` package.  It does not load ``dataclasses`` (numpy loads
-``inspect`` itself).
+argparse's messages pull in; help and an unknown command still load
+argparse.  ``verify`` does not load ``subprocess`` either.  The
+closed-form commands and the sweeps load neither numpy, scipy,
+``dataclasses`` nor ``inspect``.  ``price`` and ``thresholds`` load
+neither the sweeps nor the oracles, and as text neither ``json`` nor
+``csv``; ``price`` does not load ``subdebt.risk`` either, and nor does
+``sweep-sigma``.  The sweeps load neither ``json`` nor ``csv`` in any
+format.  ``verify`` loads numpy and, of the packages it draws from,
+only the compiled modules it uses: scipy's ``_ufuncs``, neither the
+``scipy.special`` package nor the ``scipy`` package, whose ``__init__``
+loads scipy's test utilities and build configuration, and numpy's
+``_philox``, not the ``numpy.random`` package.  It does not load
+``dataclasses`` (numpy loads ``inspect`` itself).
 
 Each case runs in a fresh interpreter, because this test process has
 already imported all of these.
@@ -211,10 +212,7 @@ def test_verify_loads_no_parser(fmt):
     argv = ["verify", "--scenario", str(SCENARIO), "--paths", "2000"]
     loaded = _loaded_after(argv if fmt == "text" else [*argv, "--format", fmt])
     assert loaded["code"] == 0
-    modules = set(loaded["modules"])
-    # scipy imports subprocess, which loads locale.
-    assert "subprocess" in modules
-    assert not (_PARSER - {"locale"}) & modules
+    assert not (_PARSER | {"subprocess"}) & set(loaded["modules"])
 
 
 # The numpy.random package and the generators, distributions and pickling
@@ -230,6 +228,15 @@ _NOT_IN_VERIFY_RANDOM = {
     "numpy.random._bounded_integers",
 }
 
+# The scipy package and what its __init__ loads through scipy._lib: the test
+# utilities (with subprocess), the version parser and the build configuration.
+_NOT_IN_VERIFY_SCIPY = {
+    "scipy",
+    "scipy._lib._testutils",
+    "scipy._lib._pep440",
+    "scipy.__config__",
+}
+
 
 def test_verify_loads_only_the_compiled_ufuncs():
     loaded = _loaded_after(
@@ -242,6 +249,7 @@ def test_verify_loads_only_the_compiled_ufuncs():
     assert "numpy.f2py" not in modules
     assert "scipy.special" not in modules
     assert not _NOT_IN_VERIFY_RANDOM & modules
+    assert not _NOT_IN_VERIFY_SCIPY & modules
     assert "dataclasses" not in modules
     assert loaded["same_ndtri"] is True
     assert loaded["same_philox"] is True

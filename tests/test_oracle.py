@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo, argmax, and finite-difference oracles."""
 
 import functools
+import importlib
 import json
 import math
 import subprocess
@@ -67,22 +68,27 @@ sys.exit(main(sys.argv[1:]))
 # Runs the frozen-sequence structure at 200k paths, then the ``verify``
 # command its remaining arguments name, by one route of the compiled
 # members: the default, "import P" (package P imported first), or "break M"
-# (the compiled module M made to fail, as a changed layout would).  Prints
-# the results and which of scipy.special and numpy.random are left loaded.
+# (the first import of module M made to fail, as a changed layout would,
+# whichever module asks for it).  Prints the results; which of scipy,
+# scipy._lib, scipy.special and numpy.random are left loaded, each as its
+# file or "bare"; and which of numpy's random, and later the real scipy's
+# special and _lib, are attributes without a file.
 _ROUTE_PROBE = """\
 import contextlib, hashlib, importlib, io, json, sys
 action, _, name = sys.argv[1].partition(" ")
 if action == "import":
     importlib.import_module(name)
 if action == "break":
-    import_module = importlib.import_module
 
-    def broken(module, package=None):
-        if module == name:
-            raise ImportError(f"{module} moved")
-        return import_module(module, package)
+    class Broken:
+        @staticmethod
+        def find_spec(fullname, path=None, target=None):
+            if fullname == name:
+                sys.meta_path.remove(Broken)
+                raise ImportError(f"{fullname} moved")
+            return None
 
-    importlib.import_module = broken
+    sys.meta_path.insert(0, Broken)
 import numpy as np
 import subdebt.oracle as oracle
 from subdebt import CapitalStructure, MCConfig, mc_claim_values
@@ -97,15 +103,30 @@ estimates = [[e.mean.hex(), e.std_error.hex()] for e in mc_claim_values(cs, mc)]
 with contextlib.redirect_stdout(io.StringIO()) as report:
     code = main(sys.argv[2:])
 left = {}
-for package in ("scipy.special", "numpy.random"):
+for package in ("scipy", "scipy._lib", "scipy.special", "numpy.random"):
     module = sys.modules.get(package)
-    left[package] = None if module is None else getattr(module, "__file__", "stub")
+    left[package] = None if module is None else getattr(module, "__file__", None) or "bare"
+
+
+def bare(package, children):
+    attributes = vars(package)
+    return [
+        f"{package.__name__}.{child}"
+        for child in children
+        if child in attributes and getattr(attributes[child], "__file__", None) is None
+    ]
+
+
+bare_attributes = bare(np, ["random"])
+import scipy
+bare_attributes += bare(scipy, ["special", "_lib"])
 print(json.dumps({
     "head": terminal[:8].tolist(),
     "terminal": hashlib.sha256(terminal.tobytes()).hexdigest(),
     "estimates": estimates,
     "verify": [code, report.getvalue()],
     "left": left,
+    "bare": bare_attributes,
 }))
 """
 
@@ -154,22 +175,29 @@ def _route(route):
     return json.loads(_run_probe(_ROUTE_PROBE, route, *VERIFY))
 
 
-def _assert_routes_agree(package, compiled, frozen):
-    """The default route, ``package`` imported first and ``compiled`` broken
-    give the same terminal values, estimates and ``verify`` report."""
-    default, preloaded, fallback = (
-        dict(_route(route)) for route in ("default", f"import {package}", f"break {compiled}")
-    )
-    # The compiled-module route leaves neither package, stub or real,
-    # behind; the other two leave the real package.
-    assert default.pop("left") == {"scipy.special": None, "numpy.random": None}
-    assert preloaded.pop("left")[package].endswith("__init__.py")
-    assert fallback.pop("left")[package].endswith("__init__.py")
+def _assert_routes_agree(frozen, routes):
+    """The default route and each of ``routes`` give the same terminal values,
+    estimates and ``verify`` report.
+
+    The default route leaves none of the probed packages loaded, and each of
+    ``routes`` at least the packages it maps to.  Every package left loaded
+    is the real one, and no route leaves a bare package as an attribute.
+    """
+    results = {}
+    for route, real in {"default": set(), **routes}.items():
+        result = dict(_route(route))
+        left = {package: file for package, file in result.pop("left").items() if file}
+        assert real <= left.keys(), route
+        assert all(file.endswith("__init__.py") for file in left.values()), route
+        assert result.pop("bare") == [], route
+        results[route] = result
+    assert not any(_route("default")["left"].values())
+    default = results.pop("default")
     assert default["head"] == frozen
     assert default["verify"][0] == 0
     assert json.loads(default["verify"][1])["paths"] == 200_000
-    assert preloaded == default
-    assert fallback == default
+    for route, result in results.items():
+        assert result == default, route
 
 
 def _run_probe(probe, *args, **env_vars):
@@ -261,10 +289,25 @@ class TestSimulation:
             mc_claim_values(cs, MCConfig(2, seed=1))
 
     def test_every_ndtri_route_gives_the_same_bits(self):
-        _assert_routes_agree("scipy.special", "scipy.special._ufuncs", self.FROZEN)
+        scipy_special = {"scipy", "scipy._lib", "scipy.special"}
+        _assert_routes_agree(
+            self.FROZEN,
+            {
+                "import scipy.special": scipy_special,
+                # scipy.special is served bare under the real scipy.
+                "import scipy": {"scipy", "scipy._lib"},
+                "break scipy.special._ufuncs": scipy_special,
+                # The ufuncs' own import of a sibling fails mid-route.
+                "break scipy._lib._ccallback": scipy_special,
+            },
+        )
 
     def test_every_philox_route_gives_the_same_bits(self):
-        _assert_routes_agree("numpy.random", "numpy.random._philox", self.FROZEN)
+        numpy_random = {"numpy.random"}
+        _assert_routes_agree(
+            self.FROZEN,
+            {"import numpy.random": numpy_random, "break numpy.random._philox": numpy_random},
+        )
 
     def test_only_the_calling_thread_resolves_ndtri(self):
         # The helper thread must not resolve ndtri or Philox: the caches take
@@ -276,6 +319,56 @@ class TestSimulation:
             ["_philox", True],
             ["_compiled_member", True],
         ]
+
+
+class TestCompiledMember:
+    """The route of ``_compiled_member`` on a throwaway package whose
+    ``__init__`` files raise, apart from scipy's and numpy's layout."""
+
+    @pytest.fixture(params=["bare", "loaded"])
+    def package(self, request, tmp_path, monkeypatch):
+        """``top.sub``, whose ``member`` imports a sibling.  ``sub/__init__.py``
+        raises, and so does ``top/__init__.py`` unless ``top`` is imported
+        first, as numpy is above ``numpy.random``."""
+        top = f"throwaway_{request.param}"
+        sub = tmp_path / top / "sub"
+        sub.mkdir(parents=True)
+        raising = "" if request.param == "loaded" else f'raise RuntimeError("{top} ran")\n'
+        (tmp_path / top / "__init__.py").write_text(raising)
+        (sub / "__init__.py").write_text(f'raise RuntimeError("{top}.sub ran")\n')
+        (sub / "sibling.py").write_text("VALUE = 42\n")
+        (sub / "member.py").write_text("from .sibling import VALUE\n")
+        monkeypatch.syspath_prepend(tmp_path)
+        if request.param == "loaded":
+            importlib.import_module(top)
+        yield f"{top}.sub"
+        for name in [name for name in sys.modules if name.partition(".")[0] == top]:
+            del sys.modules[name]
+
+    @staticmethod
+    def _assert_no_bare_package(package):
+        top, _, child = package.partition(".")
+        assert package not in sys.modules
+        if top in sys.modules:
+            assert sys.modules[top].__file__ is not None
+            assert child not in vars(sys.modules[top])
+
+    def test_member_is_imported_without_any_init(self, package):
+        meta_path = list(sys.meta_path)
+        assert oracle._compiled_member(package, "member", "VALUE") == 42
+        assert sys.meta_path == meta_path
+        self._assert_no_bare_package(package)
+        assert f"{package}.sibling" in sys.modules
+
+    def test_missing_module_falls_back_to_the_package_import(self, package):
+        meta_path = list(sys.meta_path)
+        # The first __init__ that the real import runs raises.
+        top = package.partition(".")[0]
+        first = package if top in sys.modules else top
+        with pytest.raises(RuntimeError, match=f"^{first} ran$"):
+            oracle._compiled_member(package, "missing", "VALUE")
+        assert sys.meta_path == meta_path
+        self._assert_no_bare_package(package)
 
 
 class TestMCClaimValues:
