@@ -10,9 +10,10 @@ the interior maximizer available in closed form (``optimal_volatility``):
 
     sigma* = sqrt( ln(F_S (F_S + F_J) / V^2) / tau - 2 r + 2 q )
 
-Above the boundary the value is decreasing in volatility and no interior
-maximizer exists.  Every function takes a validated ``CapitalStructure``;
-only a separately passed volatility is checked here.
+Above the boundary the value falls with volatility and no maximizer
+exists: the regime is hump-shaped exactly when V <= ``hump_threshold``.
+Every function takes a validated ``CapitalStructure``; only a
+separately passed volatility is checked here.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .claims import CapitalStructure
 from .errors import ValidationError, _domain_error, check
 from .record import Record, slot_setters
 
-# Radicands this close to zero are treated as the boundary case where the
-# interior maximizer degenerates to sigma = 0.
-_RADICAND_TOL = 1e-12
 # sys.float_info.min, the least normal float: below it a product or ratio
 # is subnormal or 0 and has lost digits.
 _NORMAL_MIN = 2.2250738585072014e-308
@@ -48,8 +46,8 @@ class RiskProfile(Record):
     """Risk-shifting diagnostics for one capital structure.
 
     ``shift_threshold`` is evaluated at ``initial_sigma``.  The regime is
-    HUMP_SHAPED exactly when ``optimal_volatility`` is present.
-    ``chosen_risk`` is the value of the function of that name.
+    HUMP_SHAPED, and ``optimal_volatility`` present, exactly when V <=
+    ``hump_threshold``.  ``chosen_risk`` is the value of that function.
     """
 
     __slots__ = (
@@ -153,21 +151,27 @@ def _threshold(cs: CapitalStructure, sigma: float) -> float:
 def optimal_volatility(cs: CapitalStructure) -> float | None:
     """Volatility at which the junior-bond value peaks, when one exists.
 
-    sqrt( ln(F_S (F_S + F_J) / V^2) / tau - 2 r + 2 q ) for asset values
-    below ``hump_threshold``; None above it, where the junior value is
-    decreasing in volatility.  Radicands within 1e-12 of zero map to the
-    boundary value 0.0 rather than to a rounding-noise root.  Where
-    F_S (F_S + F_J), V^2 or their ratio is not a normal float, the log is
-    taken as ln(F_S / V) + ln((F_S + F_J) / V), and where those ratios are
-    not normal either, as ln F_S + ln(F_S + F_J) - 2 ln V.  The
-    structure's own volatility field is ignored.  Raises ValidationError
-    where the radicand itself leaves the float range.
+    sqrt( ln(F_S (F_S + F_J) / V^2) / tau - 2 r + 2 q ) where V <=
+    ``hump_threshold`` (+inf if it overflows), or 0.0 where that radicand
+    rounds to <= 0; None exactly where V > ``hump_threshold``, where the
+    junior value is decreasing in volatility.  Where F_S (F_S + F_J), V^2
+    or their ratio is not a normal float, the log is taken as
+    ln(F_S / V) + ln((F_S + F_J) / V), and where those ratios are not
+    normal either, as ln F_S + ln(F_S + F_J) - 2 ln V.  The structure's
+    own volatility field is ignored.  Raises ValidationError where the
+    radicand itself leaves the float range.
     """
-    return _optimal_volatility(cs, cs.asset_value)
+    try:
+        hump = _threshold(cs, 0.0)
+    except ValidationError:
+        hump = _INF
+    return _optimal_volatility(cs, cs.asset_value, hump)
 
 
-def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float | None:
-    """``optimal_volatility`` of ``cs`` with its asset value replaced."""
+def _optimal_volatility(cs: CapitalStructure, asset_value: float, hump: float) -> float | None:
+    """``optimal_volatility`` of ``cs`` at ``asset_value``, given its hump threshold."""
+    if asset_value > hump:
+        return None
     senior_face = cs.senior_face
     total_face = senior_face + cs.junior_face  # cs.total_face, without the property call
     face_product = senior_face * total_face
@@ -186,9 +190,7 @@ def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float | Non
         else:
             log_ratio = math.log(senior_face) + math.log(total_face) - 2.0 * math.log(asset_value)
     radicand = log_ratio / cs.maturity - 2.0 * cs.rate + 2.0 * cs.dividend_yield
-    if radicand < -_RADICAND_TOL:
-        return None
-    if radicand <= _RADICAND_TOL:
+    if radicand <= 0.0:
         return 0.0
     if radicand < _INF:
         return math.sqrt(radicand)
@@ -202,21 +204,21 @@ def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float | Non
 def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
     """Classify how the junior-bond value responds to asset volatility.
 
-    The regime is HUMP_SHAPED exactly when an interior maximizer exists,
-    DECREASING_IN_RISK otherwise.  ``shifts_above_initial`` records
-    whether that maximizer lies above ``initial_sigma``, which holds if
-    and only if the asset value is below ``risk_shift_threshold``
-    evaluated at ``initial_sigma``.
+    HUMP_SHAPED, with an interior maximizer, exactly when the asset value
+    is <= ``hump_threshold``, DECREASING_IN_RISK otherwise.
+    ``shifts_above_initial`` records whether the maximizer lies above
+    ``initial_sigma``, which holds if and only if the asset value is below
+    ``risk_shift_threshold`` evaluated at ``initial_sigma``.
     """
     if not 0.0 < initial_sigma < _INF:
         raise _domain_error("initial_sigma", initial_sigma, "finite and > 0")
-    best = _optimal_volatility(cs, cs.asset_value)
-    shift_at_initial = _threshold(cs, initial_sigma)
+    shift_at_initial, hump = _threshold(cs, initial_sigma), _threshold(cs, 0.0)
+    best = _optimal_volatility(cs, cs.asset_value, hump)
     shifts_up = cs.asset_value < shift_at_initial
     return RiskProfile(
         best,
         shift_at_initial,
-        _threshold(cs, 0.0),
+        hump,
         _DECREASING if best is None else _HUMP,
         shifts_up,
         initial_sigma,
@@ -231,18 +233,16 @@ def chosen_risk(cs: CapitalStructure, initial_sigma: float) -> float:
     below the shift threshold), otherwise the initial volatility: risk
     shifting is limited to the level that maximizes the junior bond.
 
-    Equal to ``classify_regime(cs, initial_sigma).chosen_risk``, with the
-    same checks in the same order, but it does not build a profile: it
-    forms sigma* and the shift threshold only, so it also returns where
-    just the hump threshold overflows.
+    Equal to ``classify_regime(cs, initial_sigma).chosen_risk`` where that
+    returns, without a profile: sigma* is formed only below the shift
+    threshold, which lies below the hump threshold, so this also returns
+    where just the hump threshold overflows or sigma*^2 is not formed.
     """
     if not 0.0 < initial_sigma < _INF:
         raise _domain_error("initial_sigma", initial_sigma, "finite and > 0")
-    return _chosen_risk(
-        _optimal_volatility(cs, cs.asset_value),
-        cs.asset_value < _threshold(cs, initial_sigma),
-        initial_sigma,
-    )
+    if cs.asset_value < _threshold(cs, initial_sigma):
+        return _optimal_volatility(cs, cs.asset_value, _INF)
+    return initial_sigma
 
 
 def _chosen_risk(best: float | None, shifts_up: bool, initial_sigma: float) -> float:

@@ -96,7 +96,7 @@ def sweep_structure(
     chosen_risk, optimal_volatility, shift_threshold, hump_threshold.
     """
     # Here, not at the top: the volatility sweep does not run ``risk``.
-    from .risk import _chosen_risk, _optimal_volatility, _threshold, hump_threshold
+    from .risk import _chosen_risk, _optimal_volatility, _threshold
 
     check("total_face", total_face, "finite and > 0")
     if not junior_proportions:
@@ -123,8 +123,8 @@ def sweep_structure(
             rate,
             dividend_yield,
         )
-        best = [_optimal_volatility(cs, asset_value) for asset_value in asset_values]
-        shift = _threshold(cs, initial_sigma)
+        shift, hump = _threshold(cs, initial_sigma), _threshold(cs, 0.0)
+        best = [_optimal_volatility(cs, asset_value, hump) for asset_value in asset_values]
         table = {
             "asset_value": asset_values,
             "chosen_risk": tuple(
@@ -133,7 +133,7 @@ def sweep_structure(
             ),
             "optimal_volatility": tuple(math.nan if peak is None else peak for peak in best),
             "shift_threshold": (shift,) * steps,
-            "hump_threshold": (hump_threshold(cs),) * steps,
+            "hump_threshold": (hump,) * steps,
         }
         tables.append((proportion, table))
     return tables

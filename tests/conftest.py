@@ -63,6 +63,25 @@ def distressed_structures(draw, min_sigma=0.05, max_sigma=1.2, with_yield=False)
     )
 
 
+@st.composite
+def near_hump_structures(draw):
+    """Structures at the hump threshold H or within 1e-15 to 1e-9 of it.
+
+    F_S is log-uniform on [1, 1e3] and F_J on [0.1, 10^2.5]; V is H
+    itself or H (1 +- delta) with delta log-uniform on [1e-15, 1e-9]."""
+    senior_face = 10.0 ** draw(finite_floats(0.0, 3.0))
+    junior_face = 10.0 ** draw(finite_floats(-1.0, 2.5))
+    maturity = draw(finite_floats(0.05, 30.0))
+    rate = draw(finite_floats(-0.02, 0.10))
+    dividend_yield = draw(st.one_of(st.just(0.0), finite_floats(0.0, 0.05)))
+    sigma = draw(finite_floats(0.01, 1.0))
+    cs = CapitalStructure(1.0, senior_face, junior_face, sigma, maturity, rate, dividend_yield)
+    boundary = subdebt.hump_threshold(cs)
+    side = draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    delta = 10.0 ** draw(finite_floats(-15.0, -9.0))
+    return rebuilt(cs, asset_value=boundary * (1.0 + side * delta))
+
+
 def structure(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
     """A ``CapitalStructure`` at asset value ``v``, the rest defaulted."""
     return CapitalStructure(v, fs, fj, sigma, tau, r, q)

@@ -88,6 +88,16 @@ def solvent(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def near_hump(tmp_path):
+    """``scenarios/distressed.ini`` at tau = 30, 1e-11 above its hump threshold."""
+    text = (SCENARIOS / "distressed.ini").read_text()
+    text = text.replace("asset_value = 62", "asset_value = 48.01050792942115")
+    path = tmp_path / "near_hump.ini"
+    path.write_text(text.replace("maturity = 1.0", "maturity = 30"))
+    return str(path)
+
+
 class TestPrice:
     def test_text_report_echoes_inputs_and_values(self, distressed, capsys):
         assert main(["price", "--scenario", distressed]) == EXIT_OK
@@ -209,6 +219,13 @@ class TestThresholds:
         report = json.loads(capsys.readouterr().out)
         assert report["optimal_volatility"] == 0.0
         assert report["regime"] == "hump-shaped"
+
+    def test_just_above_the_hump_threshold_is_decreasing(self, near_hump, capsys):
+        assert main(["thresholds", "--scenario", near_hump, "--format", "json"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["hump_threshold"] == 48.010507928941045 < report["asset_value"]
+        assert report["regime"] == "decreasing-in-risk"
+        assert report["optimal_volatility"] is None
 
     def test_classifies_once(self, distressed, monkeypatch, capsys):
         # One shift and one hump threshold, and sigma* once, per command.
@@ -448,6 +465,18 @@ class TestVerify:
         rows = capsys.readouterr().out.splitlines()
         for row in rows[1:4]:
             assert row.endswith(",,true")
+
+    def test_just_above_the_hump_threshold_passes(self, near_hump, capsys):
+        args = ["verify", "--scenario", near_hump, "--paths", "20000", "--format", "json"]
+        assert main(args) == EXIT_OK
+        check = json.loads(capsys.readouterr().out)["checks"][3]
+        assert check == {
+            "name": "optimal_volatility",
+            "closed_form": None,
+            "estimate": None,
+            "error": None,
+            "passed": True,
+        }
 
     def test_failing_check_exits_nonzero(self, distressed, capsys, monkeypatch):
         def failing(cs, mc):

@@ -12,6 +12,7 @@ from conftest import (
     capital_structures,
     distressed_structures,
     finite_floats,
+    near_hump_structures,
     rebuilt,
     structure,
 )
@@ -530,10 +531,46 @@ class TestDividendReduction:
             / cs.maturity
             - 2.0 * cs.rate
         )
-        if radicand > 1e-12:
-            expected = math.sqrt(radicand)
-        elif radicand >= -1e-12:
-            expected = 0.0
-        else:
+        if cs.asset_value > hump_threshold(cs):
             expected = None
+        elif radicand > 0.0:
+            expected = math.sqrt(radicand)
+        else:
+            expected = 0.0
         assert optimal_volatility(cs) == expected
+
+
+class TestOneBoundary:
+    """The regime, sigma* and chosen risk follow the printed hump threshold H:
+    hump-shaped, with sigma*, exactly where V <= H."""
+
+    @settings(derandomize=True, max_examples=400)
+    @given(
+        st.one_of(near_hump_structures(), distressed_structures(with_yield=True)),
+        finite_floats(0.01, 1.0),
+    )
+    def test_regime_and_sigma_star_follow_the_hump_threshold(self, cs, initial_sigma):
+        profile = classify_regime(cs, initial_sigma)
+        assert profile.hump_threshold == hump_threshold(cs)
+        below = cs.asset_value <= profile.hump_threshold
+        assert (profile.regime is Regime.HUMP_SHAPED) == below
+        assert (profile.optimal_volatility is not None) == below
+        assert repr(optimal_volatility(cs)) == repr(profile.optimal_volatility)
+        assert repr(chosen_risk(cs, initial_sigma)) == repr(profile.chosen_risk)
+
+    # The radicand's rounding error E is at most about 3.3e-16 / tau + 1e-16,
+    # and sigma*'s at most min(sqrt(E), E / sigma*): under 2e-8 for the
+    # strategy's delta >= 1e-15 and tau >= 0.05, so the bound is 3e-8.
+    @settings(derandomize=True, max_examples=400)
+    @given(near_hump_structures())
+    def test_sigma_star_matches_mpmath_below_the_threshold(self, cs):
+        mp = pytest.importorskip("mpmath")
+        if not cs.asset_value < hump_threshold(cs):
+            return
+        with mp.workdps(50):
+            senior_face, asset_value = mp.mpf(cs.senior_face), mp.mpf(cs.asset_value)
+            log_ratio = mp.log(senior_face * (senior_face + cs.junior_face) / asset_value**2)
+            rate_term = 2 * (mp.mpf(cs.rate) - cs.dividend_yield)
+            radicand = log_ratio / cs.maturity - rate_term
+            exact = float(mp.sqrt(max(radicand, 0)))
+        assert abs(optimal_volatility(cs) - exact) <= 3e-8

@@ -19,6 +19,8 @@ from conftest import count_calls, finite_floats, read_sweep_csv
 from subdebt import (
     CapitalStructure,
     ValidationError,
+    chosen_risk,
+    hump_threshold,
     sweep_sigma,
     sweep_structure,
     write_structure_csv,
@@ -166,6 +168,46 @@ class TestStructureSweep:
                 assert chosen == 0.10
             else:
                 assert not math.isnan(best)
+
+    # Grids within 1e-10 (relative) of the hump threshold H.  At an initial
+    # sigma of 1e-6 the shift threshold, H e^{-sigma^2 tau / 2}, lies inside
+    # the grid too, so chosen risk turns from sigma* to sigma0 on it.
+    @pytest.mark.parametrize(
+        "proportion,maturity,rate,dividend_yield,initial_sigma",
+        [
+            (1 / 7, 30.0, 0.01, 0.0, 1e-6),
+            (0.3, 30.0, -0.02, 0.05, 0.1),
+            (0.05, 0.05, 0.1, 0.0, 1e-6),
+            (0.6, 12.5, 0.03, 0.01, 1e-6),
+        ],
+    )
+    def test_rows_straddling_the_hump_threshold_follow_it(
+        self, proportion, maturity, rate, dividend_yield, initial_sigma
+    ):
+        total_face = 70.0
+        junior_face = proportion * total_face
+        faces = (total_face - junior_face, junior_face)
+        unit = CapitalStructure(1.0, *faces, initial_sigma, maturity, rate, dividend_yield)
+        boundary = hump_threshold(unit)
+        [(_, table)] = sweep_structure(
+            total_face,
+            [proportion],
+            boundary * (1.0 - 1e-10),
+            boundary * (1.0 + 1e-10),
+            201,
+            initial_sigma,
+            maturity,
+            rate,
+            dividend_yield,
+        )
+        rows = zip(*table.values())
+        for asset_value, chosen, best, _, hump in rows:
+            assert hump == boundary
+            assert math.isnan(best) == (asset_value > hump)
+            cs = CapitalStructure(
+                asset_value, *faces, initial_sigma, maturity, rate, dividend_yield
+            )
+            assert repr(chosen) == repr(chosen_risk(cs, initial_sigma))
 
     def test_one_optimal_volatility_per_point(self, monkeypatch):
         counts = {"sigma*": 0}
