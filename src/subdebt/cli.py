@@ -1,19 +1,21 @@
 """Command-line interface: pricing, thresholds, sweeps, and verification.
 
-It reads the arguments, loads the scenario, runs the library and opens
-the output stream; the module that computes each report writes it.  Each
-command imports the modules it runs inside its handler, so ``price`` and
-``thresholds`` load neither the sweeps nor the Monte-Carlo engine.  Exit
-codes: 0 success; 2 usage error, malformed or unreadable scenario file,
-or output that cannot be written (an ``--out`` path that cannot be
-opened, or a failed write or close of the output stream, stdout and the
-help text included); 3 parameter validation error; 4 verification check
-failure.
+One table, ``_COMMANDS``, lists each command's handler and options.
+``main`` reads the arguments, loads the scenario and runs the handler,
+which computes everything the command reports and returns the exit code
+with a writer that takes the output stream (the writer of the module
+that computed the report).  Only then does ``main`` open the output,
+write it and return the code, so a failed computation neither creates
+nor truncates an ``--out`` file.  Each handler imports the modules it
+runs, so ``price`` and ``thresholds`` load neither the sweeps nor the
+Monte-Carlo engine.  Exit codes: 0 success; 2 usage error, malformed or
+unreadable scenario file, or output that cannot be written (an ``--out``
+path that cannot be opened, or a failed write or close of the output
+stream, stdout and the help text included); 3 parameter validation
+error; 4 verification check failure.
 
-One table, ``_COMMANDS``, lists each command's handler and options, and
-``main`` runs the handler it lists for the command read.  ``main`` reads
-argv from it without argparse where argv is the command name and then
-``--flag value`` pairs: each flag named exactly and at most once, no
+``main`` reads argv without argparse where it is the command name and
+then ``--flag value`` pairs: each flag named exactly and at most once, no
 value starting with ``-``, each value converted and checked as argparse
 would, and the required flags all given.  The arguments are then the
 ones argparse would give.  Any other argv (help, an unknown, abbreviated
@@ -40,6 +42,7 @@ from __future__ import annotations
 import gc
 import os
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from types import SimpleNamespace
@@ -65,7 +68,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _read_flags(argv)
         if args is None:
             args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command][1](args, load_scenario(args.scenario))
+        code, write = _COMMANDS[args.command][1](args, load_scenario(args.scenario))
+        with _open_out(args.out) as stream:
+            write(stream)
+        return code
     except (ScenarioParseError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -149,7 +155,7 @@ def _build_parser():
     return parser
 
 
-def _cmd_price(args: SimpleNamespace, scenario: Scenario) -> int:
+def _cmd_price(args: SimpleNamespace, scenario: Scenario) -> tuple[int, Callable]:
     from .claims import junior_debt_vega, value_all_claims
     from .output import write_report
 
@@ -166,12 +172,10 @@ def _cmd_price(args: SimpleNamespace, scenario: Scenario) -> int:
         total=values.total,
         junior_vega=vega,
     )
-    with _open_out(args.out) as stream:
-        write_report(report, args.format, stream)
-    return EXIT_OK
+    return EXIT_OK, lambda stream: write_report(report, args.format, stream)
 
 
-def _cmd_thresholds(args: SimpleNamespace, scenario: Scenario) -> int:
+def _cmd_thresholds(args: SimpleNamespace, scenario: Scenario) -> tuple[int, Callable]:
     from .output import write_report
     from .risk import classify_regime
 
@@ -186,22 +190,18 @@ def _cmd_thresholds(args: SimpleNamespace, scenario: Scenario) -> int:
         shifts_above_initial=profile.shifts_above_initial,
         chosen_risk=profile.chosen_risk,
     )
-    with _open_out(args.out) as stream:
-        write_report(report, args.format, stream)
-    return EXIT_OK
+    return EXIT_OK, lambda stream: write_report(report, args.format, stream)
 
 
-def _cmd_sweep_sigma(args: SimpleNamespace, scenario: Scenario) -> int:
+def _cmd_sweep_sigma(args: SimpleNamespace, scenario: Scenario) -> tuple[int, Callable]:
     from .sweeps import sweep_sigma, write_sweep_csv, write_sweep_json
 
     table = sweep_sigma(scenario.structure, args.sigma_min, args.sigma_max, args.steps)
     write = write_sweep_json if args.format == "json" else write_sweep_csv
-    with _open_out(args.out) as stream:
-        write(table, stream)
-    return EXIT_OK
+    return EXIT_OK, lambda stream: write(table, stream)
 
 
-def _cmd_sweep_structure(args: SimpleNamespace, scenario: Scenario) -> int:
+def _cmd_sweep_structure(args: SimpleNamespace, scenario: Scenario) -> tuple[int, Callable]:
     from .sweeps import sweep_structure, write_structure_csv, write_structure_json
 
     try:
@@ -221,12 +221,10 @@ def _cmd_sweep_structure(args: SimpleNamespace, scenario: Scenario) -> int:
         dividend_yield=cs.dividend_yield,
     )
     write = write_structure_json if args.format == "json" else write_structure_csv
-    with _open_out(args.out) as stream:
-        write(tables, stream)
-    return EXIT_OK
+    return EXIT_OK, lambda stream: write(tables, stream)
 
 
-def _cmd_verify(args: SimpleNamespace, scenario: Scenario) -> int:
+def _cmd_verify(args: SimpleNamespace, scenario: Scenario) -> tuple[int, Callable]:
     from .verify import run_verification, write_report
 
     mc = MCConfig(
@@ -234,9 +232,8 @@ def _cmd_verify(args: SimpleNamespace, scenario: Scenario) -> int:
         seed=args.seed if args.seed is not None else scenario.mc.seed,
     )
     report = {"scenario": scenario.name, **run_verification(scenario.structure, mc)}
-    with _open_out(args.out) as stream:
-        write_report(report, args.format, stream)
-    return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILURE
+    code = EXIT_OK if report["passed"] else EXIT_VERIFY_FAILURE
+    return code, lambda stream: write_report(report, args.format, stream)
 
 
 def _input_echo(scenario: Scenario) -> dict:
@@ -266,11 +263,7 @@ _COMMON = {
 }
 _COMMANDS = {
     "price": ("value the three claims and the junior-debt vega", _cmd_price, _COMMON),
-    "thresholds": (
-        "risk-shifting thresholds, regime, and chosen risk",
-        _cmd_thresholds,
-        _COMMON,
-    ),
+    "thresholds": ("risk-shifting thresholds, regime, and chosen risk", _cmd_thresholds, _COMMON),
     "sweep-sigma": (
         "claim values over a volatility grid",
         _cmd_sweep_sigma,

@@ -6,10 +6,10 @@ maturity, rate; optional: dividend_yield, initial_sigma, name) and the
 optional ``[monte_carlo]`` section overrides the simulation defaults
 (paths, seed).  Its ``antithetic`` key is still read so that existing
 files load, but antithetic pairing is the only sampling scheme, so only
-``true`` is accepted.  Numbers are parsed as decimal text at full
-double precision.  ``initial_sigma`` defaults to ``sigma``; scenarios
-priced at sigma = 0 must therefore state it explicitly.  Files are read
-as UTF-8.
+``true`` is accepted.  Any other key or section is refused.  Numbers are
+parsed as decimal text at full double precision.  ``initial_sigma``
+defaults to ``sigma``; scenarios priced at sigma = 0 must therefore
+state it explicitly.  Files are read as UTF-8.
 
 ``MCConfig``, the Monte-Carlo engine's configuration, is defined here
 rather than in ``oracle``, so that every command checks the file's
@@ -83,8 +83,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse a scenario file.
 
     Raises:
-        ScenarioParseError: If the file is unreadable, malformed, or
-            missing required keys.
+        ScenarioParseError: If the file is unreadable or malformed, lacks
+            a required key, or holds an unknown key or section.
         ValidationError: If the parsed parameters violate their domains.
     """
     path = Path(path)
@@ -107,6 +107,22 @@ def load_scenario(path: str | Path) -> Scenario:
     missing = [key for key in _REQUIRED_KEYS if key not in section]
     if missing:
         raise ScenarioParseError(f"{path}: missing required keys {', '.join(missing)}")
+    # A [DEFAULT] key shows in every section, so it is checked once, there; a
+    # section's own keys are those [DEFAULT] lacks or that it sets otherwise.
+    defaults = parser.defaults()
+    known = {
+        "scenario": {*_REQUIRED_KEYS, "dividend_yield", "initial_sigma", "name"},
+        "monte_carlo": {"paths", "seed", "antithetic"},
+    }
+    known[parser.default_section] = known["scenario"] | known["monte_carlo"]
+    for name, keys in parser.items():
+        if name not in known:
+            raise ScenarioParseError(f"{path}: unknown section [{name}]")
+        inherited = {} if name == parser.default_section else defaults
+        own = [key for key, value in keys.items() if inherited.get(key) != value]
+        unknown = [key for key in own if key not in known[name]]
+        if unknown:
+            raise ScenarioParseError(f"{path}: unknown keys in [{name}]: {', '.join(unknown)}")
 
     structure = CapitalStructure(
         asset_value=_get(section, "float", "asset_value", path),
@@ -120,17 +136,16 @@ def load_scenario(path: str | Path) -> Scenario:
     initial_sigma = _get(section, "float", "initial_sigma", path, structure.volatility)
     name = section.get("name", path.stem)
 
-    paths = DEFAULT_PATHS
-    seed = DEFAULT_SEED
-    if parser.has_section("monte_carlo"):
-        mc_section = parser["monte_carlo"]
-        paths = _get(mc_section, "int", "paths", path, paths)
-        seed = _get(mc_section, "int", "seed", path, seed)
-        if not _get(mc_section, "boolean", "antithetic", path, True):
-            raise ScenarioParseError(
-                f"{path}: key antithetic must be true: antithetic pairing is the "
-                "only sampling scheme"
-            )
+    if not parser.has_section("monte_carlo"):  # its keys may still be in [DEFAULT]
+        parser.add_section("monte_carlo")
+    mc_section = parser["monte_carlo"]
+    paths = _get(mc_section, "int", "paths", path, DEFAULT_PATHS)
+    seed = _get(mc_section, "int", "seed", path, DEFAULT_SEED)
+    if not _get(mc_section, "boolean", "antithetic", path, True):
+        raise ScenarioParseError(
+            f"{path}: key antithetic must be true: antithetic pairing is the "
+            "only sampling scheme"
+        )
     mc = MCConfig(path_count=paths, seed=seed)
 
     return Scenario(name=name, structure=structure, initial_sigma=initial_sigma, mc=mc)

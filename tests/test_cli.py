@@ -27,6 +27,7 @@ from subdebt.cli import (
     main,
     run,
 )
+from subdebt.scenario import load_scenario
 
 PYPROJECT = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
 
@@ -604,6 +605,56 @@ class TestExitCodes:
                 captured = capsys.readouterr()
                 assert captured.out == ""
                 assert captured.err.startswith("error: ")
+
+    def test_unknown_scenario_key_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "misspelled.ini"
+        path.write_text(DISTRESSED.replace("rate = 0.01", "rate = 0.01\ndividend_yeild = 0.05"))
+        assert main(["price", "--scenario", str(path)]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: unknown keys in [scenario]: dividend_yeild\n"
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize(
+        "command, rate, flags",
+        [
+            ("price", "-800", []),
+            ("thresholds", "-707", []),
+            (
+                "sweep-sigma",
+                "0.01",
+                ["--sigma-min", "0.1", "--sigma-max", "0.10000000000000002", "--steps", "5"],
+            ),
+            (
+                "sweep-structure",
+                "0.01",
+                ["--total-face", "100", "--proportions", "0.1", "--v-min", "0.1"]
+                + ["--v-max", "0.10000000000000002", "--steps", "5"],
+            ),
+            ("verify", "0.01", ["--paths", str(2**32 + 2)]),
+        ],
+        ids=["price", "thresholds", "sweep-sigma", "sweep-structure", "verify"],
+    )
+    def test_failed_computation_leaves_out_unopened(
+        self, tmp_path, capsys, command, rate, flags, existing
+    ):
+        # The scenario loads and the handler's computation fails: the output
+        # is opened only after it, so --out is neither created nor truncated.
+        path = tmp_path / "scenario.ini"
+        path.write_text(DISTRESSED.replace("rate = 0.01", f"rate = {rate}"))
+        load_scenario(path)
+        out = tmp_path / "out.txt"
+        if existing:
+            out.write_bytes(b"earlier output\n")
+        code = main([command, "--scenario", str(path), *flags, "--out", str(out)])
+        assert code == EXIT_VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if existing:
+            assert out.read_bytes() == b"earlier output\n"
+        else:
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["price", "sweep-sigma"])
     def test_out_into_missing_directory_is_usage_error(

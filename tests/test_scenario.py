@@ -83,6 +83,66 @@ def test_missing_section(tmp_path):
         load_scenario(_write(tmp_path, "[other]\nx = 1\n"))
 
 
+def test_missing_section_comes_before_unknown_sections(tmp_path):
+    path = _write(tmp_path, "[montecarlo]\npaths = 2\n")
+    with pytest.raises(ScenarioParseError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}: missing [scenario] section"
+
+
+@pytest.mark.parametrize(
+    "old,new,section,keys",
+    [
+        ("dividend_yield = 0.005", "dividend_yeild = 0.005", "scenario", "dividend_yeild"),
+        ("paths = 50000", "path = 50000", "monte_carlo", "path"),
+        ("seed = 9", "seed = 9\nsede = 9\nx = 1", "monte_carlo", "sede, x"),
+    ],
+    ids=["scenario", "monte_carlo", "two-keys"],
+)
+def test_unknown_key_is_refused(tmp_path, old, new, section, keys):
+    path = _write(tmp_path, FULL.replace(old, new))
+    with pytest.raises(ScenarioParseError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}: unknown keys in [{section}]: {keys}"
+
+
+def test_unknown_section_is_refused(tmp_path):
+    path = _write(tmp_path, FULL.replace("[monte_carlo]", "[montecarlo]"))
+    with pytest.raises(ScenarioParseError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}: unknown section [montecarlo]"
+
+
+def test_default_section_keys_are_checked_once(tmp_path):
+    # A known key in [DEFAULT] applies to every section and is not "unknown"
+    # in either; an unknown one is named under [DEFAULT].
+    mc = "[monte_carlo]\npaths = 50000\n"
+    text = "[DEFAULT]\nseed = 5\ndividend_yield = 0.02\n" + MINIMAL + mc
+    scenario = load_scenario(_write(tmp_path, text))
+    assert (scenario.mc.path_count, scenario.mc.seed) == (50000, 5)
+    assert scenario.structure.dividend_yield == 0.02
+    path = _write(tmp_path, "[DEFAULT]\nseed = 5\ndividend_yeild = 0.02\n" + MINIMAL + mc)
+    with pytest.raises(ScenarioParseError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}: unknown keys in [DEFAULT]: dividend_yeild"
+
+
+def test_a_section_that_overrides_a_default_with_a_foreign_key_is_refused(tmp_path):
+    # [scenario] does not read seed: its own value would be ignored.
+    path = _write(tmp_path, "[DEFAULT]\nseed = 5\n" + MINIMAL + "seed = 6\n")
+    with pytest.raises(ScenarioParseError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value) == f"{path}: unknown keys in [scenario]: seed"
+
+
+def test_monte_carlo_defaults_apply_without_the_section(tmp_path):
+    scenario = load_scenario(_write(tmp_path, "[DEFAULT]\npaths = 2000\nseed = 5\n" + MINIMAL))
+    assert (scenario.mc.path_count, scenario.mc.seed) == (2000, 5)
+    text = "[DEFAULT]\nantithetic = false\n" + MINIMAL
+    with pytest.raises(ScenarioParseError, match="antithetic"):
+        load_scenario(_write(tmp_path, text))
+
+
 def test_missing_required_key(tmp_path):
     text = MINIMAL.replace("rate = 0.01\n", "")
     with pytest.raises(ScenarioParseError, match="rate"):
