@@ -32,7 +32,7 @@ _NAMES = {
         "norm_cdf",
         "value_all_claims",
     ),
-    "errors": ("DegenerateVolatilityError", "ScenarioParseError", "ValidationError"),
+    "errors": ("ScenarioParseError", "ValidationError"),
     "oracle": (
         "GridSpec",
         "MCEstimate",

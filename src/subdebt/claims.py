@@ -18,7 +18,9 @@ which prices both strikes together: each discount factor once, and d1
 and d2 once per strike.  Its arithmetic is that of a single-option
 Black-Scholes call, put and vega, operation for operation, so the
 results are bit-identical to composing them; the tests keep such a
-reference of their own and compare the kernel against it.
+reference of their own and compare the kernel against it.  The exception
+is a vega whose scale V e^{-q tau} sqrt(tau) overflows, where composing
+gives inf - inf = NaN: the kernel multiplies by V e^{-q tau} last there.
 
 A structure is priced at most once at its own volatility.  The first of
 ``value_all_claims`` and ``junior_debt_vega`` on a structure stores the
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DegenerateVolatilityError, ValidationError, _domain_error, checked_exp
+from .errors import ValidationError, _domain_error, checked_exp
 from .record import Record, slot_setters
 
 _SQRT2 = math.sqrt(2.0)
@@ -178,19 +180,16 @@ def value_all_claims(cs: CapitalStructure) -> ClaimValues:
     return ClaimValues(senior, junior, equity, senior + junior + equity)
 
 
-def junior_debt_vega(cs: CapitalStructure) -> float:
+def junior_debt_vega(cs: CapitalStructure) -> float | None:
     """d(junior value)/d(sigma): call vega at F_S minus call vega at F_S + F_J.
 
     Positive below ``risk.risk_shift_threshold`` at the structure's volatility,
     negative above it, and zero at the interior maximizer.
 
-    Raises:
-        DegenerateVolatilityError: If sigma sqrt(tau) is 0 (sigma = 0 or underflow).
+    Returns:
+        The vega, or None where sigma sqrt(tau) is 0 (sigma = 0 or underflow).
     """
-    vega = _own_claims(cs)[3]
-    if vega is None:
-        raise DegenerateVolatilityError("vega is undefined where sigma sqrt(tau) is 0")
-    return vega
+    return _own_claims(cs)[3]
 
 
 def _own_claims(cs: CapitalStructure) -> tuple[float, float, float, float | None]:
@@ -219,8 +218,8 @@ def _claims(
     Raises:
         ValidationError: If the discount factor e^{-r tau} overflows, if
             sigma^2 / 2 * tau does in float arithmetic, if a claim is
-            undefined because the discounted total face overflows, or if
-            V / (F_S + F_J) underflows to 0.
+            undefined because the discounted total face overflows, if
+            V / (F_S + F_J) underflows to 0, or if the vega overflows.
     """
     erfc, exp = math.erfc, math.exp
     tau, rate, dividend_yield = cs.maturity, cs.rate, cs.dividend_yield
@@ -264,7 +263,13 @@ def _claims(
         # unfactored: factoring out V e^{-q tau} sqrt(tau) rounds differently.
         phi_s = _INV_SQRT_2PI * exp(-0.5 * d1_s * d1_s)
         phi_t = _INV_SQRT_2PI * exp(-0.5 * d1_t * d1_t)
-        vega = forward * sqrt_t * phi_s - forward * sqrt_t * phi_t
+        scale = forward * sqrt_t  # |vega| <= scale / sqrt(2 pi)
+        if scale == _INF:  # where scale * phi_s - scale * phi_t is inf - inf
+            vega = forward * (sqrt_t * (phi_s - phi_t))
+            if not -_INF < vega < _INF:
+                raise ValidationError(f"junior vega overflows at volatility {sigma}")
+        else:
+            vega = scale * phi_s - scale * phi_t
     # Each option is worth at least 0.  ``0.0 if x < 0.0 else x`` is
     # max(x, 0.0) without the call: it keeps NaN and -0.0 as max does.
     put_s = 0.0 if put_s < 0.0 else put_s

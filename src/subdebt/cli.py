@@ -47,7 +47,7 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import DegenerateVolatilityError, ScenarioParseError, ValidationError
+from .errors import ScenarioParseError, ValidationError
 from .scenario import MCConfig, Scenario, load_scenario
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioParseError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (ValidationError, DegenerateVolatilityError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
@@ -161,16 +161,13 @@ def _cmd_price(args: SimpleNamespace, scenario: Scenario) -> tuple[int, Callable
 
     cs = scenario.structure
     values = value_all_claims(cs)
-    vega = None
-    with suppress(DegenerateVolatilityError):
-        vega = junior_debt_vega(cs)
     report = _input_echo(scenario)
     report.update(
         senior_value=values.senior_value,
         junior_value=values.junior_value,
         equity_value=values.equity_value,
         total=values.total,
-        junior_vega=vega,
+        junior_vega=junior_debt_vega(cs),
     )
     return EXIT_OK, lambda stream: write_report(report, args.format, stream)
 

@@ -1,19 +1,12 @@
-"""Exception types and the input checks shared across the package."""
+"""Exception types and the input checks shared across the package.
+
+A model call raises only ``ValidationError``; it returns None for "no value"."""
 
 import math
 
 
 class ValidationError(ValueError):
-    """A model input violates its documented domain."""
-
-
-class DegenerateVolatilityError(ValueError):
-    """An operation that requires sigma sqrt(tau) > 0 was called where it is 0.
-
-    Pricing operations handle sigma = 0 through their deterministic
-    forward limits; the junior vega, ``claims.junior_debt_vega``, has no
-    such limit and refuses instead.
-    """
+    """A model input is outside its documented domain, or a result leaves the float range."""
 
 
 class ScenarioParseError(ValueError):

@@ -1,11 +1,12 @@
 """Shared hypothesis strategies for model inputs, a structure builder with
-defaults, a record rebuilder, a sweep CSV reader, the whole Monte-Carlo
-stream of terminal values, the claim payoffs at maturity, the
-environment of a child process, and the CPU target of numpy's ``exp``
-loop."""
+defaults, a record rebuilder, a sweep CSV reader, a strict JSON reader,
+the whole Monte-Carlo stream of terminal values, the claim payoffs at
+maturity, the environment of a child process, and the CPU target of
+numpy's ``exp`` loop."""
 
 import csv
 import inspect
+import json
 import math
 import os
 
@@ -82,6 +83,32 @@ def near_hump_structures(draw):
     return rebuilt(cs, asset_value=boundary * (1.0 + side * delta))
 
 
+def _log_uniform(lowest):
+    """Floats 10^x, x uniform on [lowest, 308]."""
+    return finite_floats(lowest, 308.0).map(lambda exponent: 10.0**exponent)
+
+
+@st.composite
+def whole_domain_structures(draw):
+    """Structures from the whole domain the constructor accepts.
+
+    V, F_S, F_J and tau are log-uniform over [1e-323, 1e308]; sigma is 0
+    or log-uniform over [1e-320, 1e308]; the rate is 0 or of either sign
+    with a log-uniform magnitude, and q is 0 or log-uniform, both over
+    [1e-323, 1e308].  F_S + F_J must be finite, as the constructor requires.
+    """
+    magnitudes = _log_uniform(-323.0)
+    asset_value, senior_face, junior_face = draw(magnitudes), draw(magnitudes), draw(magnitudes)
+    hypothesis.assume(math.isfinite(senior_face + junior_face))
+    sigma = draw(st.just(0.0) | _log_uniform(-320.0))
+    maturity = draw(magnitudes)
+    rate = draw(st.just(0.0) | magnitudes | magnitudes.map(lambda magnitude: -magnitude))
+    dividend_yield = draw(st.just(0.0) | magnitudes)
+    return CapitalStructure(
+        asset_value, senior_face, junior_face, sigma, maturity, rate, dividend_yield
+    )
+
+
 def structure(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):
     """A ``CapitalStructure`` at asset value ``v``, the rest defaulted."""
     return CapitalStructure(v, fs, fj, sigma, tau, r, q)
@@ -111,6 +138,16 @@ def read_sweep_csv(stream):
     header, *records = csv.reader(stream)
     columns = zip(*([float(cell) if cell else math.nan for cell in r] for r in records))
     return dict(zip(header, columns))
+
+
+def strict_json(text):
+    """``json.loads``, refusing ``NaN``, ``Infinity`` and ``-Infinity``,
+    which Python's encoder writes but JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def terminal_values(cs, mc):

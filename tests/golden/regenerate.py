@@ -4,6 +4,9 @@ pinned library bits.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
+It takes no arguments; ``verify`` is kept for the child process it starts
+(below), and any other argument is refused before a file is written.
+
 ``tests/test_golden.py`` renders the same outputs and compares them with
 these files byte for byte.  A golden file changes only where a change
 fixes a named defect or adds a declared report key; regenerating to make
@@ -53,7 +56,6 @@ sys.path.insert(0, str(GOLDEN.parent))
 from conftest import child_env, exp_loop  # noqa: E402
 from subdebt import (  # noqa: E402
     CapitalStructure,
-    DegenerateVolatilityError,
     ValidationError,
     argmax_sigma_numeric,
     classify_regime,
@@ -81,6 +83,18 @@ MANIFEST = GOLDEN / "sweeps.sha256"
 LIBRARY = GOLDEN / "library.txt"
 LIBRARY_SIZE = 200
 LIBRARY_SEED = 13
+USAGE = "usage: PYTHONPATH=src python tests/golden/regenerate.py  (no arguments)"
+
+
+def is_child(argv):
+    """Whether ``argv`` (``sys.argv[1:]``) is the X86_V3 child's, ``verify``,
+    rather than none; any other ``argv`` exits 2 with ``USAGE``."""
+    if argv == ["verify"]:
+        return True
+    if argv:
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
+    return False
 
 
 def pinned_platform():
@@ -160,7 +174,7 @@ def _outcome(function, *args):
     """``_bits`` of the result of the call, or the name of the error it raised."""
     try:
         return _bits(function(*args))
-    except (ValidationError, DegenerateVolatilityError) as exc:
+    except ValidationError as exc:
         return type(exc).__name__
 
 
@@ -214,12 +228,13 @@ def write(loop, commands):
 
 
 if __name__ == "__main__":
+    child = is_child(sys.argv[1:])
     if not pinned_platform():
         sys.exit("golden outputs are pinned for x86-64 glibc")
     loop = exp_loop()
     if loop not in LOOPS:
         sys.exit(f"verify golden outputs are kept for the exp loops {LOOPS}, not {loop}")
-    if sys.argv[1:] == ["verify"]:  # the child that writes the X86_V3 set
+    if child:  # the child that writes the X86_V3 set
         if loop != "X86_V3":
             sys.exit(f"the child runs the {loop} exp loop, not X86_V3")
         write(loop, ["verify"])

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subdebt.claims as claims
@@ -15,11 +15,11 @@ from conftest import (
     finite_floats,
     rebuilt,
     structure,
+    whole_domain_structures,
 )
 from subdebt import (
     CapitalStructure,
     ClaimValues,
-    DegenerateVolatilityError,
     MCConfig,
     ValidationError,
     junior_debt_vega,
@@ -153,6 +153,8 @@ class TestOutOfFloatRange:
             structure(62.0, fs=1.0, fj=1e300, r=-100.0),  # only F_T e^{-r tau} does
             structure(62.0, sigma=1e200),  # sigma^2 tau / 2 overflows
             structure(62.0, sigma=1e155),  # so does sigma^2 alone
+            # The claims are finite; the vega, about 4e308, is not.
+            structure(1e308, fs=1e308, fj=5e307, sigma=1e-3, tau=100.0, r=0.0),
         ],
         ids=[
             "tiny-ratio",
@@ -160,6 +162,7 @@ class TestOutOfFloatRange:
             "huge-total-face",
             "huge-half-variance",
             "huge-sigma-squared",
+            "huge-vega",
         ],
     )
     def test_undefined_claims_raise_validation_error(self, cs, monkeypatch):
@@ -171,6 +174,40 @@ class TestOutOfFloatRange:
             with pytest.raises(ValidationError):
                 function(cs)
         assert counts["kernel"] == 6
+
+    def test_vega_is_finite_where_its_scale_overflows(self):
+        # V e^{-q tau} sqrt(tau) = 1e309 overflows, the vega does not.  The
+        # reference is 50-digit mpmath of V sqrt(tau) (phi(d1) at F_S minus
+        # phi(d1) at F_S + F_J) at these exact floats.
+        vega = junior_debt_vega(structure(1e308, fs=1e300, fj=1e300, sigma=0.2, tau=100.0))
+        reference = -1.8459380645236593e285
+        assert abs(vega - reference) <= 1e-12 * abs(reference)
+
+
+class TestWholeDomainContract:
+    @settings(derandomize=True, max_examples=300)
+    @given(whole_domain_structures())
+    @example(structure(1e308, fs=1e300, fj=1e300, sigma=0.2, tau=100.0))
+    @example(structure(1e308, fs=1e308, fj=5e307, sigma=1e-3, tau=100.0, r=0.0))
+    @example(structure(62.0, sigma=0.0))
+    def test_claims_finite_and_vega_finite_none_or_refused(self, cs):
+        # Aim 3's contract: finite values, or ValidationError.  The vega is
+        # None exactly where sigma sqrt(tau) is 0.
+        try:
+            values = value_all_claims(cs)
+        except ValidationError:
+            pass
+        else:
+            fields = (values.senior_value, values.junior_value, values.equity_value, values.total)
+            assert all(math.isfinite(value) for value in fields)
+        try:
+            vega = junior_debt_vega(cs)
+        except ValidationError:
+            return
+        if cs.volatility * math.sqrt(cs.maturity) == 0.0:
+            assert vega is None
+        else:
+            assert vega is not None and math.isfinite(vega)
 
 
 class TestClaimBoundsAndIdentities:
@@ -233,8 +270,7 @@ class TestKernelMatchesSingleOptionFunctions:
         assert repr(values) == repr(ClaimValues(senior, junior, equity, total))
         assert repr(_junior_value(cs)) == repr(junior)
         if junior_vega is None:
-            with pytest.raises(DegenerateVolatilityError):
-                junior_debt_vega(cs)
+            assert junior_debt_vega(cs) is None
         else:
             assert repr(junior_debt_vega(cs)) == repr(junior_vega)
 
@@ -246,11 +282,10 @@ _PRICED = {
 
 
 def _exact_outcome(name, cs):
-    """``name(cs)`` as float.hex text, or the name of the error it raises."""
-    try:
-        result = _PRICED[name](cs)
-    except DegenerateVolatilityError as error:
-        return type(error).__name__
+    """``name(cs)`` as float.hex text, or None where it returns None."""
+    result = _PRICED[name](cs)
+    if result is None:
+        return None
     if isinstance(result, ClaimValues):
         return tuple(
             value.hex()
@@ -271,7 +306,7 @@ class TestPricedOnce:
         st.lists(st.sampled_from(list(_PRICED)), min_size=1, max_size=8),
     )
     # At sigma = 0, and where sigma sqrt(tau) underflows, the vega is
-    # refused before and after the claims are priced.
+    # None before and after the claims are priced.
     @example(structure(62.0), 0.0, ["junior_debt_vega", "value_all_claims", "junior_debt_vega"])
     @example(structure(62.0, tau=0.25), 5e-324, ["value_all_claims", "junior_debt_vega"] * 2)
     @example(structure(62.0, q=0.02), 0.262, ["junior_debt_vega", "value_all_claims"])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import child_env, count_calls, read_sweep_csv
+from conftest import child_env, count_calls, read_sweep_csv, strict_json
 from golden.regenerate import GOLDEN, SCENARIOS, pinned_platform
 
 import subdebt.cli as cli
@@ -61,6 +61,21 @@ sigma = 0.0
 initial_sigma = 0.10
 maturity = 1.0
 rate = 0.01
+"""
+
+# V = 1e308 and tau = 100, so V e^{-q tau} sqrt(tau) overflows.  With these
+# faces, sigma and rate the vega is finite; with F_S = 1e308, F_J = 5e307,
+# sigma = 0.001 and r = 0 it is about 4e308, past the float range.
+LARGE = """\
+[scenario]
+name = large
+asset_value = 1e308
+senior_face = {senior_face}
+junior_face = {junior_face}
+sigma = {sigma}
+initial_sigma = 0.10
+maturity = 100
+rate = {rate}
 """
 
 
@@ -147,6 +162,27 @@ class TestPrice:
             assert report["junior_value"] == pytest.approx(
                 62.0 - 60.0 * math.exp(-0.01 * maturity), rel=1e-12
             )
+
+    def test_vega_whose_scale_overflows_is_printed_as_a_number(self, tmp_path, capsys):
+        path = tmp_path / "large.ini"
+        path.write_text(LARGE.format(senior_face=1e300, junior_face=1e300, sigma=0.2, rate=0.01))
+        assert main(["price", "--scenario", str(path), "--format", "json"]) == EXIT_OK
+        vega = strict_json(capsys.readouterr().out)["junior_vega"]
+        # 50-digit mpmath at these exact floats.
+        assert abs(vega - -1.8459380645236593e285) <= 1e-12 * 1.8459380645236593e285
+        args = ["sweep-sigma", "--scenario", str(path), "--format", "json", "--steps", "5"]
+        assert main(args) == EXIT_OK
+        vegas = strict_json(capsys.readouterr().out)["columns"]["junior_vega"]
+        assert all(isinstance(value, float) for value in vegas)
+
+    def test_vega_beyond_the_float_range_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "large.ini"
+        path.write_text(LARGE.format(senior_face=1e308, junior_face=5e307, sigma=0.001, rate=0))
+        assert main(["price", "--scenario", str(path), "--format", "json"]) == EXIT_VALIDATION_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: junior vega overflows ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_csv_report(self, distressed, capsys):
         assert main(["price", "--scenario", distressed, "--format", "csv"]) == EXIT_OK

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from conftest import child_env, exp_loop
+import golden.regenerate as regenerate
+from conftest import child_env, exp_loop, strict_json
 from golden.regenerate import (
     GOLDEN,
     LIBRARY,
@@ -56,6 +57,8 @@ def test_output_is_the_golden_output(name, command, argv):
     if command == "verify" and LOOP not in LOOPS:
         pytest.skip(f"verify golden outputs are kept for the exp loops {LOOPS}, not {LOOP}")
     actual = render(argv)
+    if name.endswith(".json"):
+        strict_json(actual)  # no NaN or Infinity, which are not JSON
     if command in SWEEPS:
         assert digest(actual) == read_manifest()[name], f"{name}: line count or sha256 differs"
     else:
@@ -102,3 +105,18 @@ def test_every_golden_file_has_a_case():
     }
     assert files == names
     assert set(read_manifest()) == {name for name, command, _ in CASES if command in SWEEPS}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "extra"], ["price"]])
+def test_regenerate_refuses_other_arguments_before_writing(argv, capsys):
+    # The check runs first in regenerate.py's __main__; called here, it
+    # cannot reach the writes that follow it.
+    with pytest.raises(SystemExit) as exit_:
+        regenerate.is_child(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == regenerate.USAGE + "\n"
+
+
+def test_regenerate_reads_no_arguments_and_the_childs_verify():
+    assert regenerate.is_child([]) is False
+    assert regenerate.is_child(["verify"]) is True

@@ -18,7 +18,6 @@ from conftest import (
 )
 from subdebt import (
     CapitalStructure,
-    DegenerateVolatilityError,
     GridSpec,
     Regime,
     ValidationError,
@@ -71,9 +70,8 @@ class TestJuniorDebtVega:
         best = optimal_volatility(cs)
         assert abs(junior_debt_vega(rebuilt(cs, volatility=best))) < 1e-8
 
-    def test_zero_volatility_refused(self):
-        with pytest.raises(DegenerateVolatilityError):
-            junior_debt_vega(structure(62.0, sigma=0.0))
+    def test_zero_volatility_has_no_vega(self):
+        assert junior_debt_vega(structure(62.0, sigma=0.0)) is None
 
     @given(distressed_structures(with_yield=True))
     def test_matches_central_finite_difference(self, cs):

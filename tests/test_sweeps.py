@@ -101,6 +101,18 @@ class TestSigmaSweep:
         assert csv_out.getvalue().splitlines()[1].endswith(",")
         assert json.loads(json_out.getvalue())["columns"]["junior_vega"][0] is None
 
+    def test_vega_is_finite_where_its_scale_overflows(self):
+        # V e^{-q tau} sqrt(tau) = 1e309 overflows, the vega at each sigma does not.
+        cs = CapitalStructure(1e308, 1e300, 1e300, 0.2, 100.0, 0.01)
+        vega = sweep_sigma(cs, 0.01, 0.8, 5)["junior_vega"]
+        assert all(math.isfinite(value) for value in vega)
+
+    def test_vega_beyond_the_float_range_is_refused(self):
+        # The vega at sigma = 0.001 is about 4e308.
+        cs = CapitalStructure(1e308, 1e308, 5e307, 1e-3, 100.0, 0.0)
+        with pytest.raises(ValidationError, match="junior vega overflows"):
+            sweep_sigma(cs, 1e-3, 0.1, 3)
+
     @pytest.mark.parametrize(
         "lower,upper,steps",
         [
