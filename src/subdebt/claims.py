@@ -188,8 +188,20 @@ def junior_debt_vega(cs: CapitalStructure) -> float | None:
 
     Returns:
         The vega, or None where sigma sqrt(tau) is 0 (sigma = 0 or underflow).
+
+    Raises:
+        ValidationError: Where the vega leaves the float range, although
+            the claims may not.
     """
-    return _own_claims(cs)[3]
+    vega = _own_claims(cs)[3]
+    if vega == _INF or vega == -_INF:
+        raise _vega_overflow(cs.volatility)
+    return vega
+
+
+def _vega_overflow(sigma: float) -> ValidationError:
+    """The error for a junior vega at volatility ``sigma`` that is +-inf."""
+    return ValidationError(f"junior vega overflows at volatility {sigma}")
 
 
 def _own_claims(cs: CapitalStructure) -> tuple[float, float, float, float | None]:
@@ -213,13 +225,15 @@ def _claims(
     face F_S + F_J; pv is a face discounted at the risk-free rate.  The
     vega is None where sigma sqrt(tau) is exactly 0.0 (sigma = 0, or small
     enough that the product underflows); the claims then take the
-    deterministic forward limits.
+    deterministic forward limits.  A vega past the float range is +-inf,
+    so that the claims stand where only the vega overflows; its readers
+    refuse it (``_vega_overflow``).
 
     Raises:
         ValidationError: If the discount factor e^{-r tau} overflows, if
             sigma^2 / 2 * tau does in float arithmetic, if a claim is
-            undefined because the discounted total face overflows, if
-            V / (F_S + F_J) underflows to 0, or if the vega overflows.
+            undefined because the discounted total face overflows, or if
+            V / (F_S + F_J) underflows to 0.
     """
     erfc, exp = math.erfc, math.exp
     tau, rate, dividend_yield = cs.maturity, cs.rate, cs.dividend_yield
@@ -265,9 +279,7 @@ def _claims(
         phi_t = _INV_SQRT_2PI * exp(-0.5 * d1_t * d1_t)
         scale = forward * sqrt_t  # |vega| <= scale / sqrt(2 pi)
         if scale == _INF:  # where scale * phi_s - scale * phi_t is inf - inf
-            vega = forward * (sqrt_t * (phi_s - phi_t))
-            if not -_INF < vega < _INF:
-                raise ValidationError(f"junior vega overflows at volatility {sigma}")
+            vega = forward * (sqrt_t * (phi_s - phi_t))  # +-inf where it overflows
         else:
             vega = scale * phi_s - scale * phi_t
     # Each option is worth at least 0.  ``0.0 if x < 0.0 else x`` is

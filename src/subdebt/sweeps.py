@@ -10,10 +10,11 @@ column, without the ``csv`` and ``json`` modules, and give the bytes that
 ``csv.writer`` and ``json.dump(indent=2)`` would: ``output.cells`` turns
 each column into text, rows are joined with commas, since floats need no
 quoting, and the JSON is indented by hand.  A volatility table's values
-are nearly all distinct, so each column is formatted in one pass; the
-structure writers format each distinct value once per write, because
-their tables repeat values.  Column names are written as given, so they
-must be plain identifiers, as the sweeps' are; and, as the sweeps
+are nearly all distinct, so each column is formatted in one pass.  The
+structure tables repeat values, so their writers format a column that
+repeats one value (a threshold's, say) once, and each distinct value of
+the other columns once per write.  Column names are written as given, so
+they must be plain identifiers, as the sweeps' are; and, as the sweeps
 guarantee, values are finite or NaN, and no column or list of tables is
 empty.  Each line goes to the stream as its own piece: on stdout, one
 large write to a pipe whose reader has closed can drop the rest of the
@@ -27,17 +28,21 @@ its range to give strictly increasing points raises ``ValidationError``,
 as does a structure sweep whose steps times proportions exceed
 ``MAX_STRUCTURE_POINTS``.  The volatility sweep calls the fused claims
 kernel once per point; the structure sweep computes the two thresholds,
-which do not depend on the asset value, once per debt mix.
+which do not depend on the asset value, once per debt mix, and sigma*
+only at the asset values at or below the hump threshold: the grid
+increases strictly, so those rows, and the rows below the shift threshold
+where chosen risk is sigma*, are prefixes of it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import IO
 
-from .claims import CapitalStructure, _claims
+from .claims import CapitalStructure, _claims, _vega_overflow
 from .errors import ValidationError, check, check_range
 from .output import cell, cells
 
@@ -51,10 +56,10 @@ Table = dict[str, tuple[float, ...]]
 MAX_STEPS = 100_000
 # The most points a structure sweep may have over all its debt mixes, steps
 # times proportions: each mix is a table of its own, so capping the steps
-# alone leaves memory growing with the mixes, by about 21 MB per mix at
+# alone leaves memory growing with the mixes, by about 15 MB per mix at
 # ``MAX_STEPS``.  At this cap, three mixes at ``MAX_STEPS`` and their JSON
-# write peak near 104 MB; many short tables cost more per point, up to
-# 248 MB for 150,000 two-point mixes.
+# write peak near 103 MB; many short tables cost more per point, up to
+# 150 MB for 150,000 two-point mixes.
 MAX_STRUCTURE_POINTS = 3 * MAX_STEPS
 
 
@@ -64,11 +69,15 @@ def sweep_sigma(
     """Value the claims on an evenly spaced volatility grid.
 
     Columns: sigma; junior_value, senior_value, equity_value, junior_vega.
-    The vega is NaN where sigma sqrt(tau) underflows to 0.
+    The vega is NaN where sigma sqrt(tau) underflows to 0; where it leaves
+    the float range, the sweep raises ValidationError.
     """
     sigmas = _grid("sigma", lower, upper, steps)
     points = [_claims(cs, sigma) for sigma in sigmas]
     senior, junior, equity, vega = zip(*points)
+    if math.inf in vega or -math.inf in vega:
+        sigma = next(s for s, v in zip(sigmas, vega) if v in (math.inf, -math.inf))
+        raise _vega_overflow(sigma)
     return {
         "sigma": sigmas,
         "junior_value": junior,
@@ -96,7 +105,7 @@ def sweep_structure(
     chosen_risk, optimal_volatility, shift_threshold, hump_threshold.
     """
     # Here, not at the top: the volatility sweep does not run ``risk``.
-    from .risk import _chosen_risk, _optimal_volatility, _threshold
+    from .risk import _optimal_volatility, _threshold
 
     check("total_face", total_face, "finite and > 0")
     if not junior_proportions:
@@ -124,17 +133,22 @@ def sweep_structure(
             dividend_yield,
         )
         shift, hump = _threshold(cs, initial_sigma), _threshold(cs, 0.0)
-        best = [_optimal_volatility(cs, asset_value, hump) for asset_value in asset_values]
+        # The grid increases strictly, so sigma* exists (V <= H) on a prefix
+        # of it, and shifting pays (V < shift) on a prefix of that one.
+        humped = bisect_right(asset_values, hump)
+        best = [_optimal_volatility(cs, value, hump) for value in islice(asset_values, humped)]
+        shifting = min(bisect_left(asset_values, shift), humped)
+        chosen = chain(islice(best, shifting), repeat(initial_sigma, steps - shifting))
         table = {
             "asset_value": asset_values,
-            "chosen_risk": tuple(
-                _chosen_risk(peak, asset_value < shift, initial_sigma)
-                for peak, asset_value in zip(best, asset_values)
-            ),
-            "optimal_volatility": tuple(math.nan if peak is None else peak for peak in best),
+            "chosen_risk": tuple(chosen),
+            "optimal_volatility": tuple(chain(best, repeat(math.nan, steps - humped))),
             "shift_threshold": (shift,) * steps,
             "hump_threshold": (hump,) * steps,
         }
+        # Freed now, not when the next mix's list is built: the columns are
+        # built from iterators, without copies, so that the peak stays low.
+        del best
         tables.append((proportion, table))
     return tables
 
@@ -211,27 +225,55 @@ def _texts(missing: str, indent: str = "") -> Texts:
 
 
 def _memoized(tables: list[tuple[float, Table]], texts: Texts) -> Texts:
-    """``texts`` for the columns of ``tables``, formatting each distinct
-    value once per write.
+    """``texts`` for the columns of ``tables``, formatting a column that
+    repeats one value once, and each distinct value of the other columns
+    once per write.
 
-    Structure tables repeat values: the asset grid, one tuple in every
-    table; one value down each threshold column; and chosen risk, which is
-    sigma* or the initial volatility.  The memo is skipped where one dict
-    key would stand for two texts: 0.0 and -0.0, or an int and its float.
-    Either pair makes a key integral or not a float, so only then are the
-    values' types checked.
+    Structure tables repeat values: one value down each threshold column,
+    down chosen risk and sigma* above the thresholds; the asset grid, one
+    tuple in every table; and chosen risk, which is sigma* or the initial
+    volatility.  A column repeats one value if all its values equal its
+    first, a float that is not integral: only 0.0 and -0.0, or an int and
+    its float, are equal with two texts, and either makes a key integral.
+    The memo is skipped where one dict key would stand for such a pair;
+    only then are the values' types checked.  Each column's texts are made
+    when the writer asks for them, so no table's texts outlive its write.
     """
-    columns = {id(column): column for _, table in tables for column in table.values()}
-    distinct = dict.fromkeys(chain.from_iterable(columns.values()))
+    varying = {
+        id(column): column
+        for _, table in tables
+        for column in table.values()
+        if not _repeats_one_value(column)
+    }
+    values = varying.values()
+    distinct = dict.fromkeys(chain.from_iterable(values))
     try:
-        if any(map(float.is_integer, distinct)) and (
-            0.0 in distinct or set(map(type, chain.from_iterable(columns.values()))) != {float}
-        ):
-            return texts
+        ambiguous = any(map(float.is_integer, distinct)) and (
+            0.0 in distinct or set(map(type, chain.from_iterable(values))) != {float}
+        )
     except TypeError:  # a key that is not a float
-        return texts
-    memo = dict(zip(distinct, texts(tuple(distinct))))
-    return lambda column: list(map(memo.__getitem__, column))
+        ambiguous = True
+    memo = None if ambiguous else dict(zip(distinct, texts(tuple(distinct))))
+
+    def column_texts(column: Sequence[float]) -> list[str]:
+        if id(column) not in varying:
+            return texts(column[:1]) * len(column)
+        if memo is None:
+            return texts(column)
+        return list(map(memo.__getitem__, column))
+
+    return column_texts
+
+
+def _repeats_one_value(column: Sequence[float]) -> bool:
+    """Whether every value of ``column`` equals its first, a float that is
+    not integral, so that they all have its text."""
+    first = column[0]
+    return (
+        isinstance(first, float)
+        and not first.is_integer()
+        and column.count(first) == len(column)
+    )
 
 
 def _csv_rows(table: Table, texts: Texts, prefix: str) -> list[str]:

@@ -153,8 +153,6 @@ class TestOutOfFloatRange:
             structure(62.0, fs=1.0, fj=1e300, r=-100.0),  # only F_T e^{-r tau} does
             structure(62.0, sigma=1e200),  # sigma^2 tau / 2 overflows
             structure(62.0, sigma=1e155),  # so does sigma^2 alone
-            # The claims are finite; the vega, about 4e308, is not.
-            structure(1e308, fs=1e308, fj=5e307, sigma=1e-3, tau=100.0, r=0.0),
         ],
         ids=[
             "tiny-ratio",
@@ -162,7 +160,6 @@ class TestOutOfFloatRange:
             "huge-total-face",
             "huge-half-variance",
             "huge-sigma-squared",
-            "huge-vega",
         ],
     )
     def test_undefined_claims_raise_validation_error(self, cs, monkeypatch):
@@ -174,6 +171,30 @@ class TestOutOfFloatRange:
             with pytest.raises(ValidationError):
                 function(cs)
         assert counts["kernel"] == 6
+
+    def test_claims_stand_where_only_the_vega_overflows(self, monkeypatch):
+        # The vega, about 4e308, leaves the float range; the claims do not.
+        # The references are 50-digit mpmath at these exact floats.  The
+        # equity, 3.0e-55, is a call whose N(d1) ~ 1e-357 underflows, so the
+        # kernel gives 0.0: it is compared at the scale of the total.
+        cs = structure(1e308, fs=1e308, fj=5e307, sigma=1e-3, tau=100.0, r=0.0)
+        senior, junior, equity = (
+            9.9601059381851836625e307,
+            3.9894061814816447257e305,
+            3.0056993030088406227e-55,
+        )
+        total = senior + junior + equity
+        counts = {"kernel": 0}
+        count_calls(monkeypatch, counts, "kernel", (claims,), "_claims")
+        for _ in range(3):
+            values = value_all_claims(cs)
+            assert abs(values.senior_value - senior) <= 1e-12 * senior
+            assert abs(values.junior_value - junior) <= 1e-12 * junior
+            assert abs(values.equity_value - equity) <= 1e-12 * total
+            assert abs(values.total - total) <= 1e-12 * total
+            with pytest.raises(ValidationError, match="junior vega overflows at volatility 0.001"):
+                junior_debt_vega(cs)
+        assert counts["kernel"] == 1
 
     def test_vega_is_finite_where_its_scale_overflows(self):
         # V e^{-q tau} sqrt(tau) = 1e309 overflows, the vega does not.  The

@@ -183,6 +183,13 @@ class TestPrice:
         assert captured.out == ""
         assert captured.err.startswith("error: junior vega overflows ")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        # The claims are finite there, so verify's Monte-Carlo engine is what
+        # refuses the structure; both commands still exit 3.
+        for args in (["sweep-sigma"], ["verify", "--paths", "2000"]):
+            assert main([*args, "--scenario", str(path)]) == EXIT_VALIDATION_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_csv_report(self, distressed, capsys):
         assert main(["price", "--scenario", distressed, "--format", "csv"]) == EXIT_OK

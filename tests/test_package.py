@@ -3,7 +3,9 @@ and is then a plain attribute of the package."""
 
 import ast
 import importlib
+import json
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,8 @@ import pytest
 import subdebt
 from conftest import child_env
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 @pytest.mark.parametrize("name", subdebt.__all__)
@@ -103,3 +106,13 @@ def test_package_does_not_depend_on_assert_statements():
         if _reads_the_optimize_flag(node)
     ]
     assert found == []
+
+
+def test_every_benchmark_record_names_the_commit_it_measured():
+    # BENCH_*.json keep benchmark runs as they were measured, so whether a
+    # run read "correct" is not checked here.
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        provenance = json.loads(path.read_text(encoding="utf-8"))["provenance"]
+        assert re.fullmatch("[0-9a-f]{40}", provenance["git_commit"]), path.name

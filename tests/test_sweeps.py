@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import subdebt.output as output
 import subdebt.risk as risk
 import subdebt.sweeps as sweeps
-from conftest import count_calls, finite_floats, read_sweep_csv
+from conftest import finite_floats, read_sweep_csv
 
 from subdebt import (
     CapitalStructure,
@@ -221,11 +221,77 @@ class TestStructureSweep:
             )
             assert repr(chosen) == repr(chosen_risk(cs, initial_sigma))
 
+    # Grids within 1e-10 (relative) of a threshold T: across it, or ending
+    # or starting at T itself.  Each row must be what ``classify_regime``
+    # gives on the row's own structure, bit for bit.  An initial sigma of
+    # 1e-9 leaves the shift threshold equal to H.
+    @pytest.mark.parametrize(
+        "proportion,maturity,rate,dividend_yield,initial_sigma,threshold",
+        [
+            (0.3, 30.0, -0.02, 0.05, 0.1, "hump"),
+            (1 / 7, 30.0, 0.01, 0.0, 0.1, "shift"),
+            (0.6, 12.5, 0.03, 0.01, 0.25, "shift"),
+            (0.05, 0.05, 0.1, 0.0, 0.3, "shift"),
+            (1 / 7, 30.0, 0.01, 0.0, 1e-9, "hump"),
+            (0.05, 0.05, 0.1, 0.0, 1e-9, "hump"),
+        ],
+    )
+    @pytest.mark.parametrize("placement", ["across", "ending-at", "starting-at"])
+    def test_rows_are_the_regime_of_their_own_structure(
+        self, proportion, maturity, rate, dividend_yield, initial_sigma, threshold, placement
+    ):
+        total_face = 70.0
+        junior_face = proportion * total_face
+        market = (initial_sigma, maturity, rate, dividend_yield)
+        unit = CapitalStructure(1.0, total_face - junior_face, junior_face, *market)
+        at = {
+            "hump": hump_threshold(unit),
+            "shift": risk.risk_shift_threshold(unit, initial_sigma),
+        }[threshold]
+        lower, upper = {
+            "across": (at * (1.0 - 1e-10), at * (1.0 + 1e-10)),
+            "ending-at": (at * (1.0 - 1e-10), at),
+            "starting-at": (at, at * (1.0 + 1e-10)),
+        }[placement]
+        [(_, table)] = sweep_structure(total_face, [proportion], lower, upper, 201, *market)
+        grid = table["asset_value"]
+        assert min(grid) <= at <= max(grid)
+        if placement == "across":
+            assert grid[0] < at < grid[-1]
+        if initial_sigma == 1e-9:
+            assert table["shift_threshold"] == table["hump_threshold"]
+        for asset_value, chosen, best, shift, hump in zip(*table.values()):
+            cs = CapitalStructure(asset_value, total_face - junior_face, junior_face, *market)
+            profile = risk.classify_regime(cs, initial_sigma)
+            expected = (
+                profile.chosen_risk,
+                math.nan if profile.optimal_volatility is None else profile.optimal_volatility,
+                profile.shift_threshold,
+                profile.hump_threshold,
+            )
+            assert list(map(float.hex, (chosen, best, shift, hump))) == list(
+                map(float.hex, expected)
+            )
+
     def test_one_optimal_volatility_per_point(self, monkeypatch):
-        counts = {"sigma*": 0}
-        count_calls(monkeypatch, counts, "sigma*", (risk,), "_optimal_volatility")
-        sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 70.0, 201, 0.10, 1.0, 0.01)
-        assert counts == {"sigma*": 3 * 201}
+        # Only at grid points at or below the hump threshold H: none above it.
+        evaluated = []
+        original = risk._optimal_volatility
+
+        def recorded(cs, asset_value, hump):
+            evaluated.append((cs.junior_face, asset_value))
+            return original(cs, asset_value, hump)
+
+        monkeypatch.setattr(risk, "_optimal_volatility", recorded)
+        tables = sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 120.0, 201, 0.10, 1.0, 0.01)
+        expected = []
+        for proportion, table in tables:
+            junior_face = proportion * 100.0
+            cs = CapitalStructure(50.0, 100.0 - junior_face, junior_face, 0.1, 1.0, 0.01)
+            below = [value for value in table["asset_value"] if value <= hump_threshold(cs)]
+            assert 0 < len(below) < 201
+            expected += [(cs.junior_face, value) for value in below]
+        assert evaluated == expected
 
     def test_caps_steps_times_proportions(self, monkeypatch):
         steps = sweeps.MAX_STEPS
@@ -390,6 +456,16 @@ def _hand_made(a, b):
     }
 
 
+def _with_column(column):
+    # Two tables over one grid whose last column is ``column``; the other
+    # columns hold 3.0 and -0.0, which a constant column's int or 0.0 equals.
+    grid = (0.25, 1.5, 2.75, 4.0)
+    return [
+        (proportion, {"x": grid, "y": (0.1, proportion, 3.0, -0.0), "constant": column})
+        for proportion in (0.2, 0.7)
+    ]
+
+
 class TestCells:
     NANS = [math.nan, float("nan"), -math.nan, float("inf") - float("inf")]
     COLUMNS = {
@@ -465,6 +541,21 @@ class TestStdlibIdentity:
         # ... and no asset value is integral, so the memo meets the int
         # before any integral float.
         "int-first": sweep_structure(97.3, [0.12, 0.31], 47.3, 83.9, 9, 1, 1.3, 0.02),
+        # Every asset value above both thresholds: chosen risk repeats the
+        # initial volatility, and sigma* the one NaN object.
+        "above-the-thresholds": sweep_structure(
+            100.0, [0.2, 0.3], 95.0, 120.0, 6, 0.10, 1.0, 0.01
+        ),
+        # One column each that repeats a value, or looks as if it did.
+        "constant-negative-zero": _with_column((-0.0,) * 4),
+        "constant-zero": _with_column((0.0,) * 4),
+        "constant-int": _with_column((3,) * 4),
+        "constant-nan-object": _with_column((math.nan,) * 4),
+        "distinct-nans": _with_column(tuple(float("nan") for _ in range(4))),
+        "constant-numpy": _with_column((np.float64(0.1), 0.1, np.float64(0.1), 0.1)),
+        # Values equal to the first with another text: not one repeated value.
+        "equal-zeros": _with_column((0.0, -0.0, 0.0, -0.0)),
+        "equal-int-and-float": _with_column((3.0, 3, 3.0, 3)),
     }
 
     def test_tables_hold_the_cases_they_are_here_for(self):
@@ -491,6 +582,43 @@ class TestStdlibIdentity:
         for _, table in self.STRUCTURE_TABLES["int-first"]:
             assert not any(value.is_integer() for value in table["asset_value"])
             assert all(type(value) is int and value == 1 for value in table["chosen_risk"])
+        # The structure sweeps' own constant columns: each threshold, and
+        # chosen risk and sigma* above the thresholds.
+        for _, table in self.STRUCTURE_TABLES["absent-maximizers"]:
+            for name in ("shift_threshold", "hump_threshold"):
+                assert sweeps._repeats_one_value(table[name])
+        for _, table in self.STRUCTURE_TABLES["above-the-thresholds"]:
+            assert all(value is math.nan for value in table["optimal_volatility"])
+            assert set(table["chosen_risk"]) == {0.10}
+            for name in ("chosen_risk", "optimal_volatility"):
+                assert sweeps._repeats_one_value(table[name])
+        constants = {
+            name[len("constant-") :]: [table["constant"] for _, table in tables]
+            for name, tables in self.STRUCTURE_TABLES.items()
+            if name.startswith("constant-")
+        }
+        for column in constants["negative-zero"]:
+            assert all(math.copysign(1.0, value) == -1.0 and value == 0.0 for value in column)
+        for column in constants["zero"]:
+            assert all(math.copysign(1.0, value) == 1.0 and value == 0.0 for value in column)
+        for column in constants["int"]:
+            assert all(type(value) is int for value in column)
+        for column in constants["nan-object"]:
+            assert all(value is column[0] and math.isnan(value) for value in column)
+            assert sweeps._repeats_one_value(column)
+        for _, table in self.STRUCTURE_TABLES["distinct-nans"]:
+            column = table["constant"]
+            assert all(math.isnan(value) for value in column)
+            assert len(set(map(id, column))) == len(column)
+            assert not sweeps._repeats_one_value(column)
+        for column in constants["numpy"]:
+            assert {type(value) for value in column} == {float, np.float64}
+            assert sweeps._repeats_one_value(column)
+        for name in ("equal-zeros", "equal-int-and-float"):
+            for _, table in self.STRUCTURE_TABLES[name]:
+                column = table["constant"]
+                assert column.count(column[0]) == len(column)
+                assert len(set(map(cell, column))) == 2
 
     @pytest.mark.parametrize("name", SIGMA_TABLES)
     def test_sweep_csv(self, name):
