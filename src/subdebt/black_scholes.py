@@ -1,12 +1,13 @@
-"""One European call on a lognormal asset.
+"""One European call on a lognormal asset, as a view of the claims kernel.
 
-All rates and yields are continuously compounded annual rates and all
-times are year fractions.  The standard normal CDF, ``norm_cdf``, lives
-in ``claims`` next to the fused kernel, and is imported from there.
+A call struck at K is the equity of a firm whose debt totals K (Black and
+Cox, 1976), so ``call_price`` is the equity ``claims._claims`` prices for
+a ``CapitalStructure`` with faces K - ulp(K) and ulp(K), which sum to K
+exactly; this module has no arithmetic of its own.  That structure checks
+every field but the strike, so an error names its quantities, and its
+total face is the strike.  The strike 5e-324 is refused as a senior face.
 
-No command calls this module: every claim value and the junior vega
-come from the kernel in ``claims``.  ``OptionInputs`` and ``call_price``
-remain public because the benchmark's traced run times them as its
+No command calls this module; the benchmark's traced run times it as its
 single-option layer.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .claims import norm_cdf
+from .claims import CapitalStructure, _claims
 from .errors import check
 
 
@@ -42,31 +43,29 @@ class OptionInputs:
     dividend_yield: float = 0.0
 
     def __post_init__(self) -> None:
-        check("asset_value", self.asset_value, "finite and > 0")
         check("strike", self.strike, "finite and > 0")
-        check("volatility", self.volatility, "finite and >= 0")
-        check("maturity", self.maturity, "finite and > 0")
-        check("rate", self.rate, "finite")
-        check("dividend_yield", self.dividend_yield, "finite and >= 0")
+        _structure(self)
 
 
 def call_price(inputs: OptionInputs) -> float:
-    """European call value, V e^{-q tau} N(d1) - K e^{-r tau} N(d2), with
-    d1 = [ln(V/K) + (r - q + sigma^2/2) tau] / (sigma sqrt(tau)) and
-    d2 = d1 - sigma sqrt(tau).
+    """European call value, V e^{-q tau} N(d1) - K e^{-r tau} N(d2), or
+    max(V e^{-q tau} - K e^{-r tau}, 0) where sigma sqrt(tau) is 0.
 
-    At sigma = 0, or where sigma sqrt(tau) underflows to 0, returns the
-    deterministic forward limit max(V e^{-q tau} - K e^{-r tau}, 0).
+    Raises:
+        ValidationError: Where ``claims._claims`` refuses the structure.
     """
-    forward = inputs.asset_value * math.exp(-inputs.dividend_yield * inputs.maturity)
-    discounted_strike = inputs.strike * math.exp(-inputs.rate * inputs.maturity)
-    sigma_sqrt_t = inputs.volatility * math.sqrt(inputs.maturity)
-    if sigma_sqrt_t == 0.0:
-        return max(forward - discounted_strike, 0.0)
-    drift = (
-        inputs.rate - inputs.dividend_yield + 0.5 * inputs.volatility * inputs.volatility
-    ) * inputs.maturity
-    x1 = (math.log(inputs.asset_value / inputs.strike) + drift) / sigma_sqrt_t
-    x2 = x1 - sigma_sqrt_t
-    value = forward * norm_cdf(x1) - discounted_strike * norm_cdf(x2)
-    return max(value, 0.0)
+    return _claims(_structure(inputs), inputs.volatility)[2]
+
+
+def _structure(inputs: OptionInputs) -> CapitalStructure:
+    """The firm whose equity is the call: faces K - ulp(K) and ulp(K)."""
+    unit = math.ulp(inputs.strike)
+    return CapitalStructure(
+        inputs.asset_value,
+        inputs.strike - unit,
+        unit,
+        inputs.volatility,
+        inputs.maturity,
+        inputs.rate,
+        inputs.dividend_yield,
+    )

@@ -32,8 +32,9 @@ hash, repr, pickling and copying never see it.
 Prices at a sigma other than the structure's own come from ``_claims``
 directly, as the sweeps and the sigma-search oracles take them.
 
-The standard normal CDF lives here, next to the kernel, and
-``black_scholes`` imports it.  It is computed as
+The standard normal CDF lives here, next to the kernel, and no other
+module calls it or ``math.erfc``: ``black_scholes.call_price`` is the
+kernel's equity at a total face equal to the strike.  It is computed as
 N(x) = erfc(-x / sqrt(2)) / 2 with the C library's double-precision
 complementary error function (``math.erfc``), which keeps the absolute
 error below 1e-15 over the whole real line.  The kernel evaluates N

@@ -222,7 +222,7 @@ def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
         _DECREASING if best is None else _HUMP,
         shifts_up,
         initial_sigma,
-        _chosen_risk(best, shifts_up, initial_sigma),
+        best if shifts_up and best is not None else initial_sigma,
     )
 
 
@@ -243,7 +243,3 @@ def chosen_risk(cs: CapitalStructure, initial_sigma: float) -> float:
     if cs.asset_value < _threshold(cs, initial_sigma):
         return _optimal_volatility(cs, cs.asset_value, _INF)
     return initial_sigma
-
-
-def _chosen_risk(best: float | None, shifts_up: bool, initial_sigma: float) -> float:
-    return best if shifts_up and best is not None else initial_sigma

@@ -1,8 +1,9 @@
-"""Shared hypothesis strategies for model inputs, a structure builder with
-defaults, a record rebuilder, a sweep CSV reader, a strict JSON reader,
-the whole Monte-Carlo stream of terminal values, the claim payoffs at
-maturity, the environment of a child process, and the CPU target of
-numpy's ``exp`` loop."""
+"""Shared hypothesis strategies for model inputs, the textbook
+single-option prices, a structure builder with defaults, a record
+rebuilder, a sweep CSV reader, a strict JSON reader, the whole
+Monte-Carlo stream of terminal values, the claim payoffs at maturity,
+the environment of a child process, and the CPU target of numpy's
+``exp`` loop."""
 
 import csv
 import inspect
@@ -14,7 +15,7 @@ import hypothesis
 from hypothesis import strategies as st
 
 import subdebt
-from subdebt import CapitalStructure, OptionInputs
+from subdebt import CapitalStructure, OptionInputs, norm_cdf
 
 hypothesis.settings.register_profile("default", deadline=None)
 hypothesis.settings.load_profile("default")
@@ -83,9 +84,19 @@ def near_hump_structures(draw):
     return rebuilt(cs, asset_value=boundary * (1.0 + side * delta))
 
 
-def _log_uniform(lowest):
+def log_uniform(lowest):
     """Floats 10^x, x uniform on [lowest, 308]."""
     return finite_floats(lowest, 308.0).map(lambda exponent: 10.0**exponent)
+
+
+def _whole_domain_market(draw):
+    """(sigma, tau, r, q) as ``whole_domain_structures`` draws them."""
+    sigma = draw(st.just(0.0) | log_uniform(-320.0))
+    magnitudes = log_uniform(-323.0)
+    maturity = draw(magnitudes)
+    rate = draw(st.just(0.0) | magnitudes | magnitudes.map(lambda magnitude: -magnitude))
+    dividend_yield = draw(st.just(0.0) | magnitudes)
+    return sigma, maturity, rate, dividend_yield
 
 
 @st.composite
@@ -97,16 +108,43 @@ def whole_domain_structures(draw):
     with a log-uniform magnitude, and q is 0 or log-uniform, both over
     [1e-323, 1e308].  F_S + F_J must be finite, as the constructor requires.
     """
-    magnitudes = _log_uniform(-323.0)
+    magnitudes = log_uniform(-323.0)
     asset_value, senior_face, junior_face = draw(magnitudes), draw(magnitudes), draw(magnitudes)
     hypothesis.assume(math.isfinite(senior_face + junior_face))
-    sigma = draw(st.just(0.0) | _log_uniform(-320.0))
-    maturity = draw(magnitudes)
-    rate = draw(st.just(0.0) | magnitudes | magnitudes.map(lambda magnitude: -magnitude))
-    dividend_yield = draw(st.just(0.0) | magnitudes)
-    return CapitalStructure(
-        asset_value, senior_face, junior_face, sigma, maturity, rate, dividend_yield
-    )
+    return CapitalStructure(asset_value, senior_face, junior_face, *_whole_domain_market(draw))
+
+
+@st.composite
+def whole_domain_option_inputs(draw):
+    """``OptionInputs`` drawn as ``whole_domain_structures`` draws a
+    structure, with one log-uniform strike in place of the two faces."""
+    magnitudes = log_uniform(-323.0)
+    asset_value, strike = draw(magnitudes), draw(magnitudes)
+    return OptionInputs(asset_value, strike, *_whole_domain_market(draw))
+
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def single_option(cs, strike):
+    """(call, put, vega or None) of one European option on the firm's
+    assets at ``strike``: the textbook single-option formulas, written
+    without sharing work between strikes.  The vega is None where
+    sigma sqrt(tau) is 0, and the prices take their forward limits.
+    ``cs`` is a ``CapitalStructure`` or ``OptionInputs``; only the
+    fields the two share are read."""
+    forward = cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity)
+    discounted_strike = strike * math.exp(-cs.rate * cs.maturity)
+    sigma_sqrt_t = cs.volatility * math.sqrt(cs.maturity)
+    if sigma_sqrt_t == 0.0:
+        return max(forward - discounted_strike, 0.0), max(discounted_strike - forward, 0.0), None
+    drift = (cs.rate - cs.dividend_yield + 0.5 * cs.volatility * cs.volatility) * cs.maturity
+    d1 = (math.log(cs.asset_value / strike) + drift) / sigma_sqrt_t
+    d2 = d1 - sigma_sqrt_t
+    call = max(forward * norm_cdf(d1) - discounted_strike * norm_cdf(d2), 0.0)
+    put = max(discounted_strike * norm_cdf(-d2) - forward * norm_cdf(-d1), 0.0)
+    vega = forward * math.sqrt(cs.maturity) * (_INV_SQRT_2PI * math.exp(-0.5 * d1 * d1))
+    return call, put, vega
 
 
 def structure(v, fs=60.0, fj=10.0, sigma=0.10, tau=1.0, r=0.01, q=0.0):

@@ -1,13 +1,14 @@
-"""Tests for the European call and the standard normal CDF."""
+"""Tests for the European call, a view of the claims kernel, and the
+standard normal CDF."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
-from conftest import finite_floats, option_inputs
+from conftest import finite_floats, option_inputs, single_option, whole_domain_option_inputs
 from subdebt import (
     CapitalStructure,
     MCConfig,
@@ -61,6 +62,48 @@ class TestPrices:
         price = call_price(inputs)
         assert price >= max(forward - discounted, 0.0) - 1e-12
         assert price <= forward * (1.0 + 1e-14)
+
+
+class TestOneRoute:
+    @given(option_inputs(min_sigma=0.0, with_yield=True))
+    def test_call_is_the_textbook_call_bit_for_bit(self, inputs):
+        # The kernel prices the call at a total face equal to the strike.
+        expected = single_option(inputs, inputs.strike)[0]
+        assert call_price(inputs).hex() == expected.hex()
+
+    @settings(derandomize=True, max_examples=300)
+    @given(whole_domain_option_inputs())
+    @example(_inputs(1.0, 1.0, 0.2, 1000.0, -1.0))  # e^{-r tau} overflows
+    @example(_inputs(1e-300, 1e300, 0.2, 1.0, 0.0))  # V / K underflows to 0
+    @example(  # d1 = inf / inf: sigma sqrt(tau) and sigma^2 tau both overflow
+        _inputs(
+            2.3260963367062973e254,
+            1.0169860234730986e-101,
+            5.308476504290578e245,
+            6.53172230457307e272,
+            0.0,
+            2.239262164254733e71,
+        )
+    )
+    @example(_inputs(1.0, 1.0, 1e200, 1e10, 0.0))  # sigma^2 / 2 * tau overflows
+    def test_call_finite_and_nonnegative_or_refused(self, inputs):
+        # Aim 3's contract: a finite value, or ValidationError.
+        try:
+            price = call_price(inputs)
+        except ValidationError:
+            return
+        assert math.isfinite(price) and price >= 0.0
+
+    def test_call_refused_where_sigma_squared_tau_overflows(self):
+        # The call tends to V e^{-q tau} = 1 as sigma grows, not to the
+        # sigma = 0 limit, 0, that d1 = d2 = +inf would price.
+        with pytest.raises(ValidationError, match="overflows"):
+            call_price(_inputs(1.0, 1.0, 1e200, 1e10, 0.0))
+
+    def test_strike_too_small_to_split_is_refused(self):
+        # No two positive floats sum to the least subnormal.
+        with pytest.raises(ValidationError, match="senior_face"):
+            _inputs(100.0, 5e-324, 0.2)
 
 
 class TestNormal:

@@ -14,6 +14,7 @@ from conftest import (
     distressed_structures,
     finite_floats,
     rebuilt,
+    single_option,
     structure,
     whole_domain_structures,
 )
@@ -24,7 +25,6 @@ from subdebt import (
     ValidationError,
     junior_debt_vega,
     mc_claim_values,
-    norm_cdf,
     value_all_claims,
 )
 
@@ -61,28 +61,6 @@ class TestMaturityPayoffs:
         assert abs(total - terminal) <= math.ulp(max(terminal, senior_face + junior_face))
 
 
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _option(cs, strike):
-    """(call, put, vega or None) of one European option on the firm's
-    assets at ``strike``: the textbook single-option formulas, written
-    without sharing work between strikes.  The vega is None where
-    sigma sqrt(tau) is 0, and the prices take their forward limits."""
-    forward = cs.asset_value * math.exp(-cs.dividend_yield * cs.maturity)
-    discounted_strike = strike * math.exp(-cs.rate * cs.maturity)
-    sigma_sqrt_t = cs.volatility * math.sqrt(cs.maturity)
-    if sigma_sqrt_t == 0.0:
-        return max(forward - discounted_strike, 0.0), max(discounted_strike - forward, 0.0), None
-    drift = (cs.rate - cs.dividend_yield + 0.5 * cs.volatility * cs.volatility) * cs.maturity
-    d1 = (math.log(cs.asset_value / strike) + drift) / sigma_sqrt_t
-    d2 = d1 - sigma_sqrt_t
-    call = max(forward * norm_cdf(d1) - discounted_strike * norm_cdf(d2), 0.0)
-    put = max(discounted_strike * norm_cdf(-d2) - forward * norm_cdf(-d1), 0.0)
-    vega = forward * math.sqrt(cs.maturity) * (_INV_SQRT_2PI * math.exp(-0.5 * d1 * d1))
-    return call, put, vega
-
-
 def _senior_value(cs):
     return value_all_claims(cs).senior_value
 
@@ -99,8 +77,8 @@ def _reference_claims(cs):
     """(senior, junior, equity, total, vega or None) composed from single
     options: a riskless bond less a put at F_S, a call spread between F_S
     and F_S + F_J, and a call at F_S + F_J."""
-    call_s, put_s, vega_s = _option(cs, cs.senior_face)
-    call_t, _, vega_t = _option(cs, cs.total_face)
+    call_s, put_s, vega_s = single_option(cs, cs.senior_face)
+    call_t, _, vega_t = single_option(cs, cs.total_face)
     senior = cs.senior_face * math.exp(-cs.rate * cs.maturity) - put_s
     junior = max(call_s - call_t, 0.0)
     equity = call_t
@@ -395,7 +373,7 @@ class TestLimits:
     @given(distressed_structures())
     def test_junior_approaches_senior_strike_call_for_huge_junior_face(self, cs):
         huge = rebuilt(cs, junior_face=1e9)
-        call = _option(huge, huge.senior_face)[0]
+        call = single_option(huge, huge.senior_face)[0]
         assert _junior_value(huge) == pytest.approx(call, abs=1e-9)
 
     @given(distressed_structures())

@@ -23,6 +23,7 @@ from conftest import (
     rebuilt,
     structure,
     terminal_values,
+    whole_domain_structures,
 )
 from golden.regenerate import library_structures
 import subdebt.oracle as oracle
@@ -39,7 +40,7 @@ from subdebt import (
     optimal_volatility,
     value_all_claims,
 )
-from subdebt.verify import ARGMAX_GRID, ARGMAX_TOL
+from subdebt.verify import ARGMAX_GRID, ARGMAX_TOL, VEGA_BUMP
 
 SEARCH_GRID = GridSpec(lower=0.01, upper=1.5, tolerance=1e-6)
 
@@ -937,6 +938,32 @@ class TestFiniteDifference:
             up = value_all_claims(rebuilt(cs, volatility=sigma + bump)).junior_value
             down = value_all_claims(rebuilt(cs, volatility=sigma - bump)).junior_value
             assert finite_diff_vega(cs, bump).hex() == ((up - down) / (2.0 * bump)).hex()
+
+
+class TestWholeDomainContract:
+    """Aim 3's contract for the oracles: finite values, None for an argmax
+    with no rising vega on its grid, or ValidationError, with no warning."""
+
+    @settings(derandomize=True, max_examples=100)
+    @given(whole_domain_structures())
+    def test_oracles_finite_or_refused(self, cs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert math.isfinite(finite_diff_vega(cs, VEGA_BUMP))
+            except ValidationError:
+                pass
+            try:
+                best = argmax_sigma_numeric(cs, ARGMAX_GRID)
+                assert best is None or math.isfinite(best)
+            except ValidationError:
+                pass
+            try:
+                estimates = mc_claim_values(cs, MCConfig(2000, 1))
+            except ValidationError:
+                return
+        for estimate in estimates:
+            assert math.isfinite(estimate.mean) and math.isfinite(estimate.std_error)
 
 
 class TestConfigValidation:

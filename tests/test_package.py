@@ -69,21 +69,29 @@ def test_child_process_imports_the_package_this_process_runs(tmp_path):
 
 
 def test_every_package_name_the_benchmark_reads_is_public():
-    # The benchmark's scripts are read, not run: each ``subdebt.<name>``
-    # they take from the package, other than a submodule, must stay public.
+    # The benchmark's scripts are read, not run: each ``subdebt.<name>`` in
+    # their source, in code, an import or a string, must stay a public name
+    # or a submodule of the package.
     submodules = {info.name for info in pkgutil.iter_modules(subdebt.__path__)}
     names = set()
     for path in sorted(BENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "subdebt"
-            ):
-                names.add(node.attr)
-    names -= submodules
+        names.update(re.findall(r"\bsubdebt\.([A-Za-z_]\w*)", path.read_text()))
     assert names, f"no subdebt.<name> found in {BENCH}"
-    assert sorted(names - set(subdebt.__all__)) == []
+    assert sorted(names - submodules - set(subdebt.__all__)) == []
+
+
+def test_only_claims_evaluates_the_normal_cdf():
+    # N(x) has one evaluation route, next to the kernel in ``claims``: no
+    # other module calls ``math.erfc`` or ``norm_cdf``.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(subdebt.__file__).parent.glob("*.py"))
+        if path.stem != "claims"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] in {"erfc", "norm_cdf"}
+    ]
+    assert found == []
 
 
 def _reads_the_optimize_flag(node):

@@ -12,9 +12,11 @@ from conftest import (
     capital_structures,
     distressed_structures,
     finite_floats,
+    log_uniform,
     near_hump_structures,
     rebuilt,
     structure,
+    whole_domain_structures,
 )
 from subdebt import (
     CapitalStructure,
@@ -572,3 +574,42 @@ class TestOneBoundary:
             radicand = log_ratio / cs.maturity - rate_term
             exact = float(mp.sqrt(max(radicand, 0)))
         assert abs(optimal_volatility(cs) - exact) <= 3e-8
+
+
+_REFUSED = object()
+
+
+def _or_refused(function, *args):
+    """``function(*args)``, or ``_REFUSED`` where it raises ValidationError."""
+    try:
+        return function(*args)
+    except ValidationError:
+        return _REFUSED
+
+
+def _finite_nonnegative(value):
+    return math.isfinite(value) and value >= 0.0
+
+
+class TestWholeDomainContract:
+    """Aim 3's contract for the risk layer: finite values >= 0, or ValidationError."""
+
+    @settings(derandomize=True, max_examples=300)
+    @given(whole_domain_structures(), st.just(0.0) | log_uniform(-320.0), log_uniform(-320.0))
+    def test_risk_layer_finite_nonnegative_or_refused(self, cs, sigma, initial_sigma):
+        shift = _or_refused(risk_shift_threshold, cs, sigma)
+        hump = _or_refused(hump_threshold, cs)
+        best = _or_refused(optimal_volatility, cs)
+        risk = _or_refused(chosen_risk, cs, initial_sigma)
+        assert all(value is _REFUSED or _finite_nonnegative(value) for value in (shift, hump, risk))
+        if best is not _REFUSED:
+            # sigma* is None exactly where V > H as printed; an H that overflows is +inf.
+            assert (best is None) == (hump is not _REFUSED and cs.asset_value > hump)
+            assert best is None or _finite_nonnegative(best)
+        profile = _or_refused(classify_regime, cs, initial_sigma)
+        if profile is _REFUSED:
+            return
+        fields = (profile.shift_threshold, profile.hump_threshold, profile.chosen_risk)
+        assert all(_finite_nonnegative(value) for value in fields)
+        assert repr(best) == repr(profile.optimal_volatility)
+        assert repr(risk) == repr(profile.chosen_risk)
