@@ -233,8 +233,8 @@ def _claims(
     Raises:
         ValidationError: If the discount factor e^{-r tau} overflows, if
             sigma^2 / 2 * tau does in float arithmetic, if a claim is
-            undefined because the discounted total face overflows, or if
-            V / (F_S + F_J) underflows to 0.
+            undefined because the discounted total face overflows or d1
+            is NaN, or if V / (F_S + F_J) underflows to 0.
     """
     erfc, exp = math.erfc, math.exp
     tau, rate, dividend_yield = cs.maturity, cs.rate, cs.dividend_yield
@@ -289,8 +289,15 @@ def _claims(
     call_s = 0.0 if call_s < 0.0 else call_s
     call_t = 0.0 if call_t < 0.0 else call_t
     senior = pv_s - put_s
-    # A claim is NaN only where the discounted total face overflowed.
+    # A claim is NaN only where the discounted total face overflowed, or
+    # where d1 is: ln(V / F) = +inf (V / F overflows) meets a drift of -inf.
     if senior != senior or call_t != call_t:
+        if math.isfinite(pv_t):
+            raise ValidationError(
+                "d1 is undefined: ln(asset_value / face) = +inf meets a drift "
+                f"(r - q + sigma^2 / 2) tau = -inf at asset_value {cs.asset_value}, "
+                f"rate {rate}, dividend_yield {dividend_yield} and maturity {tau}"
+            )
         raise ValidationError(
             f"discounted total face {total_face} * {discount} overflows"
         )

@@ -11,6 +11,14 @@ parsed as decimal text at full double precision.  ``initial_sigma``
 defaults to ``sigma``; scenarios priced at sigma = 0 must therefore
 state it explicitly.  Files are read as UTF-8.
 
+A file in the documented form (blank lines, full-line ``#`` or ``;``
+comments, ``[scenario]`` and ``[monte_carlo]`` at most once each, and
+unindented ``key = value`` lines with distinct keys, no ``:`` in a key
+and no ``#`` or ``;`` in a line) is read without importing
+``configparser``; any other text goes to it.  One path checks and
+converts the sections either route gives, so both give a file the same
+``Scenario`` or the same error.
+
 ``MCConfig``, the Monte-Carlo engine's configuration, is defined here
 rather than in ``oracle``, so that every command checks the file's
 ``[monte_carlo]`` values without loading the engine.
@@ -18,7 +26,6 @@ rather than in ``oracle``, so that every command checks the file's
 
 from __future__ import annotations
 
-import configparser
 from pathlib import Path
 
 from .claims import CapitalStructure
@@ -29,6 +36,11 @@ DEFAULT_PATHS = 1_000_000
 DEFAULT_SEED = 1
 
 _REQUIRED_KEYS = ("asset_value", "senior_face", "junior_face", "sigma", "maturity", "rate")
+_KNOWN = {
+    "scenario": {*_REQUIRED_KEYS, "dividend_yield", "initial_sigma", "name"},
+    "monte_carlo": {"paths", "seed", "antithetic"},
+}
+_KNOWN["DEFAULT"] = _KNOWN["scenario"] | _KNOWN["monte_carlo"]
 
 
 class MCConfig(Record):
@@ -88,39 +100,29 @@ def load_scenario(path: str | Path) -> Scenario:
         ValidationError: If the parsed parameters violate their domains.
     """
     path = Path(path)
-    # No interpolation: a "%" in a value is plain text.
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), interpolation=None
-    )
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ScenarioParseError(f"malformed scenario file {path}: {exc}") from exc
+    sections = _read_plain(text)
+    if sections is None:
+        sections = _read_ini(text, path)
 
-    if not parser.has_section("scenario"):
+    if "scenario" not in sections:
         raise ScenarioParseError(f"{path}: missing [scenario] section")
-    section = parser["scenario"]
+    section = sections["scenario"]
     missing = [key for key in _REQUIRED_KEYS if key not in section]
     if missing:
         raise ScenarioParseError(f"{path}: missing required keys {', '.join(missing)}")
     # A [DEFAULT] key shows in every section, so it is checked once, there; a
     # section's own keys are those [DEFAULT] lacks or that it sets otherwise.
-    defaults = parser.defaults()
-    known = {
-        "scenario": {*_REQUIRED_KEYS, "dividend_yield", "initial_sigma", "name"},
-        "monte_carlo": {"paths", "seed", "antithetic"},
-    }
-    known[parser.default_section] = known["scenario"] | known["monte_carlo"]
-    for name, keys in parser.items():
-        if name not in known:
+    defaults = sections.get("DEFAULT", {})
+    for name, keys in sections.items():
+        if name not in _KNOWN:
             raise ScenarioParseError(f"{path}: unknown section [{name}]")
-        inherited = {} if name == parser.default_section else defaults
+        inherited = {} if name == "DEFAULT" else defaults
         own = [key for key, value in keys.items() if inherited.get(key) != value]
-        unknown = [key for key in own if key not in known[name]]
+        unknown = [key for key in own if key not in _KNOWN[name]]
         if unknown:
             raise ScenarioParseError(f"{path}: unknown keys in [{name}]: {', '.join(unknown)}")
 
@@ -136,9 +138,8 @@ def load_scenario(path: str | Path) -> Scenario:
     initial_sigma = _get(section, "float", "initial_sigma", path, structure.volatility)
     name = section.get("name", path.stem)
 
-    if not parser.has_section("monte_carlo"):  # its keys may still be in [DEFAULT]
-        parser.add_section("monte_carlo")
-    mc_section = parser["monte_carlo"]
+    # Without the section, its keys may still be in [DEFAULT].
+    mc_section = sections.get("monte_carlo", defaults)
     paths = _get(mc_section, "int", "paths", path, DEFAULT_PATHS)
     seed = _get(mc_section, "int", "seed", path, DEFAULT_SEED)
     if not _get(mc_section, "boolean", "antithetic", path, True):
@@ -151,14 +152,62 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(name=name, structure=structure, initial_sigma=initial_sigma, mc=mc)
 
 
+def _read_plain(text: str) -> dict | None:
+    """The sections of ``text`` as configparser reads them, where the text
+    is in the documented form; None for any other text.  Lines end at
+    "\\n" alone, as in the ``io.StringIO`` that configparser reads."""
+    sections: dict[str, dict[str, str]] = {}
+    keys = None
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace() or "#" in line or ";" in line:
+            return None
+        if stripped in ("[scenario]", "[monte_carlo]"):
+            if stripped[1:-1] in sections:
+                return None
+            keys = sections[stripped[1:-1]] = {}
+            continue
+        key, equals, value = stripped.partition("=")
+        key = key.strip().lower()
+        if keys is None or stripped[0] == "[" or not equals or not key:
+            return None
+        if ":" in key or key in keys:
+            return None
+        keys[key] = value.strip()
+    return sections
+
+
+def _read_ini(text: str, path: Path) -> dict:
+    """The sections of any INI ``text``, read by configparser: ``[DEFAULT]``
+    first, then each section as a view with the defaults merged in."""
+    import configparser
+
+    # No interpolation: a "%" in a value is plain text.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        parser.read_string(text, source=str(path))
+    except configparser.Error as exc:
+        raise ScenarioParseError(f"malformed scenario file {path}: {exc}") from exc
+    return dict(parser)
+
+
+# configparser's ``BOOLEAN_STATES``: the words it reads as a boolean, in any case.
+_BOOLEANS = {"1": True, "yes": True, "true": True, "on": True}
+_BOOLEANS.update({"0": False, "no": False, "false": False, "off": False})
+_CONVERT = {"float": float, "int": int, "boolean": lambda text: _BOOLEANS[text.lower()]}
 _NOUNS = {"float": "a number", "int": "an integer", "boolean": "a boolean"}
 
 
 def _get(section, kind: str, key: str, path: Path, default=None):
-    """``key`` read by ``section.get<kind>``; ``default`` where it is absent."""
+    """``key`` of ``section`` converted as configparser's ``get<kind>``
+    would; ``default`` where it is absent."""
+    if key not in section:
+        return default
     try:
-        return getattr(section, "get" + kind)(key, fallback=default)
-    except ValueError as exc:
+        return _CONVERT[kind](section[key])
+    except (KeyError, ValueError) as exc:  # KeyError: not a boolean word
         raise ScenarioParseError(
             f"{path}: key {key} is not {_NOUNS[kind]}: {section[key]!r}"
         ) from exc

@@ -100,6 +100,19 @@ class TestOneRoute:
         with pytest.raises(ValidationError, match="overflows"):
             call_price(_inputs(1.0, 1.0, 1e200, 1e10, 0.0))
 
+    def test_call_refused_where_d1_is_nan(self):
+        # V / K overflows and q tau does, while K e^{-r tau} is finite (0.0).
+        inputs = OptionInputs(
+            7.436075013255355e31,
+            7.1225e-320,
+            5.260106338950775e-86,
+            1.633550695842439e222,
+            1.170124109879985e16,
+            1.491036651246873e295,
+        )
+        with pytest.raises(ValidationError, match=r"^d1 is undefined: ln\(asset_value / face\)"):
+            call_price(inputs)
+
     def test_strike_too_small_to_split_is_refused(self):
         # No two positive floats sum to the least subnormal.
         with pytest.raises(ValidationError, match="senior_face"):

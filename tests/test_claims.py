@@ -150,6 +150,30 @@ class TestOutOfFloatRange:
                 function(cs)
         assert counts["kernel"] == 6
 
+    @pytest.mark.parametrize(
+        "cs,message",
+        [
+            (
+                structure(62.0, fs=1.0, fj=1e300, r=-100.0),
+                "discounted total face 1e+300 * 2.6881171418161356e+43 overflows",
+            ),
+            (
+                structure(1e300, fs=1e-300, fj=1e-300, sigma=0.2, tau=10.0, r=0.0, q=1e308),
+                "d1 is undefined: ln(asset_value / face) = +inf meets a drift "
+                "(r - q + sigma^2 / 2) tau = -inf at asset_value 1e+300, rate 0.0, "
+                "dividend_yield 1e+308 and maturity 10.0",
+            ),
+        ],
+        ids=["total-face-overflows", "d1-is-nan"],
+    )
+    def test_a_nan_claim_is_refused_with_its_cause(self, cs, message):
+        # First e^{-r tau} (F_S + F_J) = 2.7e343 overflows.  Then it is a
+        # finite 2e-300, but V / F_S = 1e600 and q tau overflow: d1 is
+        # (+inf - inf) / (sigma sqrt(tau)).
+        with pytest.raises(ValidationError) as excinfo:
+            value_all_claims(cs)
+        assert str(excinfo.value) == message
+
     def test_claims_stand_where_only_the_vega_overflows(self, monkeypatch):
         # The vega, about 4e308, leaves the float range; the claims do not.
         # The references are 50-digit mpmath at these exact floats.  The

@@ -10,14 +10,18 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import child_env, count_calls, read_sweep_csv, strict_json
 from golden.regenerate import GOLDEN, SCENARIOS, pinned_platform
 
 import subdebt.cli as cli
 import subdebt.risk as risk
+import subdebt.scenario as scenario_module
 import subdebt.verify as verify
 from subdebt.cli import (
     EXIT_OK,
@@ -1137,3 +1141,54 @@ class TestFlagReader:
             main(case["argv"])
         assert excinfo.value.code == case["code"]
         assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+# Single-line edits of a bundled scenario, weighted to files that still load:
+# a kept, re-cased or commented line loads, while a dropped, duplicated or
+# indented line, or a value out of its domain, is refused.
+_BUNDLED_SCENARIOS = [path.read_text(encoding="utf-8") for path in sorted(SCENARIOS.glob("*.ini"))]
+_LINE_EDITS = ["keep", "keep", "case", "comment", "comment", "drop", "duplicate", "indent",
+               "value", "value"]
+_FUZZ_VALUES = ["inf", "nan", "-800", "1e309", ""]
+
+
+@st.composite
+def _edited_scenarios(draw):
+    lines = draw(st.sampled_from(_BUNDLED_SCENARIOS)).split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(_LINE_EDITS))
+    if edit == "case":
+        lines[i] = lines[i].upper() if draw(st.booleans()) else lines[i].title()
+    elif edit == "comment":
+        lines[i] += draw(st.sampled_from([" # note", " ; note", "  #note"]))
+    elif edit == "drop":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "indent":
+        lines[i] = draw(st.sampled_from([" ", "\t"])) + lines[i]
+    elif edit == "value" and "=" in lines[i]:
+        lines[i] = lines[i].partition("=")[0] + "= " + draw(st.sampled_from(_FUZZ_VALUES))
+    return "\n".join(lines)
+
+
+def test_edited_scenario_files_exit_with_a_documented_code(tmp_path, capsys):
+    # In process: each edited file gives price and thresholds exit 0, 2, 3
+    # or 4 and raises nothing, through both of load_scenario's readers.
+    path = tmp_path / "edited.ini"
+    codes = set()
+
+    @settings(derandomize=True, max_examples=200)
+    @given(_edited_scenarios(), st.sampled_from(["price", "thresholds"]))
+    def check(text, command):
+        path.write_text(text, encoding="utf-8")
+        code = main([command, "--scenario", str(path)])
+        assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR, EXIT_VERIFY_FAILURE)
+        codes.add(code)
+
+    spy = mock.patch.object(scenario_module, "_read_ini", wraps=scenario_module._read_ini)
+    with spy as read_ini:
+        check()
+    capsys.readouterr()
+    assert 20 <= read_ini.call_count <= 180
+    assert {EXIT_OK, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR} <= codes

@@ -5,17 +5,19 @@
 every scenario error reads its flags without ``argparse``, so it loads
 neither ``argparse`` nor the ``gettext`` and ``locale`` modules that
 argparse's messages pull in; help and an unknown command still load
-argparse.  ``verify`` does not load ``subprocess`` either.  The
-closed-form commands and the sweeps load neither numpy, scipy,
-``dataclasses`` nor ``inspect``.  ``price`` and ``thresholds`` load
-neither the sweeps nor the oracles, and as text neither ``json`` nor
-``csv``; ``price`` does not load ``subdebt.risk`` either, and nor does
-``sweep-sigma``.  The sweeps load neither ``json`` nor ``csv`` in any
-format.  ``verify`` loads numpy and, of the packages it draws from,
-only the compiled modules it uses: scipy's ``_ufuncs``, neither the
-``scipy.special`` package nor the ``scipy`` package, whose ``__init__``
-loads scipy's test utilities and build configuration, and numpy's
-``_philox``, not the ``numpy.random`` package.  It does not load
+argparse.  Each of these commands reads a scenario file in the
+documented form without ``configparser``; a file with an inline comment
+loads it, and prints the same bytes.  ``verify`` does not load
+``subprocess`` either.  The closed-form commands and the sweeps load
+neither numpy, scipy, ``dataclasses`` nor ``inspect``.  ``price`` and
+``thresholds`` load neither the sweeps nor the oracles, and as text
+neither ``json`` nor ``csv``; ``price`` does not load ``subdebt.risk``
+either, and nor does ``sweep-sigma``.  The sweeps load neither ``json``
+nor ``csv`` in any format.  ``verify`` loads numpy and, of the packages
+it draws from, only the compiled modules it uses: scipy's ``_ufuncs``,
+neither the ``scipy.special`` package nor the ``scipy`` package, whose
+``__init__`` loads scipy's test utilities and build configuration, and
+numpy's ``_philox``, not the ``numpy.random`` package.  It does not load
 ``dataclasses`` (numpy loads ``inspect`` itself).
 
 Each case runs in a fresh interpreter, because this test process has
@@ -69,13 +71,14 @@ print(json.dumps({"code": code, "numpy": "numpy" in modules,
 """
 
 # The argument parser and the modules its messages load, which no command
-# that reads its flags without it loads; modules that no closed-form
+# that reads its flags without it loads, and the INI parser, which no command
+# loads for a scenario file in the documented form; modules that no closed-form
 # command loads; those that ``price`` and ``thresholds`` do not load
 # either; those that ``price`` does not load either; those that text
 # output does not; those that the sweeps do not, in any format; and those
 # that ``sweep-sigma`` does not load either.
-_PARSER = {"argparse", "gettext", "locale"}
-_NOT_IN_COMMANDS = _PARSER | {
+_PARSERS = {"argparse", "gettext", "locale", "configparser"}
+_NOT_IN_COMMANDS = _PARSERS | {
     "subdebt.oracle",
     "subdebt.verify",
     "subdebt.black_scholes",
@@ -121,7 +124,8 @@ def _loaded_after(argv, probe=_PROBE):
         text=True,
         check=True,
     )
-    return json.loads(result.stdout.splitlines()[-1])
+    *output, report = result.stdout.splitlines(keepends=True)
+    return dict(json.loads(report), output="".join(output))
 
 
 @pytest.mark.parametrize(
@@ -193,7 +197,20 @@ def test_scenario_errors_load_no_parser(tmp_path, command, old, new, code):
     path.write_text(text.replace(old, new, 1))
     loaded = _loaded_after([command, "--scenario", str(path)])
     assert loaded["code"] == code
-    assert not _PARSER & set(loaded["modules"])
+    assert not _PARSERS & set(loaded["modules"])
+
+
+def test_a_scenario_file_with_an_inline_comment_loads_configparser(tmp_path):
+    path = tmp_path / "distressed.ini"
+    text = SCENARIO.read_text()
+    assert "\nsigma = 0.10\n" in text
+    path.write_text(text.replace("\nsigma = 0.10\n", "\nsigma = 0.10  # pre-shift\n"))
+    commented = _loaded_after(["price", "--scenario", str(path)])
+    plain = _loaded_after(["price", "--scenario", str(SCENARIO)])
+    assert commented["code"] == plain["code"] == 0
+    assert "configparser" in commented["modules"]
+    assert "configparser" not in plain["modules"]
+    assert commented["output"] == plain["output"]
 
 
 @pytest.mark.parametrize(
@@ -212,7 +229,7 @@ def test_verify_loads_no_parser(fmt):
     argv = ["verify", "--scenario", str(SCENARIO), "--paths", "2000"]
     loaded = _loaded_after(argv if fmt == "text" else [*argv, "--format", fmt])
     assert loaded["code"] == 0
-    assert not (_PARSER | {"subprocess"}) & set(loaded["modules"])
+    assert not (_PARSERS | {"subprocess"}) & set(loaded["modules"])
 
 
 # The numpy.random package and the generators, distributions and pickling

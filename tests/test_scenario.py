@@ -1,10 +1,15 @@
 """Tests for scenario-file parsing."""
 
+import configparser
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subdebt import ScenarioParseError, ValidationError, load_scenario
+from subdebt import scenario as scenario_module
 
 BUNDLED = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -225,3 +230,142 @@ def test_bundled_scenarios_load(name, asset_value, senior_face):
     assert scenario.initial_sigma == 0.10
     assert scenario.mc.path_count == 1_000_000
     assert scenario.mc.seed == 1
+
+
+def test_bundled_scenarios_are_in_the_documented_form():
+    for path in sorted(BUNDLED.glob("*.ini")):
+        assert scenario_module._read_plain(path.read_text(encoding="utf-8")) is not None, path
+
+
+def test_boolean_words_are_configparsers():
+    assert scenario_module._BOOLEANS == configparser.ConfigParser.BOOLEAN_STATES
+
+
+# A line grammar around the bundled scenarios, for texts the plain reader
+# must read as configparser does or decline.
+_BUNDLED_LINES = [
+    path.read_text(encoding="utf-8").split("\n") for path in sorted(BUNDLED.glob("*.ini"))
+]
+_HEADERS = [
+    "[scenario]", "[monte_carlo]", "[ scenario ]", "[Scenario]", "[scenario]x", "[DEFAULT]",
+    "[montecarlo]", "[seed = 2]",
+]
+_KEYS = [
+    "name", "sigma", "initial_sigma", "dividend_yield", "rate", "paths", "seed", "antithetic",
+    "Sigma", "SEED", "Initial_Sigma", "initial sigma", "sig ma", "sigma:", "a:b", "colour",
+]
+_VALUES = [
+    "0.1", "0.25", "62", "2000", "7", "true", "Off", "", "5%", "%(x)s", "a ;b", "a;b",
+    "0.1 # note", "0.1#note", "a =b", "x:y", "-800",
+]
+_INDENTS = [" ", "\t", "\x0c"]
+_INSIDE = ["\x1c", "\u2028"]
+_SEPARATORS = ["=", " = ", " =", "= ", ":", " : "]
+
+
+@st.composite
+def _grammar_line(draw):
+    kind = draw(st.sampled_from(["header", "key", "key", "comment", "blank"]))
+    if kind == "header":
+        return draw(st.sampled_from(_HEADERS))
+    if kind == "comment":
+        return draw(st.sampled_from(["# note", "; note", "#", "  # indented note"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    key, sep, value = (draw(st.sampled_from(pool)) for pool in (_KEYS, _SEPARATORS, _VALUES))
+    return key + sep + value
+
+
+@st.composite
+def _scenario_texts(draw):
+    """A bundled scenario with a few of its lines mutated, dropped, added,
+    duplicated, indented or joined to the next, and perhaps a BOM."""
+    lines = list(draw(st.sampled_from(_BUNDLED_LINES)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(
+            st.sampled_from(
+                ["replace", "insert", "header", "drop", "duplicate", "indent", "case", "inside",
+                 "join", "comment"]
+            )
+        )
+        if edit == "replace":
+            lines[i] = draw(_grammar_line())
+        elif edit == "insert":
+            lines.insert(i, draw(_grammar_line()))
+        elif edit == "header":
+            lines.insert(i, draw(st.sampled_from(_HEADERS)))
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "indent":
+            lines[i] = draw(st.sampled_from(_INDENTS)) + lines[i]
+        elif edit == "case":
+            lines[i] = lines[i].upper() if draw(st.booleans()) else lines[i].title()
+        elif edit == "inside":
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(st.sampled_from(_INSIDE)) + lines[i][j:]
+        elif edit == "join" and i + 1 < len(lines):
+            lines[i : i + 2] = [lines[i] + draw(st.sampled_from(_INSIDE)) + lines[i + 1]]
+        elif edit == "comment":
+            lines[i] += draw(st.sampled_from([" # note", "# note", " ; note", ";note"]))
+        if not lines:
+            lines = [""]
+    bom = "\ufeff" if draw(st.integers(0, 9)) == 0 else ""
+    return bom + "\n".join(lines)
+
+
+def _outcome(path):
+    """``load_scenario(path)``'s scenario, or the type and message it raises."""
+    try:
+        return load_scenario(path)
+    except Exception as exc:  # the comparison wants any exception, not only ours
+        return type(exc), str(exc)
+
+
+def test_plain_reader_reads_as_configparser_does(tmp_path):
+    # Either route must give every text the same scenario or the same error;
+    # both routes must be reached, with valid scenarios among the plain ones.
+    path = tmp_path / "scenario.ini"
+    routes = {"plain": 0, "configparser": 0, "loaded": 0}
+
+    @settings(derandomize=True, max_examples=400)
+    @given(_scenario_texts())
+    def check(text):
+        path.write_text(text, encoding="utf-8")
+        plain = scenario_module._read_plain(text) is not None
+        routes["plain" if plain else "configparser"] += 1
+        outcome = _outcome(path)
+        with mock.patch.object(scenario_module, "_read_plain", return_value=None):
+            assert _outcome(path) == outcome
+        routes["loaded"] += plain and not isinstance(outcome, tuple)
+
+    check()
+    assert min(routes.values()) >= 40, routes
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("name = distressed", "name = a ;b"),
+        ("name = distressed", "name = a;b"),
+        ("name = distressed", "name = a\x1cb"),
+        ("name = distressed", "name = a\u2028b"),
+        ("sigma = 0.10\n", "sigma = 0.10\x1c"),
+        ("initial_sigma = 0.10\nmaturity", "initial_sigma = 0.10\x0cmaturity"),
+        ("[scenario]", "[scenario]x"),
+        ("rate = 0.01", "Rate = 0.01"),
+    ],
+    ids=["inline-comment", "semicolon", "file-separator", "line-separator",
+         "file-separator-at-end", "form-feed-join", "header-suffix", "key-case"],
+)
+def test_plain_reader_examples(tmp_path, old, new):
+    # configparser's lines end at "\n" alone, so "\x1c", "\u2028" and "\x0c"
+    # stay inside a line, where str.splitlines would end it.
+    text = (BUNDLED / "distressed.ini").read_text(encoding="utf-8")
+    assert old in text
+    path = _write(tmp_path, text.replace(old, new, 1))
+    outcome = _outcome(path)
+    with mock.patch.object(scenario_module, "_read_plain", return_value=None):
+        assert _outcome(path) == outcome
