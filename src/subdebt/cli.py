@@ -112,7 +112,7 @@ def _read_flags(argv: list[str]) -> SimpleNamespace | None:
             return None
         try:
             value = option.get("type", str)(text)
-        except (TypeError, ValueError):
+        except ValueError:
             return None
         if "choices" in option and value not in option["choices"]:
             return None

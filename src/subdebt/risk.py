@@ -156,22 +156,20 @@ def optimal_volatility(cs: CapitalStructure) -> float | None:
     rounds to <= 0; None exactly where V > ``hump_threshold``, where the
     junior value is decreasing in volatility.  Where F_S (F_S + F_J), V^2
     or their ratio is not a normal float, the log is taken as
-    ln(F_S / V) + ln((F_S + F_J) / V), and where those ratios are not
-    normal either, as ln F_S + ln(F_S + F_J) - 2 ln V.  The structure's
-    own volatility field is ignored.  Raises ValidationError where the
-    radicand itself leaves the float range.
+    ln(m_S m_T / m_V^2) + (e_S + e_T - 2 e_V) ln 2 from the binary
+    mantissas m and exponents e of F_S, F_S + F_J and V, the same at any
+    power-of-two scale.  The structure's own volatility field is ignored.
+    Raises ValidationError where the radicand itself leaves the float range.
     """
     try:
         hump = _threshold(cs, 0.0)
     except ValidationError:
         hump = _INF
-    return _optimal_volatility(cs, cs.asset_value, hump)
+    return None if cs.asset_value > hump else _optimal_volatility(cs, cs.asset_value)
 
 
-def _optimal_volatility(cs: CapitalStructure, asset_value: float, hump: float) -> float | None:
-    """``optimal_volatility`` of ``cs`` at ``asset_value``, given its hump threshold."""
-    if asset_value > hump:
-        return None
+def _optimal_volatility(cs: CapitalStructure, asset_value: float) -> float:
+    """sigma* of ``cs`` at ``asset_value``, which callers keep <= the hump threshold."""
     senior_face = cs.senior_face
     total_face = senior_face + cs.junior_face  # cs.total_face, without the property call
     face_product = senior_face * total_face
@@ -184,11 +182,9 @@ def _optimal_volatility(cs: CapitalStructure, asset_value: float, hump: float) -
     ):
         log_ratio = math.log(ratio)
     else:
-        senior_ratio, total_ratio = senior_face / asset_value, total_face / asset_value
-        if _NORMAL_MIN <= senior_ratio < _INF and _NORMAL_MIN <= total_ratio < _INF:
-            log_ratio = math.log(senior_ratio) + math.log(total_ratio)
-        else:
-            log_ratio = math.log(senior_face) + math.log(total_face) - 2.0 * math.log(asset_value)
+        # Mantissas in [1/2, 1), so their ratio lies in (1/4, 4) at any scale.
+        (ms, es), (mt, et), (mv, ev) = map(math.frexp, (senior_face, total_face, asset_value))
+        log_ratio = math.log(ms * mt / (mv * mv)) + (es + et - 2 * ev) * math.log(2.0)
     radicand = log_ratio / cs.maturity - 2.0 * cs.rate + 2.0 * cs.dividend_yield
     if radicand <= 0.0:
         return 0.0
@@ -213,7 +209,7 @@ def classify_regime(cs: CapitalStructure, initial_sigma: float) -> RiskProfile:
     if not 0.0 < initial_sigma < _INF:
         raise _domain_error("initial_sigma", initial_sigma, "finite and > 0")
     shift_at_initial, hump = _threshold(cs, initial_sigma), _threshold(cs, 0.0)
-    best = _optimal_volatility(cs, cs.asset_value, hump)
+    best = None if cs.asset_value > hump else _optimal_volatility(cs, cs.asset_value)
     shifts_up = cs.asset_value < shift_at_initial
     return RiskProfile(
         best,
@@ -241,5 +237,5 @@ def chosen_risk(cs: CapitalStructure, initial_sigma: float) -> float:
     if not 0.0 < initial_sigma < _INF:
         raise _domain_error("initial_sigma", initial_sigma, "finite and > 0")
     if cs.asset_value < _threshold(cs, initial_sigma):
-        return _optimal_volatility(cs, cs.asset_value, _INF)
+        return _optimal_volatility(cs, cs.asset_value)
     return initial_sigma

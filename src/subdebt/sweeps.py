@@ -136,7 +136,7 @@ def sweep_structure(
         # The grid increases strictly, so sigma* exists (V <= H) on a prefix
         # of it, and shifting pays (V < shift) on a prefix of that one.
         humped = bisect_right(asset_values, hump)
-        best = [_optimal_volatility(cs, value, hump) for value in islice(asset_values, humped)]
+        best = [_optimal_volatility(cs, value) for value in islice(asset_values, humped)]
         shifting = min(bisect_left(asset_values, shift), humped)
         chosen = chain(islice(best, shifting), repeat(initial_sigma, steps - shifting))
         table = {

@@ -1,15 +1,16 @@
 """Shared hypothesis strategies for model inputs, the textbook
 single-option prices, a structure builder with defaults, a record
-rebuilder, a sweep CSV reader, a strict JSON reader, the whole
-Monte-Carlo stream of terminal values, the claim payoffs at maturity,
-the environment of a child process, and the CPU target of numpy's
-``exp`` loop."""
+rebuilder, a normal-float test, a sweep CSV reader, a strict JSON
+reader, the whole Monte-Carlo stream of terminal values, the claim
+payoffs at maturity, the environment of a child process, and the CPU
+target of numpy's ``exp`` loop."""
 
 import csv
 import inspect
 import json
 import math
 import os
+import sys
 
 import hypothesis
 from hypothesis import strategies as st
@@ -169,6 +170,11 @@ def count_calls(monkeypatch, counts, key, modules, name):
 
     for module in modules:
         monkeypatch.setattr(module, name, counted)
+
+
+def is_normal(value):
+    """Whether ``value`` is a normal float: neither 0, subnormal, inf nor NaN."""
+    return sys.float_info.min <= abs(value) < math.inf
 
 
 def read_sweep_csv(stream):

@@ -139,9 +139,12 @@ def library_structures():
     The kinds take turns: any structure; a hump whose sigma* is drawn
     first, small enough that the vega can underflow near it, inside the
     argmax's grid or past its right edge; sigma = 0, where the vega is
-    undefined; faces and asset value scaled by 1e+-150, where the
-    thresholds and sigma* take their logs.  Every other structure has a
-    payout yield.
+    undefined; faces and asset value scaled by 1e+-150.  At that scale
+    F_S (F_S + F_J), V^2 and their ratio are still normal floats, so all
+    200 structures take the direct forms of the thresholds and sigma*;
+    sigma*'s fallback log is checked by the properties of
+    ``TestSigmaStarLog`` in ``tests/test_risk.py``.  Every other
+    structure has a payout yield.
     """
     rng = random.Random(LIBRARY_SEED)
 

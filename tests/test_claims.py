@@ -13,6 +13,7 @@ from conftest import (
     count_calls,
     distressed_structures,
     finite_floats,
+    is_normal,
     rebuilt,
     single_option,
     structure,
@@ -231,6 +232,42 @@ class TestWholeDomainContract:
             assert vega is None
         else:
             assert vega is not None and math.isfinite(vega)
+
+
+class TestPowerOfTwoScale:
+    """Scaling V, F_S and F_J by 2^k scales every claim and the junior vega
+    by 2^k, bit for bit.
+
+    The thresholds and sigma* are left out: each takes its direct form where
+    F_S (F_S + F_J), V^2 and their ratio are normal floats and another form
+    elsewhere, and the two forms round differently, so a structure and its
+    scaled copy can land on different forms and differ in the last bits."""
+
+    @settings(derandomize=True, max_examples=200)
+    @given(
+        capital_structures(min_sigma=0.0, with_yield=True), st.sampled_from([-600, -40, 7, 500])
+    )
+    def test_claims_and_vega_scale_exactly(self, cs, k):
+        scaled = rebuilt(
+            cs,
+            asset_value=math.ldexp(cs.asset_value, k),
+            senior_face=math.ldexp(cs.senior_face, k),
+            junior_face=math.ldexp(cs.junior_face, k),
+        )
+        values, scaled_values = value_all_claims(cs), value_all_claims(scaled)
+        pairs = [
+            (getattr(values, name), getattr(scaled_values, name))
+            for name in ("senior_value", "junior_value", "equity_value", "total")
+        ]
+        vega, scaled_vega = junior_debt_vega(cs), junior_debt_vega(scaled)
+        if cs.volatility * math.sqrt(cs.maturity) == 0.0:
+            assert vega is None and scaled_vega is None
+        else:
+            pairs.append((vega, scaled_vega))
+        for value, scaled_value in pairs:
+            # A subnormal value on either side has lost digits the other keeps.
+            if (is_normal(value) and is_normal(scaled_value)) or value == scaled_value == 0.0:
+                assert scaled_value.hex() == math.ldexp(value, k).hex(), (value, scaled_value)
 
 
 class TestClaimBoundsAndIdentities:

@@ -1192,3 +1192,110 @@ def test_edited_scenario_files_exit_with_a_documented_code(tmp_path, capsys):
     capsys.readouterr()
     assert 20 <= read_ini.call_count <= 180
     assert {EXIT_OK, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR} <= codes
+
+
+# Command lines for the fuzz below: each command's own flags, a flag of
+# another command now and then, and values from each flag's valid range, or
+# 0, a negative, 1e309, nan, a non-number or the empty string.  Drawn steps
+# stay <= 2,000 and drawn paths <= 20,000; the pinned lines reach the caps.
+_BUNDLED_PATHS = sorted(str(path) for path in SCENARIOS.glob("*.ini"))
+_UNIT_TEXTS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr)
+_FLAG_VALUES = {
+    "--scenario": st.sampled_from(_BUNDLED_PATHS),
+    "--format": st.sampled_from(["csv", "json"]),
+    "--out": st.sampled_from(["out.txt", os.path.join("missing", "out.txt")]),
+    "--sigma-min": st.floats(0.0, 2.0).map(repr),
+    "--sigma-max": st.floats(0.0, 2.0).map(repr),
+    "--steps": st.integers(2, 2_000).map(str),
+    "--total-face": st.floats(1.0, 500.0).map(repr),
+    "--proportions": st.lists(_UNIT_TEXTS, min_size=1, max_size=4).map(",".join),
+    "--v-min": st.floats(1.0, 200.0).map(repr),
+    "--v-max": st.floats(1.0, 200.0).map(repr),
+    "--seed": st.integers(0, 2**64 - 1).map(str),
+    "--paths": st.integers(2, 20_000).map(str),
+}
+_ODD_FLAG_VALUES = ["0", "-1", "-0.25", "1e309", "nan", "ten", ""]
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[command][2]
+    # A required flag is left out one time in twenty, an optional one half
+    # the time; one line in four takes a flag of any command, and one value
+    # in ten is odd.  The odds come from a generator seeded by the draw:
+    # hypothesis's own draws favour the ends of a range.
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    flags = [
+        flag
+        for flag, option in options.items()
+        if rng.random() < (0.95 if option.get("required") else 0.5)
+    ]
+    if rng.random() < 0.25:
+        flags.append(rng.choice(sorted(_FLAG_VALUES)))
+    rng.shuffle(flags)
+    argv = [command]
+    for flag in flags:
+        odd = rng.random() < 0.1
+        argv += [flag, rng.choice(_ODD_FLAG_VALUES) if odd else draw(_FLAG_VALUES[flag])]
+    return argv
+
+
+def _documented_exit(argv, capsys):
+    """The exit code of ``main(argv)``, returned or raised as SystemExit, after
+    checking that it is 0, 2, 3 or 4, that no traceback was printed, and that
+    a refused run (2 or 3) left no ``--out`` file."""
+    outs = [Path(value) for flag, value in zip(argv, argv[1:]) if flag == "--out"]
+    for out in outs:
+        if out.is_file():
+            out.unlink()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR, EXIT_VERIFY_FAILURE), argv
+    assert "Traceback" not in capsys.readouterr().err, argv
+    if code in (EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR):
+        assert not any(out.is_file() for out in outs), argv
+    return code
+
+
+def test_drawn_command_lines_exit_with_a_documented_code(tmp_path, monkeypatch, capsys):
+    # In process, in a scratch directory, so that any --out lands there.
+    monkeypatch.chdir(tmp_path)
+    codes = set()
+
+    @settings(derandomize=True, max_examples=200)
+    @given(_command_lines())
+    def check(argv):
+        codes.add(_documented_exit(argv, capsys))
+
+    check()
+    assert {EXIT_OK, EXIT_PARSE_ERROR, EXIT_VALIDATION_ERROR} <= codes
+
+
+_DISTRESSED_PATH = str(SCENARIOS / "distressed.ini")
+
+
+# Each at or just past a cap, with the code it must give: about 300,000
+# points would be computed if MAX_STEPS or MAX_STRUCTURE_POINTS were gone.
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["sweep-sigma", "--steps", "100001", "--out", "out.csv"], EXIT_VALIDATION_ERROR),
+        (
+            ["sweep-structure", "--total-face", "100", "--proportions", "0.1,0.2,0.3,0.4",
+             "--v-min", "50", "--v-max", "100", "--steps", "75001", "--out", "out.csv"],
+            EXIT_VALIDATION_ERROR,
+        ),
+        (["verify", "--paths", "3", "--out", "out.txt"], EXIT_VALIDATION_ERROR),
+        (["verify", "--paths", "8589934594", "--out", "out.txt"], EXIT_VALIDATION_ERROR),
+        (["price", "--format", "xml", "--out", "out.txt"], EXIT_PARSE_ERROR),
+        (["thresholds", "--out", os.path.join("missing", "out.txt")], EXIT_PARSE_ERROR),
+    ],
+    ids=["sigma-steps", "structure-points", "odd-paths", "paths-over-2**32", "format", "out-dir"],
+)
+def test_pinned_command_lines_exit_with_their_code(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    assert _documented_exit([command, "--scenario", _DISTRESSED_PATH, *flags], capsys) == code

@@ -2,16 +2,18 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     capital_structures,
     distressed_structures,
     finite_floats,
+    is_normal,
     log_uniform,
     near_hump_structures,
     rebuilt,
@@ -297,8 +299,9 @@ class TestOptimalVolatility:
         assert abs(numeric - closed) < 1e-5
 
     # Where F_S (F_S + F_J), V^2 or their ratio leaves the float range, the
-    # log is ln F_S + ln(F_S + F_J) - 2 ln V.  Expected radicands are
-    # summed here from ln 10 and the logs of the mantissas.
+    # log is taken from the binary mantissas and exponents of F_S, F_S + F_J
+    # and V.  Expected radicands are summed here, independently, from ln 10
+    # and the logs of the decimal mantissas.
     @pytest.mark.parametrize(
         "cs,radicand",
         [
@@ -613,3 +616,53 @@ class TestWholeDomainContract:
         assert all(_finite_nonnegative(value) for value in fields)
         assert repr(best) == repr(profile.optimal_volatility)
         assert repr(risk) == repr(profile.chosen_risk)
+
+
+class TestSigmaStarLog:
+    """sigma*'s log ln(F_S (F_S + F_J) / V^2): the direct form where its terms
+    are normal floats, and the fallback from binary mantissas and exponents
+    elsewhere, over the whole range of V, F_S and F_J."""
+
+    # With tau = 1 and r = q = 0, sigma*^2 is the log l itself.  At the pinned
+    # structure a log of ratios, ln(F_S / V) + ln((F_S + F_J) / V), cancels
+    # to 55 eps of l; the mantissa form stays under 2 eps.
+    @settings(derandomize=True, max_examples=300)
+    @given(log_uniform(-323.0), log_uniform(-323.0), log_uniform(-323.0))
+    @example(1e-200, 3e-301, 7e-100)
+    def test_sigma_star_squared_within_4_eps_of_the_log(
+        self, asset_value, senior_face, junior_face
+    ):
+        mp = pytest.importorskip("mpmath")
+        assume(math.isfinite(senior_face + junior_face))
+        cs = CapitalStructure(asset_value, senior_face, junior_face, 0.2, 1.0, 0.0)
+        best = optimal_volatility(cs)
+        if best is None:
+            return
+        with mp.workdps(60):
+            senior = mp.mpf(senior_face)
+            log_ratio = mp.log(senior * (senior + junior_face) / mp.mpf(asset_value) ** 2)
+            error = abs(mp.mpf(best) ** 2 - log_ratio)
+            assert error <= 4 * sys.float_info.epsilon * max(1, abs(log_ratio)), float(error)
+
+    # Bit for bit at any r, q and tau wherever the direct form applies.
+    @settings(derandomize=True, max_examples=300)
+    @given(whole_domain_structures())
+    def test_direct_form_wherever_its_terms_are_normal(self, cs):
+        face_product = cs.senior_face * (cs.senior_face + cs.junior_face)
+        v_squared = cs.asset_value * cs.asset_value
+        if not (is_normal(face_product) and is_normal(v_squared)):
+            return
+        if not is_normal(face_product / v_squared):
+            return
+        best = _or_refused(optimal_volatility, cs)
+        if best is None:
+            return
+        log_ratio = math.log(face_product / v_squared)
+        radicand = log_ratio / cs.maturity - 2.0 * cs.rate + 2.0 * cs.dividend_yield
+        if radicand <= 0.0:
+            expected = 0.0
+        elif radicand < math.inf:
+            expected = math.sqrt(radicand)
+        else:
+            expected = _REFUSED
+        assert repr(best) == repr(expected)

@@ -278,9 +278,9 @@ class TestStructureSweep:
         evaluated = []
         original = risk._optimal_volatility
 
-        def recorded(cs, asset_value, hump):
+        def recorded(cs, asset_value):
             evaluated.append((cs.junior_face, asset_value))
-            return original(cs, asset_value, hump)
+            return original(cs, asset_value)
 
         monkeypatch.setattr(risk, "_optimal_volatility", recorded)
         tables = sweep_structure(100.0, [0.1, 0.2, 0.3], 50.0, 120.0, 201, 0.10, 1.0, 0.01)
